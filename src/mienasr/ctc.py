@@ -28,7 +28,10 @@ NEG_INF = -np.inf
 
 @dataclass(frozen=True)
 class EmissionMatrix:
-    """T x V log-probabilities, rows normalized, blank at index 0."""
+    """T x V log-probabilities, rows normalized, blank at index 0.
+
+    A -inf cell marks an impossible token; NaN and +inf cells are rejected.
+    """
 
     logits: np.ndarray
 
@@ -37,6 +40,8 @@ class EmissionMatrix:
         object.__setattr__(self, "logits", logits)
         if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
             raise ValueError(f"emission matrix must be T>=1 by V>=2, got {logits.shape}")
+        if np.isnan(logits).any() or np.isposinf(logits).any():
+            raise ValueError("emission matrix holds NaN or +inf cells")
         lse = np.logaddexp.reduce(logits, axis=1)
         if np.max(np.abs(lse)) > 1e-5:
             raise ValueError("emission rows are not normalized log-probabilities")

@@ -8,12 +8,25 @@ that keeps blank-ending and non-blank-ending probability mass separately
 per prefix.  The search space is the same as the offline composition but
 the machinery stays small enough to check against brute-force enumeration.
 
-Two modes share the machinery.  The phoneme path expands only along trie
-arcs, so it can never emit a word outside the lexicon; reaching a word-final
-node either continues deeper (a longer word) or commits the word, applies
-its LM score, and re-enters the trie root.  The subword path expands over
-BPE tokens freely and applies the word LM whenever a boundary-marked token
-completes the pending word.
+Both modes run one search core.  The core owns the state map from
+``(words, position)`` to blank mass, non-blank mass and accumulated LM
+log10; the frame loop with its blank and repeat extensions; ranking and the
+beam cut; finalization; and hypothesis assembly.  Each mode supplies only
+its hooks: what a position is, how a state expands by one token, how equal
+scores break after the word sequence, and which completed hypotheses a
+surviving state stands for.
+
+- Phoneme mode: a position is a trie node.  Expansion follows trie arcs
+  only, so no word outside the lexicon can appear; at a word-final node a
+  state also commits each of its words, applies the LM score and re-enters
+  the trie at the root.  Ties break on the node index.  Finals that share a
+  word sequence (one word reached through different pronunciations) merge
+  into one hypothesis whose acoustic mass is their log-sum.
+- Subword mode: a position is the collapsed token sequence plus the pending
+  word.  Every BPE token extends every state; a boundary-marked token closes
+  the pending word and applies its LM score.  Ties break on the token
+  sequence.  Each token sequence stays its own final, so the n-best list can
+  hold one word sequence more than once, once per segmentation.
 
 Scores are natural logs; ARPA log10 values are converted at this boundary.
 Equal scores break toward the lexicographically smaller word sequence.
@@ -23,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,12 +71,10 @@ class Hypothesis:
     """A completed decode: word sequence with factored scores.
 
     ``score = score_ac + lm_weight * score_lm + word_insertion_penalty *
-    len(words)``; both component scores are natural logs.  ``pending`` holds
-    leftover in-progress material and is empty for finalized hypotheses.
+    len(words)``; both component scores are natural logs.
     """
 
     words: tuple[str, ...]
-    pending: str
     score_ac: float
     score_lm: float
     score: float
@@ -120,25 +132,69 @@ def _lm10(model: Optional[ArpaModel], history: tuple[str, ...], word: str) -> fl
     return lm_score(model, history, word)
 
 
-class _Beam:
-    """Accumulates (blank, non-blank) log mass per search state."""
+def _prefix_beam_search(em, cfg, start, last_token, expand, tie, finish) -> list[Hypothesis]:
+    """CTC prefix beam search shared by both modes; the hooks are the mode.
 
-    def __init__(self):
-        self.states: dict = {}
+    A state maps ``(words, position)`` to ``[blank mass, non-blank mass, LM
+    log10]``.  ``last_token(position)`` is the token a repeat would extend
+    (None at the start), ``expand(words, position, lm10)`` yields ``(token,
+    new state key, new LM log10)`` for each one-token extension, ``tie(position)``
+    breaks score ties after the word sequence, and ``finish(words, position,
+    lm10)`` yields ``(final key, words, LM log10)`` for each completed
+    hypothesis the state stands for; finals sharing a key pool their mass.
+    """
+    logits = em.logits
+    lam, wip = cfg.lm_weight, cfg.word_insertion_penalty
 
-    def add_blank(self, key, aux, mass):
-        entry = self.states.get(key)
+    def rank(item):
+        (words, pos), (pb, pnb, lm10) = item
+        score = np.logaddexp(pb, pnb) + lam * LN10 * lm10 + wip * len(words)
+        return -score, words, tie(pos)
+
+    def add(key, slot, lm10, mass):  # into the current frame's beam
+        entry = beam.get(key)
         if entry is None:
-            self.states[key] = [mass, NEG_INF, aux]
+            entry = beam[key] = [NEG_INF, NEG_INF, lm10]
+            entry[slot] = mass
         else:
-            entry[0] = np.logaddexp(entry[0], mass)
+            entry[slot] = np.logaddexp(entry[slot], mass)
 
-    def add_nonblank(self, key, aux, mass):
-        entry = self.states.get(key)
-        if entry is None:
-            self.states[key] = [NEG_INF, mass, aux]
-        else:
-            entry[1] = np.logaddexp(entry[1], mass)
+    states = {((), start): [0.0, NEG_INF, 0.0]}
+    for t in range(em.frames):
+        y = logits[t]
+        beam: dict = {}
+        for key, (pb, pnb, lm10) in states.items():
+            words, pos = key
+            total = np.logaddexp(pb, pnb)
+            add(key, 0, lm10, total + y[BLANK_ID])
+            last = last_token(pos)
+            if last is not None:
+                add(key, 1, lm10, pnb + y[last])
+            for k, new_key, new_lm10 in expand(words, pos, lm10):
+                add(new_key, 1, new_lm10, (pb if k == last else total) + y[k])
+        states = dict(sorted(beam.items(), key=rank)[:cfg.beam_size])
+
+    finals: dict = {}
+    for (words, pos), (pb, pnb, lm10) in states.items():
+        ac = np.logaddexp(pb, pnb)
+        if ac == NEG_INF:
+            continue
+        for final_key, full, full_lm10 in finish(words, pos, lm10):
+            entry = finals.get(final_key)
+            if entry is None:
+                finals[final_key] = [full, ac, full_lm10]
+            else:
+                entry[1] = np.logaddexp(entry[1], ac)
+
+    hyps = []
+    for words, ac, lm10 in finals.values():
+        score_lm = LN10 * lm10
+        hyps.append(Hypothesis(
+            words=words, score_ac=float(ac), score_lm=float(score_lm),
+            score=float(ac + lam * score_lm + wip * len(words)),
+        ))
+    hyps.sort(key=lambda h: (-h.score, h.words))
+    return hyps
 
 
 def decode_phoneme(
@@ -160,72 +216,27 @@ def decode_phoneme(
         )
     if not lex.root.children:
         raise ValueError("empty lexicon")
-    logits = em.logits
     root = lex.root
-    lam, wip = cfg.lm_weight, cfg.word_insertion_penalty
 
-    # state key: (committed words, trie node); aux: accumulated LM log10
-    states = {((), root): [0.0, NEG_INF, 0.0]}
+    def expand(words, node, lm10):
+        for pid, child in node.children.items():
+            yield pid, (words, child), lm10
+        for w in node.words:
+            w_lm10 = lm10 + _lm10(lm, (BOS,) + words, w)
+            new_words = words + (w,)
+            for pid, child in root.children.items():
+                yield pid, (new_words, child), w_lm10
 
-    def combined(key, entry):
-        words = key[0]
-        return (np.logaddexp(entry[0], entry[1])
-                + lam * LN10 * entry[2] + wip * len(words))
-
-    for t in range(em.frames):
-        y = logits[t]
-        beam = _Beam()
-        for (words, node), (pb, pnb, lm10) in states.items():
-            total = np.logaddexp(pb, pnb)
-            key = (words, node)
-            beam.add_blank(key, lm10, total + y[BLANK_ID])
-            if node is not root:
-                beam.add_nonblank(key, lm10, pnb + y[node.phone])
-            for pid, child in node.children.items():
-                base = pb if node.phone == pid else total
-                beam.add_nonblank((words, child), lm10, base + y[pid])
-            if node.words:
-                for w in node.words:
-                    w_lm10 = lm10 + _lm10(lm, (BOS,) + words, w)
-                    new_words = words + (w,)
-                    for pid, child in root.children.items():
-                        base = pb if node.phone == pid else total
-                        beam.add_nonblank((new_words, child), w_lm10, base + y[pid])
-        ranked = sorted(
-            beam.states.items(),
-            key=lambda kv: (-combined(kv[0], kv[1]), kv[0][0], kv[0][1].idx),
-        )
-        states = dict(ranked[:cfg.beam_size])
-
-    finals: dict[tuple[str, ...], list[float]] = {}
-
-    def emit(words, ac, lm10):
-        if ac == NEG_INF:
-            return
-        entry = finals.get(words)
-        if entry is None:
-            finals[words] = [ac, lm10]
-        else:
-            entry[0] = np.logaddexp(entry[0], ac)  # homophonic pronunciations
-
-    for (words, node), (pb, pnb, lm10) in states.items():
-        ac = np.logaddexp(pb, pnb)
+    def finish(words, node, lm10):
         if node is root:
-            emit(words, ac, lm10 + _lm10(lm, (BOS,) + words, EOS))
+            yield words, words, lm10 + _lm10(lm, (BOS,) + words, EOS)
         for w in node.words:
             full = words + (w,)
-            w_lm10 = lm10 + _lm10(lm, (BOS,) + words, w)
-            emit(full, ac, w_lm10 + _lm10(lm, (BOS,) + full, EOS))
+            yield full, full, (lm10 + _lm10(lm, (BOS,) + words, w)
+                               + _lm10(lm, (BOS,) + full, EOS))
 
-    hyps = []
-    for words, (ac, lm10) in finals.items():
-        score_lm = LN10 * lm10
-        hyps.append(Hypothesis(
-            words=words, pending="", score_ac=float(ac), score_lm=float(score_lm),
-            score=float(ac + lam * score_lm + wip * len(words)),
-        ))
-    hyps.sort(key=lambda h: (-h.score, h.words))
-    return hyps
+    return _prefix_beam_search(em, cfg, root, attrgetter("phone"), expand,
+                               attrgetter("idx"), finish)
 
 
 def decode_subword(
@@ -244,60 +255,31 @@ def decode_subword(
     V = len(bpe.vocab)
     if em.vocab_size != V:
         raise ValueError(f"emission vocab size {em.vocab_size} != BPE vocab {V}")
-    logits = em.logits
-    lam, wip = cfg.lm_weight, cfg.word_insertion_penalty
+    # (token id, whether it opens a word, its spelling without the marker)
+    pieces = [(k, tok.startswith(MARKER), tok.removeprefix(MARKER))
+              for k, tok in enumerate(bpe.vocab) if k != BLANK_ID]
 
-    # state key: token id tuple; aux: (words, partial word, LM log10)
-    states = {(): [0.0, NEG_INF, ((), "", 0.0)]}
+    def expand(words, pos, lm10):
+        toks, partial = pos
+        closed, closed_lm10 = words, lm10
+        if partial:
+            closed = words + (partial,)
+            closed_lm10 = lm10 + _lm10(lm, (BOS,) + words, partial)
+        for k, opens, text in pieces:
+            if opens:
+                yield k, (closed, (toks + (k,), text)), closed_lm10
+            else:
+                yield k, (words, (toks + (k,), partial + text)), lm10
 
-    def combined(entry):
-        words = entry[2][0]
-        return (np.logaddexp(entry[0], entry[1])
-                + lam * LN10 * entry[2][2] + wip * len(words))
-
-    for t in range(em.frames):
-        y = logits[t]
-        beam = _Beam()
-        for toks, (pb, pnb, aux) in states.items():
-            words, partial, lm10 = aux
-            total = np.logaddexp(pb, pnb)
-            beam.add_blank(toks, aux, total + y[BLANK_ID])
-            if toks:
-                beam.add_nonblank(toks, aux, pnb + y[toks[-1]])
-            for k in range(1, V):
-                base = pb if (toks and toks[-1] == k) else total
-                tok = bpe.vocab[k]
-                if tok.startswith(MARKER):
-                    if partial:
-                        new_aux = (words + (partial,), tok[len(MARKER):],
-                                   lm10 + _lm10(lm, (BOS,) + words, partial))
-                    else:
-                        new_aux = (words, tok[len(MARKER):], lm10)
-                else:
-                    new_aux = (words, partial + tok, lm10)
-                beam.add_nonblank(toks + (k,), new_aux, base + y[k])
-        ranked = sorted(
-            beam.states.items(),
-            key=lambda kv: (-combined(kv[1]), kv[1][2][0], kv[0]),
-        )
-        states = dict(ranked[:cfg.beam_size])
-
-    hyps = []
-    for toks, (pb, pnb, (words, partial, lm10)) in states.items():
-        ac = np.logaddexp(pb, pnb)
-        if ac == NEG_INF:
-            continue
-        full = words + ((partial,) if partial else ())
+    def finish(words, pos, lm10):
+        toks, partial = pos
         if partial:
             lm10 = lm10 + _lm10(lm, (BOS,) + words, partial)
-        lm10 = lm10 + _lm10(lm, (BOS,) + full, EOS)
-        score_lm = LN10 * lm10
-        hyps.append(Hypothesis(
-            words=full, pending="", score_ac=float(ac), score_lm=float(score_lm),
-            score=float(ac + lam * score_lm + wip * len(full)),
-        ))
-    hyps.sort(key=lambda h: (-h.score, h.words))
-    return hyps
+            words = words + (partial,)
+        yield toks, words, lm10 + _lm10(lm, (BOS,) + words, EOS)
+
+    return _prefix_beam_search(em, cfg, ((), ""), lambda pos: pos[0][-1] if pos[0] else None,
+                               expand, itemgetter(0), finish)
 
 
 def decode(em: EmissionMatrix, cfg: DecodeConfig, *, lex: Optional[PrefixTree] = None,

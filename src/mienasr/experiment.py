@@ -196,6 +196,11 @@ def run_experiment(cfg: PipelineConfig) -> ExperimentReport:
     return report
 
 
+def _best_words(hyps) -> tuple[str, ...]:
+    """Top hypothesis words; an empty decode is the empty word sequence."""
+    return hyps[0].words if hyps else ()
+
+
 def _run_one(cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ids = plan.train_ids(r)
@@ -239,7 +244,7 @@ def _run_one(cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
         em = read_emissions(Path(cfg.emissions_dir) / f"{utt}{EMISSION_SUFFIX}")
         with_lm = decode(em, base, lex=lex_tree, bpe=bpe, lm=ngram)
         without = decode(em, base, lex=lex_tree, bpe=bpe, lm=None)
-        return utt, with_lm[0], without[0]
+        return utt, _best_words(with_lm), _best_words(without)
 
     try:
         if cfg.workers > 1:
@@ -263,16 +268,16 @@ def _run_one(cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
 
     wer_with, wer_wo, per_with, per_wo = [], [], [], []
     hyp_with_lines, hyp_wo_lines = [], []
-    for utt, h_with, h_wo in decoded:
+    for utt, w_with, w_wo in decoded:
         ref_words = texts[utt].split()
-        wer_with.append(error_rate(ref_words, list(h_with.words)))
-        wer_wo.append(error_rate(ref_words, list(h_wo.words)))
-        hyp_with_lines.append(f"{utt}\t{' '.join(h_with.words)}")
-        hyp_wo_lines.append(f"{utt}\t{' '.join(h_wo.words)}")
+        wer_with.append(error_rate(ref_words, list(w_with)))
+        wer_wo.append(error_rate(ref_words, list(w_wo)))
+        hyp_with_lines.append(f"{utt}\t{' '.join(w_with)}")
+        hyp_wo_lines.append(f"{utt}\t{' '.join(w_wo)}")
         if cfg.mode == "phoneme":
             ref_phones = phones(ref_words)
-            per_with.append(error_rate(ref_phones, phones(h_with.words)))
-            per_wo.append(error_rate(ref_phones, phones(h_wo.words)))
+            per_with.append(error_rate(ref_phones, phones(w_with)))
+            per_wo.append(error_rate(ref_phones, phones(w_wo)))
     (out_dir / "hyp_with_lm.txt").write_text("\n".join(hyp_with_lines) + "\n", encoding="utf-8")
     (out_dir / "hyp_without_lm.txt").write_text("\n".join(hyp_wo_lines) + "\n", encoding="utf-8")
 
@@ -312,8 +317,8 @@ def tune_weights(
                               word_insertion_penalty=wip, mode=cfg.mode)
             reports = []
             for em, ref in dev_items:
-                hyp = decode(em, dc, lex=lex_tree, bpe=bpe, lm=ngram)[0]
-                reports.append(error_rate(ref, list(hyp.words)))
+                words = _best_words(decode(em, dc, lex=lex_tree, bpe=bpe, lm=ngram))
+                reports.append(error_rate(ref, list(words)))
             wer = pool(reports).rate
             key = (wer, lw, wip)
             if best is None or key < best:

@@ -138,6 +138,19 @@ class TestEmissionMatrix:
         with pytest.raises(ValueError):
             EmissionMatrix(logits=np.zeros((2, 3)))
 
+    def test_rejects_nan_and_positive_inf(self):
+        logits = np.log(np.full((2, 3), 1 / 3))
+        for bad in (np.nan, np.inf):
+            cells = logits.copy()
+            cells[1, 2] = bad
+            with pytest.raises(ValueError):
+                EmissionMatrix(logits=cells)
+
+    def test_accepts_negative_inf_cell(self):
+        logits = np.log(np.full((2, 3), 1 / 3))
+        logits[0] = [np.log(0.5), np.log(0.5), -np.inf]
+        assert EmissionMatrix(logits=logits).logits[0, 2] == -np.inf
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             EmissionMatrix(logits=np.zeros((0, 3)))

@@ -1,5 +1,7 @@
+import json
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,3 +329,80 @@ class TestDispatcher:
             DecodeConfig(lm_weight=-0.1)
         with pytest.raises(ValueError):
             DecodeConfig(mode="word")
+
+
+GOLDEN_NBEST = Path(__file__).parent / "data" / "decoder_golden_nbest.json"
+MERGE_LOGITS = np.log(np.array([[0.1, 0.05, 0.5, 0.05, 0.3],
+                                [0.2, 0.05, 0.05, 0.1, 0.6],
+                                [0.7, 0.1, 0.05, 0.1, 0.05]]))
+
+
+def golden_cases():
+    """Seeded decode cases whose full n-best lists are pinned in GOLDEN_NBEST.
+
+    Yields (case id, decode thunk).  The phoneme lexicon has a homophone
+    pair ("da"/"y") and a word with two pronunciations ("x"), whose finals
+    merge; the subword vocabulary spells "ab" both as "▁ab" and "▁a b".
+    """
+    vocab = vocab_of(5)
+    entries = [LexiconEntry("ba", ("p1", "p2")), LexiconEntry("bad", ("p1", "p2", "p3")),
+               LexiconEntry("da", ("p3",)), LexiconEntry("y", ("p3",)),
+               LexiconEntry("x", ("p4",)), LexiconEntry("x", ("p2", "p4"))]
+    tree = build_prefix_tree(entries, vocab)
+    p_lm = lm_train(["ba da x", "x bad", "da ba y x", "y y ba"], order=2)
+    bpe = bpe_train(["ab ab b", "ab b", "b ab ab"], vocab_size=6)
+    s_lm = lm_train(["ab ab b", "b ab", "ab"], order=2)
+    modes = (("phoneme", decode_phoneme, tree, p_lm, len(vocab)),
+             ("subword", decode_subword, bpe, s_lm, len(bpe.vocab)))
+    for mode, fn, unit, model, V in modes:
+        for seed in range(3):
+            rng = np.random.default_rng(100 + seed)
+            logits = normalize_rows(1.5 * rng.normal(size=(int(rng.integers(5, 8)), V)))
+            for beam in (1, 4, 16):
+                for use_lm in (False, True):
+                    cfg = DecodeConfig(beam_size=beam, lm_weight=0.7, mode=mode,
+                                       word_insertion_penalty=(-0.4, 0.3, 0.9)[seed])
+                    lm = model if use_lm else None
+                    yield (f"{mode}-s{seed}-b{beam}-{'lm' if use_lm else 'nolm'}",
+                           lambda fn=fn, em=EmissionMatrix(logits=logits), unit=unit,
+                           lm=lm, cfg=cfg: fn(em, unit, lm, cfg))
+    # both pronunciations of "x" carry mass and end in one merged final
+    for use_lm in (False, True):
+        cfg = DecodeConfig(beam_size=16, lm_weight=0.7, word_insertion_penalty=-0.2)
+        yield (f"phoneme-merge-{'lm' if use_lm else 'nolm'}",
+               lambda lm=(p_lm if use_lm else None), cfg=cfg: decode_phoneme(
+                   EmissionMatrix(logits=MERGE_LOGITS), tree, lm, cfg))
+
+
+def nbest_record(hyps):
+    return [[list(h.words), h.score, h.score_ac, h.score_lm] for h in hyps]
+
+
+class TestGoldenNBest:
+    """Full n-best lists at finite beams, pinned against recorded values."""
+
+    def test_nbest_matches_recorded(self):
+        want = json.loads(GOLDEN_NBEST.read_text(encoding="utf-8"))
+        got = {cid: nbest_record(run()) for cid, run in golden_cases()}
+        assert sorted(got) == sorted(want)
+        for cid, hyps in got.items():
+            assert [h[0] for h in hyps] == [h[0] for h in want[cid]], cid
+            for h, w in zip(hyps, want[cid]):
+                assert h[1:] == pytest.approx(w[1:], abs=1e-9, rel=0), cid
+
+    def test_subword_case_lists_one_word_sequence_twice(self):
+        want = json.loads(GOLDEN_NBEST.read_text(encoding="utf-8"))
+        assert any(len({tuple(h[0]) for h in hyps}) < len(hyps)
+                   for cid, hyps in want.items() if cid.startswith("subword"))
+
+    def test_merge_case_pools_both_pronunciations(self):
+        want = json.loads(GOLDEN_NBEST.read_text(encoding="utf-8"))
+        merged = [h for h in want["phoneme-merge-nolm"] if h[0] == ["x"]]
+        assert len(merged) == 1
+        cfg = DecodeConfig(beam_size=16, lm_weight=0.7, word_insertion_penalty=-0.2)
+        single = []
+        for pron in (("p4",), ("p2", "p4")):
+            tree = build_prefix_tree([LexiconEntry("x", pron)], vocab_of(5))
+            hyps = decode_phoneme(EmissionMatrix(logits=MERGE_LOGITS), tree, None, cfg)
+            single += [h.score_ac for h in hyps if h.words == ("x",)]
+        assert merged[0][2] == pytest.approx(np.logaddexp(*single), abs=1e-9)

@@ -3,9 +3,29 @@ from pathlib import Path
 
 import pytest
 
+from mienasr.ctc import EmissionMatrix, write_emissions
+from mienasr.decoder import build_prefix_tree
 from mienasr.experiment import (PipelineError, load_config, read_corpus,
                                 run_experiment, tune_weights)
-from mienasr.fixtures import write_toy_experiment
+from mienasr.fixtures import TOY_UTTS, TOY_WORDS, peaked_emissions, write_toy_experiment
+from mienasr.lexicon import default_g2p_table, derive_phoneme_vocab, g2p
+from mienasr.orthography import default_inventory
+
+
+def toy_lexicon():
+    inv, table = default_inventory(), default_g2p_table()
+    entries = [g2p(w, table, inv) for w in TOY_WORDS]
+    return entries, derive_phoneme_vocab(entries)
+
+
+def prefix_emissions():
+    """Toy-width emissions peaking on the first phoneme of "maaih" only.
+
+    That is a strict prefix of a pronunciation, so a beam-1 phoneme decode
+    ends inside the trie and returns no hypothesis.
+    """
+    entries, vocab = toy_lexicon()
+    return peaked_emissions([vocab.index(entries[0].pron[0])], len(vocab))
 
 
 def tree_digest(root: Path) -> dict[str, str]:
@@ -142,6 +162,21 @@ class TestToyExperiment:
         assert lines[1] == "run\tmetric\ttest-wo-lm\ttest-with-lm"
         assert any(ln.startswith("avg\tWER") for ln in lines)
 
+    def test_empty_decode_scores_as_deletions(self, tmp_path):
+        cfg_path = write_toy_experiment(tmp_path / "toy")
+        for utt, _ in TOY_UTTS:
+            write_emissions(tmp_path / "toy" / "emissions" / f"{utt}.em",
+                            prefix_emissions())
+        cfg = load_config(cfg_path)
+        cfg.beam_size = 1
+        cfg.output_dir = tmp_path / "out"
+        report = run_experiment(cfg)
+        assert report.wer_no_lm == 1.0 and report.wer_with_lm == 1.0
+        assert report.runs[0].per_with_lm == 1.0
+        for name in ("hyp_with_lm.txt", "hyp_without_lm.txt"):
+            line = (cfg.output_dir / "run0" / name).read_text(encoding="utf-8")
+            assert line.endswith("\t\n") and line.count("\n") == 1
+
 
 class TestSubwordExperiment:
     def test_wer_zero_and_reproducible(self, tmp_path):
@@ -194,3 +229,12 @@ class TestTuneWeights:
                                     lm_weights=(0.0, 0.5), penalties=(0.0,))
         assert wer == 0.0
         assert (lw, wip) == (0.0, 0.0)  # ties prefer the smaller grid point
+
+    def test_empty_decode_scores_as_deletions(self, toy):
+        _, cfg_path = toy
+        cfg = load_config(cfg_path)
+        cfg.beam_size = 1
+        tree = build_prefix_tree(*toy_lexicon())
+        items = [(EmissionMatrix(logits=prefix_emissions()), ["maaih"])]
+        assert tune_weights(cfg, items, tree, None, None,
+                            lm_weights=(0.0,), penalties=(0.0,)) == (0.0, 0.0, 1.0)
