@@ -16,7 +16,9 @@ from . import lm as lm_mod
 from . import transfer as transfer_mod
 from .decoder import DecodeConfig, build_prefix_tree, decode
 from .evaluate import error_rate, make_cv_plan, pool
-from .experiment import load_config, run_experiment
+from .experiment import (best_words, emission_path, load_config, normalize_text,
+                         read_corpus, read_tagged, run_experiment, tagged_line,
+                         write_lines)
 from .lexicon import (build_lexicon, default_g2p_table, derive_phoneme_vocab,
                       load_g2p_table, read_lexicon, read_vocab, write_lexicon,
                       write_vocab)
@@ -37,21 +39,9 @@ def _read_lines(path):
 
 
 def _read_texts(path):
-    """Sentences from either plain lines or "utt TAB text" files."""
-    out = []
-    for ln in _read_lines(path):
-        out.append(ln.split("\t", 1)[1] if "\t" in ln else ln)
-    return out
-
-
-def _read_tagged(path):
-    pairs = {}
-    for ln in _read_lines(path):
-        if "\t" not in ln:
-            raise ValueError(f"{path}: expected 'utt-id TAB tokens' lines")
-        utt, text = ln.split("\t", 1)
-        pairs[utt.strip()] = text.split()
-    return pairs
+    """Normalized transcripts from either plain lines or "utt TAB text" files."""
+    return [normalize_text(ln.split("\t", 1)[1] if "\t" in ln else ln)
+            for ln in _read_lines(path)]
 
 
 def cmd_parse(args):
@@ -72,10 +62,7 @@ def cmd_parse(args):
 
 def cmd_lexicon(args):
     inv, table = _inventory(args), _g2p_table(args)
-    if args.corpus:
-        words = [w for text in _read_texts(args.corpus) for w in text.lower().split()]
-    else:
-        words = [w.lower() for w in _read_lines(args.words)]
+    words = [w for text in _read_texts(args.corpus or args.words) for w in text.split()]
     entries, failures = build_lexicon(words, table, inv)
     write_lexicon(entries, args.output)
     for word, err in failures:
@@ -103,7 +90,7 @@ def cmd_bpe_encode(args):
     model = load_bpe(args.model)
     if args.text is None and args.input is None:
         raise ValueError("provide --text or --input")
-    lines = [args.text] if args.text else _read_texts(args.input)
+    lines = [normalize_text(args.text)] if args.text else _read_texts(args.input)
     for line in lines:
         print(" ".join(str(i) for i in bpe_encode(line, model)))
     return 0
@@ -150,18 +137,17 @@ def cmd_decode(args):
 
     out_lines, nbest_lines = [], []
     for utt in _read_lines(args.ids):
-        em = ctc_mod.read_emissions(Path(args.emissions) / f"{utt}.em")
+        em = ctc_mod.read_emissions(emission_path(args.emissions, utt))
         hyps = decode(em, cfg, lex=lex, bpe=bpe, lm=ngram)
-        best = hyps[0] if hyps else None
-        out_lines.append(f"{utt}\t{' '.join(best.words) if best else ''}")
+        out_lines.append(tagged_line(utt, best_words(hyps)))
         for rank, h in enumerate(hyps[:args.nbest_size]):
             nbest_lines.append(
                 f"{utt}\t{rank}\t{h.score:.6f}\t{h.score_ac:.6f}"
                 f"\t{h.score_lm:.6f}\t{' '.join(h.words)}"
             )
-    Path(args.output).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
+    write_lines(args.output, out_lines)
     if args.nbest:
-        Path(args.nbest).write_text("\n".join(nbest_lines) + "\n", encoding="utf-8")
+        write_lines(args.nbest, nbest_lines)
     print(f"decoded {len(out_lines)} utterances -> {args.output}")
     return 0
 
@@ -178,26 +164,28 @@ def cmd_transfer_init(args):
 
 
 def cmd_split(args):
-    ids = [ln.split("\t")[0] for ln in _read_lines(args.ids)]
+    ids = [ln.split("\t", 1)[0].strip() for ln in _read_lines(args.ids)]
     plan = make_cv_plan(ids, n_folds=args.folds, n_runs=args.runs, seed=args.seed)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for k, fold in enumerate(plan.folds):
-        (out / f"fold{k}.txt").write_text("\n".join(fold) + "\n", encoding="utf-8")
+        write_lines(out / f"fold{k}.txt", fold)
     for r in range(args.runs):
-        for name, ids_r in (("train", plan.train_ids(r)), ("dev", plan.dev_ids(r)),
-                            ("test", plan.test_ids(r))):
-            (out / f"run{r}.{name}").write_text("\n".join(ids_r) + "\n", encoding="utf-8")
+        write_lines(out / f"run{r}.train", plan.train_ids(r))
+        write_lines(out / f"run{r}.dev", plan.dev_ids(r))
+        write_lines(out / f"run{r}.test", plan.test_ids(r))
     print(f"{args.folds} folds, {args.runs} runs -> {out}")
     return 0
 
 
 def cmd_score(args):
-    refs, hyps = _read_tagged(args.ref), _read_tagged(args.hyp)
+    # phone symbols are case-sensitive, so PER compares tokens verbatim
+    read = read_corpus if args.metric == "wer" else read_tagged
+    refs, hyps = dict(read(args.ref)), dict(read(args.hyp))
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise ValueError(f"hypotheses missing for utterances: {missing[:5]}")
-    reports = [error_rate(refs[u], hyps.get(u, [])) for u in sorted(refs)]
+    reports = [error_rate(refs[u].split(), hyps[u].split()) for u in sorted(refs)]
     total = pool(reports)
     print(f"{args.metric.upper()}\tS={total.substitutions}\tD={total.deletions}"
           f"\tI={total.insertions}\tN={total.reference_length}\trate={total.rate:.6f}")

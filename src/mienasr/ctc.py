@@ -180,22 +180,42 @@ def read_emissions(path) -> EmissionMatrix:
     """Load an emission matrix, sniffing binary vs text by the magic string.
 
     Rows are renormalized on load so float32 storage round-trips cleanly
-    through the normalization invariant.
+    through the normalization invariant.  Bad files raise ValueError naming
+    the file (and the line, for text files).
     """
     path = Path(path)
     with open(path, "rb") as f:
-        head = f.read(len(_MAGIC))
-        if head == _MAGIC:
-            T, V = struct.unpack("<II", f.read(8))
+        binary = f.read(len(_MAGIC)) == _MAGIC
+        if binary:
+            header = f.read(8)
+            if len(header) != 8:
+                raise ValueError(f"{path}: truncated emission header")
+            T, V = struct.unpack("<II", header)
             data = np.frombuffer(f.read(4 * T * V), dtype="<f4").astype(np.float64)
             if data.size != T * V:
                 raise ValueError(f"{path}: truncated emission payload")
             logits = data.reshape(T, V)
-            return EmissionMatrix(logits=normalize_rows(logits))
-    lines = path.read_text(encoding="utf-8").split("\n")
-    T, V = (int(x) for x in lines[0].split())
-    rows = [np.array(ln.split(), dtype=np.float64) for ln in lines[1:T + 1]]
-    logits = np.vstack(rows)
-    if logits.shape != (T, V):
-        raise ValueError(f"{path}: header says {T}x{V}, payload is {logits.shape}")
-    return EmissionMatrix(logits=normalize_rows(logits))
+    if not binary:
+        lines = path.read_text(encoding="utf-8").split("\n")
+        try:
+            T, V = (int(x) for x in lines[0].split())
+        except ValueError:
+            raise ValueError(f"{path}:1: expected a 'T V' header line") from None
+        rows = []
+        for lineno, line in enumerate(lines[1:T + 1], 2):
+            try:
+                rows.append([float(x) for x in line.split()])
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            if len(rows[-1]) != V:
+                raise ValueError(f"{path}:{lineno}: expected {V} values, found {len(rows[-1])}")
+        if len(rows) != T:
+            raise ValueError(f"{path}: header says {T} rows, found {len(rows)}")
+        logits = np.array(rows, dtype=np.float64).reshape(T, V)
+    # NaN and +inf propagate through max; an all -inf frame cannot be normalized
+    if logits.size and not np.isfinite(logits.max(axis=1)).all():
+        raise ValueError(f"{path}: a frame holds NaN or +inf, or no finite cell")
+    try:
+        return EmissionMatrix(logits=normalize_rows(logits))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -31,8 +31,6 @@ from .tokenizer import bpe_train, save_bpe
 
 logger = logging.getLogger(__name__)
 
-EMISSION_SUFFIX = ".em"
-
 
 class PipelineError(RuntimeError):
     """Configuration or stage failure with stage attribution."""
@@ -145,8 +143,13 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def read_corpus(path) -> list[tuple[str, str]]:
-    """Corpus lines are "utt-id TAB transcript"; text is lowercased."""
+def normalize_text(text: str) -> str:
+    """Transcripts are compared lowercased, with single spaces between words."""
+    return " ".join(text.lower().split())
+
+
+def read_tagged(path) -> list[tuple[str, str]]:
+    """Non-blank "utt-id TAB text" lines; text is kept verbatim."""
     utts = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -154,14 +157,35 @@ def read_corpus(path) -> list[tuple[str, str]]:
         if "\t" not in line:
             raise PipelineError("corpus", f"{path}:{lineno}: expected 'utt-id TAB text'")
         utt, text = line.split("\t", 1)
-        utts.append((utt.strip(), " ".join(text.lower().split())))
+        utts.append((utt.strip(), text))
     if not utts:
         raise PipelineError("corpus", f"{path}: no utterances")
     return utts
 
 
-def _write_manifest(path: Path, ids) -> None:
-    path.write_text("\n".join(ids) + "\n", encoding="utf-8")
+def read_corpus(path) -> list[tuple[str, str]]:
+    """``read_tagged`` with each transcript normalized by ``normalize_text``."""
+    return [(utt, normalize_text(text)) for utt, text in read_tagged(path)]
+
+
+def emission_path(emissions_dir, utt: str) -> Path:
+    """Where the emission matrix of utterance ``utt`` lives."""
+    return Path(emissions_dir) / f"{utt}.em"
+
+
+def best_words(hyps) -> tuple[str, ...]:
+    """Top hypothesis words; an empty decode is the empty word sequence."""
+    return hyps[0].words if hyps else ()
+
+
+def tagged_line(utt: str, words) -> str:
+    """An "utt-id TAB words" line, as in corpus, reference and hypothesis files."""
+    return f"{utt}\t{' '.join(words)}"
+
+
+def write_lines(path, lines) -> None:
+    """Write id manifests, hypothesis files and scores: one item per line."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_experiment(cfg: PipelineConfig) -> ExperimentReport:
@@ -173,8 +197,7 @@ def run_experiment(cfg: PipelineConfig) -> ExperimentReport:
     cfg.validate()
     utts = read_corpus(cfg.corpus)
     texts = dict(utts)
-    missing = [u for u, _ in utts
-               if not (Path(cfg.emissions_dir) / f"{u}{EMISSION_SUFFIX}").exists()]
+    missing = [u for u, _ in utts if not emission_path(cfg.emissions_dir, u).exists()]
     if missing:
         raise PipelineError("config", f"missing emission files for: {missing[:5]}"
                             + ("..." if len(missing) > 5 else ""))
@@ -196,19 +219,14 @@ def run_experiment(cfg: PipelineConfig) -> ExperimentReport:
     return report
 
 
-def _best_words(hyps) -> tuple[str, ...]:
-    """Top hypothesis words; an empty decode is the empty word sequence."""
-    return hyps[0].words if hyps else ()
-
-
 def _run_one(cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ids = plan.train_ids(r)
     dev_ids = plan.dev_ids(r)
     test_ids = plan.test_ids(r)
-    _write_manifest(out_dir / "manifest.train", train_ids)
-    _write_manifest(out_dir / "manifest.dev", dev_ids)
-    _write_manifest(out_dir / "manifest.test", test_ids)
+    write_lines(out_dir / "manifest.train", train_ids)
+    write_lines(out_dir / "manifest.dev", dev_ids)
+    write_lines(out_dir / "manifest.test", test_ids)
 
     train_texts = [texts[u] for u in train_ids]
 
@@ -241,10 +259,10 @@ def _run_one(cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
                         word_insertion_penalty=cfg.word_insertion_penalty, mode=cfg.mode)
 
     def decode_one(utt):
-        em = read_emissions(Path(cfg.emissions_dir) / f"{utt}{EMISSION_SUFFIX}")
+        em = read_emissions(emission_path(cfg.emissions_dir, utt))
         with_lm = decode(em, base, lex=lex_tree, bpe=bpe, lm=ngram)
         without = decode(em, base, lex=lex_tree, bpe=bpe, lm=None)
-        return utt, _best_words(with_lm), _best_words(without)
+        return utt, best_words(with_lm), best_words(without)
 
     try:
         if cfg.workers > 1:
@@ -267,19 +285,16 @@ def _run_one(cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
         return out
 
     wer_with, wer_wo, per_with, per_wo = [], [], [], []
-    hyp_with_lines, hyp_wo_lines = [], []
     for utt, w_with, w_wo in decoded:
         ref_words = texts[utt].split()
         wer_with.append(error_rate(ref_words, list(w_with)))
         wer_wo.append(error_rate(ref_words, list(w_wo)))
-        hyp_with_lines.append(f"{utt}\t{' '.join(w_with)}")
-        hyp_wo_lines.append(f"{utt}\t{' '.join(w_wo)}")
         if cfg.mode == "phoneme":
             ref_phones = phones(ref_words)
             per_with.append(error_rate(ref_phones, phones(w_with)))
             per_wo.append(error_rate(ref_phones, phones(w_wo)))
-    (out_dir / "hyp_with_lm.txt").write_text("\n".join(hyp_with_lines) + "\n", encoding="utf-8")
-    (out_dir / "hyp_without_lm.txt").write_text("\n".join(hyp_wo_lines) + "\n", encoding="utf-8")
+    write_lines(out_dir / "hyp_with_lm.txt", [tagged_line(u, w) for u, w, _ in decoded])
+    write_lines(out_dir / "hyp_without_lm.txt", [tagged_line(u, w) for u, _, w in decoded])
 
     result = RunResult(
         run=r,
@@ -292,35 +307,5 @@ def _run_one(cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
     if result.per_no_lm is not None:
         scores += [f"PER\tno-lm\t{result.per_no_lm:.6f}",
                    f"PER\twith-lm\t{result.per_with_lm:.6f}"]
-    (out_dir / "scores.txt").write_text("\n".join(scores) + "\n", encoding="utf-8")
+    write_lines(out_dir / "scores.txt", scores)
     return result
-
-
-def tune_weights(
-    cfg: PipelineConfig,
-    dev_items,
-    lex_tree,
-    bpe,
-    ngram,
-    lm_weights=(0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0),
-    penalties=(-1.0, -0.5, 0.0, 0.5, 1.0),
-):
-    """Grid-search lm_weight and word_insertion_penalty on dev data.
-
-    ``dev_items`` is a list of (EmissionMatrix, reference word list).
-    Returns (lm_weight, penalty, wer); ties prefer the smaller grid point.
-    """
-    best = None
-    for lw in lm_weights:
-        for wip in penalties:
-            dc = DecodeConfig(beam_size=cfg.beam_size, lm_weight=lw,
-                              word_insertion_penalty=wip, mode=cfg.mode)
-            reports = []
-            for em, ref in dev_items:
-                words = _best_words(decode(em, dc, lex=lex_tree, bpe=bpe, lm=ngram))
-                reports.append(error_rate(ref, list(words)))
-            wer = pool(reports).rate
-            key = (wer, lw, wip)
-            if best is None or key < best:
-                best = key
-    return best[1], best[2], best[0]

@@ -18,6 +18,7 @@ import numpy as np
 from . import BLANK_ID, BLANK_TOKEN
 from .ctc import write_emissions
 from .decoder import build_prefix_tree
+from .experiment import tagged_line, write_lines
 from .lexicon import LexiconEntry, PhonemeVocab, default_g2p_table, derive_phoneme_vocab, g2p
 from .lm import lm_train
 from .orthography import default_inventory
@@ -80,13 +81,12 @@ def write_toy_experiment(root, seed: int = 0, mode: str = "phoneme") -> Path:
     else:
         raise ValueError(f"unknown fixture mode {mode!r}")
 
-    (root / "corpus.tsv").write_text(
-        "\n".join(f"{u}\t{text}" for u, text in TOY_UTTS) + "\n", encoding="utf-8")
+    write_lines(root / "corpus.tsv", [tagged_line(u, text.split()) for u, text in TOY_UTTS])
     for utt, text in TOY_UTTS:
         write_emissions(root / "emissions" / f"{utt}.em",
                         peaked_emissions(ids_of(text), width))
 
-    config = "\n".join([
+    write_lines(root / "config.ini", [
         "[experiment]",
         "corpus = corpus.tsv",
         "emissions_dir = emissions",
@@ -99,9 +99,7 @@ def write_toy_experiment(root, seed: int = 0, mode: str = "phoneme") -> Path:
         "folds = 5",
         "runs = 1",
         f"seed = {seed}",
-        "",
     ])
-    (root / "config.ini").write_text(config, encoding="utf-8")
     return root / "config.ini"
 
 

@@ -313,4 +313,6 @@ def write_vocab(vocab: PhonemeVocab, path) -> None:
 
 def read_vocab(path) -> PhonemeVocab:
     tokens = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
+    if not tokens:
+        raise ValueError(f"{path}: empty vocabulary file")
     return PhonemeVocab(tokens=tuple(tokens))

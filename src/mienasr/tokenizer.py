@@ -32,7 +32,7 @@ class BpeModel:
     vocab: tuple[str, ...]
 
     def __post_init__(self):
-        if self.vocab[0] != BLANK_TOKEN or self.vocab[1] != UNK_TOKEN:
+        if self.vocab[:2] != (BLANK_TOKEN, UNK_TOKEN):
             raise ValueError("vocab must start with the blank and unk specials")
         if len(set(self.vocab)) != len(self.vocab):
             raise ValueError("duplicate tokens in vocab")
@@ -167,13 +167,16 @@ def load_bpe(path) -> BpeModel:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != _FILE_HEADER:
         raise ValueError(f"{path}: not a {_FILE_HEADER!r} model file")
-    if lines[1] != "[merges]":
-        raise ValueError(f"{path}: expected [merges] section")
+    if lines[1:2] != ["[merges]"]:
+        raise ValueError(f"{path}:2: expected [merges] section")
+    if "[vocab]" not in lines:
+        raise ValueError(f"{path}: missing [vocab] section")
+    end = lines.index("[vocab]")
     merges = []
-    i = 2
-    while i < len(lines) and lines[i] != "[vocab]":
-        a, b = lines[i].split("\t")
-        merges.append((a, b))
-        i += 1
-    vocab = tuple(ln for ln in lines[i + 1:] if ln)
+    for lineno, line in enumerate(lines[2:end], 3):
+        pair = tuple(line.split("\t"))
+        if len(pair) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'left TAB right' merge")
+        merges.append(pair)
+    vocab = tuple(ln for ln in lines[end + 1:] if ln)
     return BpeModel(merges=tuple(merges), vocab=vocab)

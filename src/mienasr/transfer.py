@@ -140,6 +140,8 @@ def write_matrix(mat: EmbeddingMatrix, path) -> None:
 
 def read_matrix(path) -> EmbeddingMatrix:
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty matrix file")
     v, d = (int(x) for x in lines[0].split())
     if len(lines) - 1 != v:
         raise ValueError(f"{path}: header declares {v} rows, found {len(lines) - 1}")

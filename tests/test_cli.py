@@ -1,7 +1,8 @@
 import pytest
 
 from mienasr.cli import main
-from mienasr.fixtures import write_toy_experiment
+from mienasr.experiment import load_config, run_experiment
+from mienasr.fixtures import TOY_UTTS, write_toy_experiment
 from mienasr.lm import arpa_read
 
 
@@ -12,7 +13,7 @@ def toy(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -108,6 +109,16 @@ class TestSplitScore:
         assert "S=0" in out and "D=1" in out and "I=0" in out
         assert "rate=0.250000" in out
 
+    def test_wer_normalizes_and_per_compares_verbatim(self, capsys, tmp_path):
+        ref = tmp_path / "ref.txt"
+        hyp = tmp_path / "hyp.txt"
+        ref.write_text("u1\tN  a\n")
+        hyp.write_text("u1\tn a\n")
+        _, out, _ = run(capsys, "score", "--metric", "wer", "--ref", ref, "--hyp", hyp)
+        assert "S=0" in out and "N=2" in out
+        _, out, _ = run(capsys, "score", "--metric", "per", "--ref", ref, "--hyp", hyp)
+        assert "S=1" in out and "N=2" in out
+
     def test_score_missing_hyp_errors(self, capsys, tmp_path):
         ref = tmp_path / "ref.txt"
         hyp = tmp_path / "hyp.txt"
@@ -190,3 +201,61 @@ class TestExperimentCli:
         code, out, err = run(capsys, "experiment", "--config", str(cfg))
         assert code == 0, err
         assert "avg\tWER\t0.0000\t0.0000" in out
+
+
+def write_rows(path, rows):
+    path.write_text("".join(f"{u}\t{t}\n" for u, t in rows), encoding="utf-8")
+
+
+class TestStagesMatchExperiment:
+    """The README's stage-by-stage path writes what ``run_experiment`` writes."""
+
+    @pytest.mark.parametrize("mode", ["phoneme", "subword"])
+    def test_stage_outputs_byte_identical(self, capsys, tmp_path, mode):
+        root = tmp_path / "toy"
+        cfg_path = write_toy_experiment(root, mode=mode)
+        rows = [(u, "  ".join(w.upper() if i % 2 else w.capitalize()
+                              for i, w in enumerate(t.split()))) for u, t in TOY_UTTS]
+        write_rows(root / "corpus.tsv", rows)
+        code, _, err = run(capsys, "experiment", "--config", cfg_path)
+        assert code == 0, err
+        run0 = root / "out" / "run0"
+        by_id = dict(rows)
+        train, ref = tmp_path / "train.tsv", tmp_path / "ref.tsv"
+        for manifest, path in (("manifest.train", train), ("manifest.test", ref)):
+            write_rows(path, [(u, by_id[u]) for u in (run0 / manifest).read_text().split()])
+
+        stages = tmp_path / "stages"
+        stages.mkdir()
+        if mode == "phoneme":
+            argvs = {"lexicon.tsv": ["lexicon", "--corpus", train],
+                     "phonemes.txt": ["vocab", "--lexicon", stages / "lexicon.tsv"]}
+        else:
+            argvs = {"bpe.model": ["bpe-train", "--corpus", train, "--vocab-size", 20]}
+        argvs["lm.arpa"] = ["lm-train", "--corpus", train, "--order", 2]
+        for name, argv in argvs.items():
+            code, _, err = run(capsys, *argv, "--output", stages / name)
+            assert code == 0, err
+            assert (stages / name).read_bytes() == (run0 / name).read_bytes(), name
+
+        report = (root / "out" / "report.txt").read_text(encoding="utf-8").splitlines()
+        wo_lm, with_lm = next(ln for ln in report if ln.startswith("0\tWER")).split("\t")[2:]
+        for hyp, reported in (("hyp_with_lm.txt", with_lm), ("hyp_without_lm.txt", wo_lm)):
+            code, out, err = run(capsys, "score", "--metric", "wer", "--ref", ref,
+                                 "--hyp", run0 / hyp)
+            assert code == 0, err
+            assert f"{float(out.split('rate=')[1]):.4f}" == reported, hyp
+
+    def test_split_matches_manifests(self, capsys, tmp_path):
+        root = tmp_path / "toy"
+        cfg = load_config(write_toy_experiment(root))
+        cfg.runs, cfg.seed = 2, 7
+        run_experiment(cfg)
+        folds = tmp_path / "folds"
+        code, _, err = run(capsys, "split", "--ids", cfg.corpus, "--folds", cfg.folds,
+                           "--runs", cfg.runs, "--seed", cfg.seed, "--output-dir", folds)
+        assert code == 0, err
+        for r in range(cfg.runs):
+            for name in ("train", "dev", "test"):
+                assert ((folds / f"run{r}.{name}").read_bytes()
+                        == (cfg.output_dir / f"run{r}" / f"manifest.{name}").read_bytes())

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from itertools import groupby, product
 
 import numpy as np
@@ -185,4 +187,58 @@ class TestEmissionFiles:
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         with pytest.raises(ValueError):
+            read_emissions(path)
+
+    def test_truncated_binary_header_names_file(self, tmp_path):
+        path = tmp_path / "x.em"
+        path.write_bytes(b"EMISMAT1" + b"\x03\x00")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated emission header")):
+            read_emissions(path)
+
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "dead"])
+    def test_nan_inf_or_dead_frame_names_file_without_warning(self, tmp_path, binary, bad):
+        logits = np.log(np.full((2, 3), 1 / 3))
+        if bad == "dead":
+            logits[1] = -np.inf
+        else:
+            logits[1, 2] = bad
+        path = tmp_path / "x.em"
+        write_emissions(path, logits, binary=binary)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: a frame holds NaN")):
+                read_emissions(path)
+
+    @pytest.mark.parametrize("header", ["", "2", "2 x", "2 3 4"])
+    def test_malformed_text_header_names_line(self, tmp_path, header):
+        path = tmp_path / "x.txt"
+        path.write_text(f"{header}\n0 0 0\n0 0 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: expected a 'T V' header")):
+            read_emissions(path)
+
+    @pytest.mark.parametrize("row", ["-1.1 -1.1", "-1.1 -1.1 -1.1 -1.1"])
+    def test_short_or_long_text_row_names_line(self, tmp_path, row):
+        path = tmp_path / "x.txt"
+        path.write_text(f"2 3\n-1.1 -1.1 -1.1\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 3 values")):
+            read_emissions(path)
+
+    def test_missing_text_rows_rejected(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("3 2\n0 0", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header says 3 rows, found 1")):
+            read_emissions(path)
+
+    def test_empty_shape_names_file(self, tmp_path):
+        path = tmp_path / "x.txt"
+        for text in ("0 3\n", "2 1\n0\n0\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: emission matrix must")):
+                read_emissions(path)
+
+    def test_non_numeric_text_cell_names_line(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("1 2\n0 zero\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
             read_emissions(path)

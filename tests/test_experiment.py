@@ -1,12 +1,13 @@
+import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 
-from mienasr.ctc import EmissionMatrix, write_emissions
-from mienasr.decoder import build_prefix_tree
-from mienasr.experiment import (PipelineError, load_config, read_corpus,
-                                run_experiment, tune_weights)
+from mienasr.ctc import write_emissions
+from mienasr.experiment import (_CONFIG_KEYS, PipelineConfig, PipelineError,
+                                load_config, read_corpus, run_experiment)
 from mienasr.fixtures import TOY_UTTS, TOY_WORDS, peaked_emissions, write_toy_experiment
 from mienasr.lexicon import default_g2p_table, derive_phoneme_vocab, g2p
 from mienasr.orthography import default_inventory
@@ -95,6 +96,15 @@ class TestConfig:
             run_experiment(cfg)
         assert not (tmp_path / "out").exists()
 
+    def test_keys_match_fields_and_readme_example(self, tmp_path):
+        assert set(_CONFIG_KEYS) == {f.name for f in dataclasses.fields(PipelineConfig)}
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```ini\n(\[experiment\]\n.*?)```", readme, re.S).group(1)
+        assert sorted(re.findall(r"^(\w+) =", example, re.M)) == sorted(_CONFIG_KEYS)
+        path = tmp_path / "config.ini"
+        path.write_text(example, encoding="utf-8")
+        load_config(path)  # the example loads as written
+
     def test_missing_emission_file_detected(self, toy, tmp_path):
         root, cfg_path = toy
         cfg = load_config(cfg_path)
@@ -178,6 +188,17 @@ class TestToyExperiment:
             assert line.endswith("\t\n") and line.count("\n") == 1
 
 
+    def test_truncated_emission_header_is_a_decode_error(self, tmp_path):
+        cfg_path = write_toy_experiment(tmp_path / "toy")
+        for utt, _ in TOY_UTTS:
+            (tmp_path / "toy" / "emissions" / f"{utt}.em").write_bytes(b"EMISMAT1\x05")
+        cfg = load_config(cfg_path)
+        cfg.output_dir = tmp_path / "out"
+        with pytest.raises(PipelineError, match="truncated emission header") as info:
+            run_experiment(cfg)
+        assert info.value.stage == "decode"
+
+
 class TestSubwordExperiment:
     def test_wer_zero_and_reproducible(self, tmp_path):
         cfg_path = write_toy_experiment(tmp_path / "toy", mode="subword")
@@ -206,35 +227,3 @@ class TestCorpusReader:
         p.write_text("u1\tMienh  DORN\n")
         assert read_corpus(p) == [("u1", "mienh dorn")]
 
-
-class TestTuneWeights:
-    def test_grid_search_prefers_lower_wer(self, toy):
-        _, cfg_path = toy
-        cfg = load_config(cfg_path)
-        from mienasr.ctc import read_emissions
-        from mienasr.decoder import build_prefix_tree
-        from mienasr.lexicon import (build_lexicon, default_g2p_table,
-                                     derive_phoneme_vocab)
-        from mienasr.lm import lm_train
-        from mienasr.orthography import default_inventory
-        utts = read_corpus(cfg.corpus)
-        inv, table = default_inventory(), default_g2p_table()
-        entries, _ = build_lexicon([w for _, t in utts for w in t.split()], table, inv)
-        vocab = derive_phoneme_vocab(entries)
-        tree = build_prefix_tree(entries, vocab)
-        model = lm_train([t for _, t in utts], order=2)
-        items = [(read_emissions(Path(cfg.emissions_dir) / f"{u}.em"), t.split())
-                 for u, t in utts[:2]]
-        lw, wip, wer = tune_weights(cfg, items, tree, None, model,
-                                    lm_weights=(0.0, 0.5), penalties=(0.0,))
-        assert wer == 0.0
-        assert (lw, wip) == (0.0, 0.0)  # ties prefer the smaller grid point
-
-    def test_empty_decode_scores_as_deletions(self, toy):
-        _, cfg_path = toy
-        cfg = load_config(cfg_path)
-        cfg.beam_size = 1
-        tree = build_prefix_tree(*toy_lexicon())
-        items = [(EmissionMatrix(logits=prefix_emissions()), ["maaih"])]
-        assert tune_weights(cfg, items, tree, None, None,
-                            lm_weights=(0.0,), penalties=(0.0,)) == (0.0, 0.0, 1.0)

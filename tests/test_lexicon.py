@@ -1,12 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from mienasr import BLANK_TOKEN
 from mienasr.lexicon import (G2PError, G2PTable, TableError, build_lexicon,
                              derive_phoneme_vocab, g2p, load_g2p_table,
-                             longest_match, read_lexicon, strip_token,
+                             longest_match, read_lexicon, read_vocab, strip_token,
                              write_lexicon)
 from mienasr.orthography import parse_word
 
@@ -202,3 +203,9 @@ class TestLexiconFiles:
         path.write_text("b\t1\n[tones]\nnone\t1\n", encoding="utf-8")
         with pytest.raises(TableError, match="collide"):
             load_g2p_table(path)
+
+    def test_empty_vocab_file_names_path(self, tmp_path):
+        path = tmp_path / "phonemes.txt"
+        path.write_text("\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: empty vocabulary")):
+            read_vocab(path)

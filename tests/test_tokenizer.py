@@ -1,4 +1,5 @@
 import logging
+import re
 
 import pytest
 
@@ -100,4 +101,23 @@ class TestModelFile:
         path = tmp_path / "bad.model"
         path.write_text("not-a-model\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_bpe(path)
+
+    def test_header_only_file_names_path(self, tmp_path):
+        path = tmp_path / "bpe.model"
+        path.write_text("mienasr-bpe v1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: expected [merges]")):
+            load_bpe(path)
+
+    def test_missing_vocab_section_names_path(self, tmp_path):
+        path = tmp_path / "bpe.model"
+        path.write_text("mienasr-bpe v1\n[merges]\na\tb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing [vocab]")):
+            load_bpe(path)
+
+    def test_merge_without_tab_names_line(self, tmp_path):
+        path = tmp_path / "bpe.model"
+        path.write_text("mienasr-bpe v1\n[merges]\na\tb\nab\n[vocab]\n<blk>\n<unk>\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: expected 'left TAB right'")):
             load_bpe(path)

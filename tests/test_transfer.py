@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -125,4 +127,10 @@ class TestMatrixFile:
         path = tmp_path / "emb.txt"
         path.write_text("1 3\na 0 0\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            read_matrix(path)
+
+    def test_empty_file_names_path(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: empty matrix file")):
             read_matrix(path)
