@@ -213,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--inventory")
 
     sp = add("lexicon", cmd_lexicon, "build the pronunciation lexicon")
-    sp.add_argument("--corpus", help="utt TAB text file")
-    sp.add_argument("--words", help="one word per line")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--corpus", help="utt TAB text file")
+    source.add_argument("--words", help="one word per line")
     sp.add_argument("--g2p-table", dest="g2p_table")
     sp.add_argument("--inventory")
     sp.add_argument("--output", required=True)

@@ -196,7 +196,10 @@ def read_emissions(path) -> EmissionMatrix:
                 raise ValueError(f"{path}: truncated emission payload")
             logits = data.reshape(T, V)
     if not binary:
-        lines = path.read_text(encoding="utf-8").split("\n")
+        try:
+            lines = path.read_text(encoding="utf-8").split("\n")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: neither an EMISMAT1 file nor UTF-8 text") from None
         try:
             T, V = (int(x) for x in lines[0].split())
         except ValueError:

@@ -28,18 +28,27 @@ surviving state stands for.
   sequence.  Each token sequence stays its own final, so the n-best list can
   hold one word sequence more than once, once per segmentation.
 
+Beam cut: after each frame the core keeps the ``beam_size`` states with the
+highest score (acoustic log-sum plus weighted LM and insertion terms).
+Among states with equal scores the lexicographically smaller word sequence
+goes first, then the mode's tie (trie node index, or token sequence).  The
+cut finds the ``beam_size``-th best score first and sorts only the states at
+or above it, which keeps the same states in the same order as sorting them
+all.  Completed hypotheses are ordered by score, then word sequence.
+
 Scores are natural logs; ARPA log10 values are converted at this boundary.
-Equal scores break toward the lexicographically smaller word sequence.
+The frame loop runs on Python floats with a scalar log-add-exp that matches
+``np.logaddexp`` bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from math import exp, log1p
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import BLANK_ID
 from .ctc import EmissionMatrix, NEG_INF
@@ -48,6 +57,7 @@ from .lm import BOS, EOS, ArpaModel, lm_score
 from .tokenizer import MARKER, BpeModel
 
 LN10 = math.log(10.0)
+LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,11 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        if self.lm_weight < 0:
-            raise ValueError("lm_weight must be >= 0")
+        # the beam cut needs totally ordered scores, so no NaN may arise
+        if not 0 <= self.lm_weight < math.inf:
+            raise ValueError("lm_weight must be finite and >= 0")
+        if not math.isfinite(self.word_insertion_penalty):
+            raise ValueError("word_insertion_penalty must be finite")
         if self.mode not in ("phoneme", "subword"):
             raise ValueError(f"unknown decode mode {self.mode!r}")
 
@@ -132,6 +145,20 @@ def _lm10(model: Optional[ArpaModel], history: tuple[str, ...], word: str) -> fl
     return lm_score(model, history, word)
 
 
+def _lae(x: float, y: float) -> float:
+    """``log(exp(x) + exp(y))`` on Python floats, bit-identical to ``np.logaddexp``.
+
+    Follows numpy's branch order: equal arguments (including two ``-inf``)
+    add ``ln 2``; otherwise the larger argument absorbs the smaller.
+    """
+    if x == y:
+        return x + LN2
+    d = x - y
+    if d > 0:
+        return x + log1p(exp(-d))
+    return y + log1p(exp(d))
+
+
 def _prefix_beam_search(em, cfg, start, last_token, expand, tie, finish) -> list[Hypothesis]:
     """CTC prefix beam search shared by both modes; the hooks are the mode.
 
@@ -144,39 +171,48 @@ def _prefix_beam_search(em, cfg, start, last_token, expand, tie, finish) -> list
     hypothesis the state stands for; finals sharing a key pool their mass.
     """
     logits = em.logits
+    beam_size = cfg.beam_size
     lam, wip = cfg.lm_weight, cfg.word_insertion_penalty
-
-    def rank(item):
-        (words, pos), (pb, pnb, lm10) = item
-        score = np.logaddexp(pb, pnb) + lam * LN10 * lm10 + wip * len(words)
-        return -score, words, tie(pos)
-
-    def add(key, slot, lm10, mass):  # into the current frame's beam
-        entry = beam.get(key)
-        if entry is None:
-            entry = beam[key] = [NEG_INF, NEG_INF, lm10]
-            entry[slot] = mass
-        else:
-            entry[slot] = np.logaddexp(entry[slot], mass)
+    lam10 = lam * LN10
 
     states = {((), start): [0.0, NEG_INF, 0.0]}
     for t in range(em.frames):
-        y = logits[t]
+        y = logits[t].tolist()
         beam: dict = {}
         for key, (pb, pnb, lm10) in states.items():
             words, pos = key
-            total = np.logaddexp(pb, pnb)
-            add(key, 0, lm10, total + y[BLANK_ID])
+            total = _lae(pb, pnb)
+            mass = total + y[BLANK_ID]
+            entry = beam.get(key)
+            if entry is None:
+                entry = beam[key] = [mass, NEG_INF, lm10]
+            else:
+                entry[0] = _lae(entry[0], mass)
             last = last_token(pos)
             if last is not None:
-                add(key, 1, lm10, pnb + y[last])
+                entry[1] = _lae(entry[1], pnb + y[last])
             for k, new_key, new_lm10 in expand(words, pos, lm10):
-                add(new_key, 1, new_lm10, (pb if k == last else total) + y[k])
-        states = dict(sorted(beam.items(), key=rank)[:cfg.beam_size])
+                mass = (pb if k == last else total) + y[k]
+                entry = beam.get(new_key)
+                if entry is None:
+                    beam[new_key] = [NEG_INF, mass, new_lm10]
+                else:
+                    entry[1] = _lae(entry[1], mass)
+        scored = []
+        for key, entry in beam.items():
+            pb, pnb, lm10 = entry
+            # most entries are fresh extensions with no blank mass yet
+            ac = pnb if pb == NEG_INF else _lae(pb, pnb)
+            scored.append((ac + lam10 * lm10 + wip * len(key[0]), key, entry))
+        if len(scored) > beam_size:
+            cut = heapq.nlargest(beam_size, [s[0] for s in scored])[-1]
+            scored = [s for s in scored if s[0] >= cut]
+        scored.sort(key=lambda s: (-s[0], s[1][0], tie(s[1][1])))
+        states = {key: entry for _, key, entry in scored[:beam_size]}
 
     finals: dict = {}
     for (words, pos), (pb, pnb, lm10) in states.items():
-        ac = np.logaddexp(pb, pnb)
+        ac = _lae(pb, pnb)
         if ac == NEG_INF:
             continue
         for final_key, full, full_lm10 in finish(words, pos, lm10):
@@ -184,15 +220,13 @@ def _prefix_beam_search(em, cfg, start, last_token, expand, tie, finish) -> list
             if entry is None:
                 finals[final_key] = [full, ac, full_lm10]
             else:
-                entry[1] = np.logaddexp(entry[1], ac)
+                entry[1] = _lae(entry[1], ac)
 
     hyps = []
     for words, ac, lm10 in finals.values():
         score_lm = LN10 * lm10
-        hyps.append(Hypothesis(
-            words=words, score_ac=float(ac), score_lm=float(score_lm),
-            score=float(ac + lam * score_lm + wip * len(words)),
-        ))
+        hyps.append(Hypothesis(words=words, score_ac=ac, score_lm=score_lm,
+                               score=ac + lam * score_lm + wip * len(words)))
     hyps.sort(key=lambda h: (-h.score, h.words))
     return hyps
 

@@ -92,7 +92,8 @@ class PhonemeVocab:
         if self.tokens[0] != BLANK_TOKEN:
             raise ValueError(f"index 0 must be the blank token, got {self.tokens[0]!r}")
         if len(set(self.tokens)) != len(self.tokens):
-            raise ValueError("duplicate tokens in vocabulary")
+            dup = next(t for i, t in enumerate(self.tokens) if t in self.tokens[:i])
+            raise ValueError(f"duplicate token {dup!r} in vocabulary")
 
     def __len__(self):
         return len(self.tokens)
@@ -315,4 +316,7 @@ def read_vocab(path) -> PhonemeVocab:
     tokens = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
     if not tokens:
         raise ValueError(f"{path}: empty vocabulary file")
-    return PhonemeVocab(tokens=tuple(tokens))
+    try:
+        return PhonemeVocab(tokens=tuple(tokens))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

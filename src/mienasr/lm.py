@@ -232,7 +232,7 @@ def lm_score(model: ArpaModel, history: Sequence[str], word: str) -> float:
     to <unk>.
     """
     w = model.map_word(word)
-    h = tuple(model.map_word(x) for x in history)[max(0, len(history) - model.order + 1):]
+    h = tuple(model.map_word(x) for x in history[max(0, len(history) - model.order + 1):])
     return _backoff(model, h, w)
 
 

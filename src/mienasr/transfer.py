@@ -139,18 +139,26 @@ def write_matrix(mat: EmbeddingMatrix, path) -> None:
 
 
 def read_matrix(path) -> EmbeddingMatrix:
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(
+        Path(path).read_text(encoding="utf-8").splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
-    v, d = (int(x) for x in lines[0].split())
+    n, header = lines[0]
+    fields = header.split()
+    if len(fields) != 2 or not all(f.isdecimal() for f in fields):
+        raise ValueError(f"{path}:{n}: expected a 'rows dims' header line")
+    v, d = (int(f) for f in fields)
     if len(lines) - 1 != v:
         raise ValueError(f"{path}: header declares {v} rows, found {len(lines) - 1}")
     labels = []
     rows = np.empty((v, d), dtype=np.float64)
-    for i, line in enumerate(lines[1:]):
+    for i, (n, line) in enumerate(lines[1:]):
         parts = line.split()
         if len(parts) != d + 1:
             raise ValueError(f"{path}: row {i} has {len(parts) - 1} values, expected {d}")
         labels.append(parts[0])
-        rows[i] = [float(x) for x in parts[1:]]
+        try:
+            rows[i] = [float(x) for x in parts[1:]]
+        except ValueError as e:
+            raise ValueError(f"{path}:{n}: {e}") from None
     return EmbeddingMatrix(rows=rows, row_labels=tuple(labels))

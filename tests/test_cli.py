@@ -51,6 +51,14 @@ class TestLexiconVocab:
         assert code == 1
         assert "unconvertible\txxxx" in err
 
+    def test_needs_corpus_or_words(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["lexicon", "--output", str(tmp_path / "lex.tsv")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--corpus" in err and "--words" in err
+        assert not (tmp_path / "lex.tsv").exists()
+
 
 class TestBpe:
     def test_train_encode_decode(self, capsys, tmp_path):

@@ -242,3 +242,10 @@ class TestEmissionFiles:
         path.write_text("1 2\n0 zero\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
             read_emissions(path)
+
+    def test_neither_binary_nor_utf8_names_file(self, tmp_path):
+        path = tmp_path / "x.em"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: neither")) as info:
+            read_emissions(path)
+        assert not isinstance(info.value, UnicodeDecodeError)

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mienasr import BLANK_TOKEN
 from mienasr.ctc import EmissionMatrix, collapse, normalize_rows
-from mienasr.decoder import (LN10, DecodeConfig, build_prefix_tree, decode,
+from mienasr.decoder import (LN10, DecodeConfig, _lae, build_prefix_tree, decode,
                              decode_phoneme, decode_subword)
 from mienasr.fixtures import homophone_case, peaked_emissions
 from mienasr.lexicon import LexiconEntry, PhonemeVocab
@@ -66,6 +67,26 @@ def brute_force_phoneme(logits, entries, vocab, model, lm_weight, wip):
 
     rec((), ())
     return (best[0][1], -best[0][0]) if best[0] else None
+
+
+LAE_ARG = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-math.inf))
+LAE_PAIRS = st.one_of(
+    st.tuples(LAE_ARG, LAE_ARG),
+    LAE_ARG.map(lambda a: (a, a)),
+    st.tuples(st.floats(-1e6, 1e6), st.floats(30.0, 1e4)).map(lambda p: (p[0], p[0] - p[1])),
+    st.tuples(st.floats(-1e6, 1e6), st.floats(-1e-6, 1e-6)).map(lambda p: (p[0], p[0] + p[1])),
+)
+
+
+class TestLogAddExp:
+    @settings(max_examples=2000, deadline=None)
+    @given(LAE_PAIRS)
+    def test_matches_numpy_bit_for_bit(self, pair):
+        a, b = pair
+        for x, y in (pair, (b, a)):
+            got = _lae(x, y)
+            assert type(got) is float
+            assert got.hex() == float(np.logaddexp(x, y)).hex(), (x, y)
 
 
 class TestBuildPrefixTree:
@@ -330,6 +351,13 @@ class TestDispatcher:
         with pytest.raises(ValueError):
             DecodeConfig(mode="word")
 
+    @pytest.mark.parametrize("field, value", [("lm_weight", math.nan), ("lm_weight", math.inf),
+                                              ("word_insertion_penalty", math.nan),
+                                              ("word_insertion_penalty", -math.inf)])
+    def test_non_finite_weight_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DecodeConfig(**{field: value})
+
 
 GOLDEN_NBEST = Path(__file__).parent / "data" / "decoder_golden_nbest.json"
 MERGE_LOGITS = np.log(np.array([[0.1, 0.05, 0.5, 0.05, 0.3],
@@ -406,3 +434,51 @@ class TestGoldenNBest:
             hyps = decode_phoneme(EmissionMatrix(logits=MERGE_LOGITS), tree, None, cfg)
             single += [h.score_ac for h in hyps if h.words == ("x",)]
         assert merged[0][2] == pytest.approx(np.logaddexp(*single), abs=1e-9)
+
+
+GOLDEN_TIES = Path(__file__).parent / "data" / "decoder_golden_ties.json"
+
+
+def tie_cases():
+    """Uniform-emission decode cases whose beam cut falls inside a tied set.
+
+    Yields (case id, decode thunk).  Every token has the same probability in
+    every frame, so states with equal mass and equal word sequences tie on
+    score (without the LM, equal word counts suffice).  Each beam is smaller
+    than the set tied at its cut, so the pinned n-best fixes the tie-break
+    after the score: the word sequence, then the trie node (phoneme) or the
+    token sequence (subword).
+    """
+    vocab = vocab_of(5)
+    entries = [LexiconEntry("ba", ("p1", "p2")), LexiconEntry("bad", ("p1", "p2", "p3")),
+               LexiconEntry("da", ("p3",)), LexiconEntry("y", ("p3",)),
+               LexiconEntry("x", ("p4",)), LexiconEntry("x", ("p2", "p4"))]
+    tree = build_prefix_tree(entries, vocab)
+    p_lm = lm_train(["ba da x", "x bad", "da ba y x", "y y ba"], order=2)
+    bpe = bpe_train(["ab ab b", "ab b", "b ab ab"], vocab_size=6)
+    s_lm = lm_train(["ab ab b", "b ab", "ab"], order=2)
+    modes = (("phoneme", decode_phoneme, tree, p_lm, len(vocab)),
+             ("subword", decode_subword, bpe, s_lm, len(bpe.vocab)))
+    for mode, fn, unit, model, V in modes:
+        for T in (3, 5):
+            em = EmissionMatrix(logits=np.full((T, V), -math.log(V)))
+            for beam in (2, 3):
+                for use_lm in (False, True):
+                    cfg = DecodeConfig(beam_size=beam, lm_weight=0.7, mode=mode)
+                    lm = model if use_lm else None
+                    yield (f"{mode}-t{T}-b{beam}-{'lm' if use_lm else 'nolm'}",
+                           lambda fn=fn, em=em, unit=unit, lm=lm, cfg=cfg:
+                           fn(em, unit, lm, cfg))
+
+
+class TestGoldenTies:
+    """N-best lists where the beam cut splits a set of tied scores."""
+
+    def test_nbest_matches_recorded(self):
+        want = json.loads(GOLDEN_TIES.read_text(encoding="utf-8"))
+        got = {cid: nbest_record(run()) for cid, run in tie_cases()}
+        assert sorted(got) == sorted(want)
+        for cid, hyps in got.items():
+            assert [h[0] for h in hyps] == [h[0] for h in want[cid]], cid
+            for h, w in zip(hyps, want[cid]):
+                assert h[1:] == pytest.approx(w[1:], abs=1e-9, rel=0), cid

@@ -209,3 +209,9 @@ class TestLexiconFiles:
         path.write_text("\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: empty vocabulary")):
             read_vocab(path)
+
+    def test_duplicate_vocab_token_names_path_and_token(self, tmp_path):
+        path = tmp_path / "phonemes.txt"
+        path.write_text(f"{BLANK_TOKEN}\na\nb\na\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: duplicate token 'a'")):
+            read_vocab(path)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mienasr.lm import (BOS, EOS, UNK, ArpaError, arpa_read, arpa_write,
                         lm_score, lm_train, normalization_mass, perplexity,
@@ -267,3 +268,21 @@ def _trace_score(sentence):
             total += uni_bow.get(prev, 0.0) + uni[w]
         prev = w
     return total
+
+
+@pytest.fixture(scope="module")
+def models_by_order():
+    return {n: lm_train(["a b c a", "b c b", "c a a b"], order=n) for n in range(1, 5)}
+
+
+class TestHistoryTail:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), order=st.integers(1, 4),
+           word=st.sampled_from(["a", "b", "c", "oov", EOS]))
+    def test_slice_then_map_equals_map_then_slice(self, models_by_order, data, order, word):
+        model = models_by_order[order]
+        history = tuple(data.draw(st.lists(st.sampled_from(["a", "b", "c", "oov", "zz", BOS]),
+                                           min_size=order + 1, max_size=order + 6)))
+        mapped = tuple(model.map_word(x) for x in history)
+        tail = mapped[max(0, len(history) - order + 1):]
+        assert lm_score(model, history, word) == lm_score(model, tail, word)

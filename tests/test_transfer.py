@@ -134,3 +134,11 @@ class TestMatrixFile:
         path.write_text("", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: empty matrix file")):
             read_matrix(path)
+
+    @pytest.mark.parametrize("text, line", [("x y\na 0\n", 1), ("1 2 3\na 0 0\n", 1),
+                                            ("1 -2\na\n", 1), ("\n1 2\na 0 zero\n", 3)])
+    def test_non_numeric_header_or_cell_names_line(self, tmp_path, text, line):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}:")):
+            read_matrix(path)
