@@ -72,38 +72,12 @@ def _extended(labels: Sequence[int]) -> np.ndarray:
     return ext
 
 
-def ctc_loss(
-    logits: np.ndarray | EmissionMatrix,
-    labels: Sequence[int],
-    with_grad: bool = False,
-) -> float | tuple[float, np.ndarray]:
-    """Negative log-likelihood of ``labels`` under the CTC alignment model.
-
-    ``logits`` is a T x V array of log-probabilities (or an EmissionMatrix).
-    The loss treats the entries as free log-domain parameters, so the
-    returned gradient d(-logP)/d(logits[t, k]) can be checked directly by
-    finite differences.  Labels must not contain the blank id; an infeasible
-    label length returns +inf (with a zero gradient).
-    """
-    if isinstance(logits, EmissionMatrix):
-        logits = logits.logits
-    logits = np.asarray(logits, dtype=np.float64)
-    T, V = logits.shape
-    labels = list(labels)
-    if any(not (0 < l < V) for l in labels):
-        raise ValueError("labels must lie in [1, V)")
-
-    if min_frames(labels) > T:
-        return (np.inf, np.zeros_like(logits)) if with_grad else np.inf
-
-    ext = _extended(labels)
-    S = len(ext)
-
-    # forward: alpha[t, s] = log P(paths ending in state s after frame t)
+def _forward(logits: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """alpha[t, s]: log mass of the paths through frames 0..t that end in
+    state s of the extended label sequence ``ext``, emission at t included."""
+    T, S = logits.shape[0], len(ext)
     alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = logits[0, ext[0]]
-    if S > 1:
-        alpha[0, 1] = logits[0, ext[1]]
+    alpha[0, :2] = logits[0, ext[:2]]
     skip_ok = np.zeros(S, dtype=bool)
     skip_ok[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
     for t in range(1, T):
@@ -114,33 +88,53 @@ def ctc_loss(
         skip[2:] = alpha[t - 1, :-2]
         skip[~skip_ok] = NEG_INF
         alpha[t] = np.logaddexp(np.logaddexp(stay, prev), skip) + logits[t, ext]
+    return alpha
 
-    log_p = np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2] if S > 1 else NEG_INF)
-    loss = -log_p
+
+def ctc_loss(
+    logits: np.ndarray | EmissionMatrix,
+    labels: Sequence[int],
+    with_grad: bool = False,
+) -> float | tuple[float, np.ndarray]:
+    """Negative log-likelihood of ``labels`` under the CTC alignment model.
+
+    ``logits`` is a T x V array of log-probabilities (or an EmissionMatrix).
+    The loss treats the entries as free log-domain parameters, so the
+    returned gradient d(-logP)/d(logits[t, k]) can be checked directly by
+    finite differences; a -inf entry gets gradient 0.  Labels must not
+    contain the blank id; a label sequence no path can emit (too long, or
+    blocked by -inf entries) returns +inf with a zero gradient.
+    """
+    if isinstance(logits, EmissionMatrix):
+        logits = logits.logits
+    logits = np.asarray(logits, dtype=np.float64)
+    T, V = logits.shape
+    labels = list(labels)
+    if any(not (0 < l < V) for l in labels):
+        raise ValueError("labels must lie in [1, V)")
+
+    ext = _extended(labels)
+    alpha = _forward(logits, ext)
+    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2] if len(ext) > 1 else NEG_INF)
     if not with_grad:
-        return float(loss)
+        return float(-log_p)
+    if log_p == NEG_INF:
+        return np.inf, np.zeros_like(logits)
 
-    # backward: beta[t, s] includes the emission at frame t, so the posterior
-    # mass through (t, s) is alpha + beta - logit
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = logits[T - 1, ext[S - 1]]
-    if S > 1:
-        beta[T - 1, S - 2] = logits[T - 1, ext[S - 2]]
-    for t in range(T - 2, -1, -1):
-        stay = beta[t + 1]
-        nxt = np.full(S, NEG_INF)
-        nxt[:-1] = beta[t + 1, 1:]
-        skip = np.full(S, NEG_INF)
-        skip[:-2] = np.where(skip_ok[2:], beta[t + 1, 2:], NEG_INF)
-        beta[t] = np.logaddexp(np.logaddexp(stay, nxt), skip) + logits[t, ext]
-
+    # beta is the forward recursion run on time- and label-reversed input:
+    # ext alternates blank and label, so reversal keeps the skip rule.  beta
+    # includes the emission at frame t, so the log mass through (t, s) is
+    # alpha + beta - logit, and -inf where the logit is -inf.
+    beta = _forward(logits[::-1], ext[::-1])[::-1, ::-1]
+    emit = logits[:, ext]
+    occupancy = np.subtract(alpha + beta, emit, out=np.full_like(emit, NEG_INF),
+                            where=emit > NEG_INF)
     grad = np.zeros_like(logits)
-    occupancy = alpha + beta - logits[:, ext]  # log mass through each state
     for t in range(T):
         acc = np.full(V, NEG_INF)
         np.logaddexp.at(acc, ext, occupancy[t])
         grad[t] = -np.exp(acc - log_p)
-    return float(loss), grad
+    return float(-log_p), grad
 
 
 def greedy_decode(em: EmissionMatrix | np.ndarray) -> list[int]:

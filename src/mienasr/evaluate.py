@@ -122,6 +122,8 @@ def make_cv_plan(
     ids = list(utt_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate utterance ids")
+    if n_runs < 1:
+        raise ValueError(f"need at least one run, got {n_runs}")
     if len(ids) < n_folds:
         raise ValueError(f"need at least {n_folds} utterances, got {len(ids)}")
     if 2 * n_runs > n_folds:

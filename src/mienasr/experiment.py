@@ -13,8 +13,8 @@ making reruns byte-identical.
 from __future__ import annotations
 
 import configparser
-import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -29,8 +29,6 @@ from .lexicon import (LexiconEntry, build_lexicon, default_g2p_table,
 from .orthography import default_inventory, load_inventory
 from .tokenizer import bpe_train, save_bpe
 
-logger = logging.getLogger(__name__)
-
 
 class PipelineError(RuntimeError):
     """Configuration or stage failure with stage attribution."""
@@ -38,6 +36,15 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+@contextmanager
+def _stage(stage: str, context: str = ""):
+    """Report a ValueError or OSError raised inside as a PipelineError."""
+    try:
+        yield
+    except (ValueError, OSError) as e:
+        raise PipelineError(stage, f"{context}{e}") from e
 
 
 @dataclass
@@ -59,17 +66,17 @@ class PipelineConfig:
     seed: int = 0
     workers: int = 1
 
-    def validate(self) -> None:
-        if self.mode not in ("phoneme", "subword"):
-            raise PipelineError("config", f"mode must be phoneme or subword, got {self.mode!r}")
-        for name in ("corpus", "emissions_dir"):
-            p = getattr(self, name)
-            if not Path(p).exists():
-                raise PipelineError("config", f"{name} path does not exist: {p}")
-        for name in ("inventory", "g2p_table"):
+    def validate(self) -> DecodeConfig:
+        """Check the settings and input paths; return the decoder settings."""
+        with _stage("config"):
+            decode_cfg = DecodeConfig(beam_size=self.beam_size, lm_weight=self.lm_weight,
+                                      word_insertion_penalty=self.word_insertion_penalty,
+                                      mode=self.mode)
+        for name in ("corpus", "emissions_dir", "inventory", "g2p_table"):
             p = getattr(self, name)
             if p is not None and not Path(p).exists():
                 raise PipelineError("config", f"{name} path does not exist: {p}")
+        return decode_cfg
 
 
 _CONFIG_KEYS = {
@@ -97,7 +104,8 @@ def load_config(path) -> PipelineConfig:
             p = Path(value)
             kwargs[key] = p if p.is_absolute() else (path.parent / p)
         else:
-            kwargs[key] = conv(value)
+            with _stage("config", f"{path}: key {key!r}: "):
+                kwargs[key] = conv(value)
     missing = {"corpus", "emissions_dir", "output_dir"} - set(kwargs)
     if missing:
         raise PipelineError("config", f"{path}: missing required keys {sorted(missing)}")
@@ -194,32 +202,35 @@ def run_experiment(cfg: PipelineConfig) -> ExperimentReport:
     Any stage failure raises PipelineError with the stage name; partial
     outputs written so far are preserved in ``output_dir``.
     """
-    cfg.validate()
-    utts = read_corpus(cfg.corpus)
+    decode_cfg = cfg.validate()
+    with _stage("corpus"):
+        utts = read_corpus(cfg.corpus)
     texts = dict(utts)
     missing = [u for u, _ in utts if not emission_path(cfg.emissions_dir, u).exists()]
     if missing:
         raise PipelineError("config", f"missing emission files for: {missing[:5]}"
                             + ("..." if len(missing) > 5 else ""))
 
-    inv = load_inventory(cfg.inventory) if cfg.inventory else default_inventory()
-    table = load_g2p_table(cfg.g2p_table) if cfg.g2p_table else default_g2p_table()
+    with _stage("config"):
+        inv = load_inventory(cfg.inventory) if cfg.inventory else default_inventory()
+        table = load_g2p_table(cfg.g2p_table) if cfg.g2p_table else default_g2p_table()
+    with _stage("split"):
+        plan = make_cv_plan([u for u, _ in utts], cfg.folds, cfg.runs, cfg.seed)
 
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    plan = make_cv_plan([u for u, _ in utts], cfg.folds, cfg.runs, cfg.seed)
 
     model_id = f"{cfg.mode}-ctc"
     report = ExperimentReport(model_id=model_id)
     for r in range(cfg.runs):
         report.runs.append(
-            _run_one(cfg, r, plan, texts, inv, table, out_root / f"run{r}")
+            _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_root / f"run{r}")
         )
     (out_root / "report.txt").write_text(report.to_text(), encoding="utf-8")
     return report
 
 
-def _run_one(cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
+def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ids = plan.train_ids(r)
     dev_ids = plan.dev_ids(r)
@@ -246,32 +257,26 @@ def _run_one(cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
         write_vocab(vocab, out_dir / "phonemes.txt")
         lex_tree = build_prefix_tree(entries, vocab)
     else:
-        bpe = bpe_train(train_texts, cfg.bpe_vocab_size)
+        with _stage("bpe", f"run {r}: "):
+            bpe = bpe_train(train_texts, cfg.bpe_vocab_size)
         save_bpe(bpe, out_dir / "bpe.model")
 
-    try:
+    with _stage("lm", f"run {r}: "):
         ngram = lm_mod.lm_train(train_texts, order=cfg.lm_order, smoothing=cfg.lm_smoothing)
-    except ValueError as e:
-        raise PipelineError("lm", f"run {r}: {e}") from e
     lm_mod.arpa_write(ngram, out_dir / "lm.arpa")
-
-    base = DecodeConfig(beam_size=cfg.beam_size, lm_weight=cfg.lm_weight,
-                        word_insertion_penalty=cfg.word_insertion_penalty, mode=cfg.mode)
 
     def decode_one(utt):
         em = read_emissions(emission_path(cfg.emissions_dir, utt))
-        with_lm = decode(em, base, lex=lex_tree, bpe=bpe, lm=ngram)
-        without = decode(em, base, lex=lex_tree, bpe=bpe, lm=None)
+        with_lm = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=ngram)
+        without = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=None)
         return utt, best_words(with_lm), best_words(without)
 
-    try:
+    with _stage("decode", f"run {r}: "):
         if cfg.workers > 1:
             with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
                 decoded = list(ex.map(decode_one, test_ids))
         else:
             decoded = [decode_one(u) for u in test_ids]
-    except (ValueError, OSError) as e:
-        raise PipelineError("decode", f"run {r}: {e}") from e
 
     pron_of: dict[str, tuple[str, ...]] = {e.word: e.pron for e in entries}
 

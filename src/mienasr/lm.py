@@ -1,14 +1,17 @@
 """Back-off n-gram language model with ARPA interchange.
 
-Training counts n-grams over sentences padded with <s> / </s> and applies
-interpolated modified Kneser-Ney smoothing by default: lower orders use
-continuation counts (raw counts for <s>-initial grams), three discounts per
-order are estimated from counts-of-counts, and the unigram level
-interpolates with a uniform distribution so <unk> receives mass.  When
-discount estimation degenerates on a tiny corpus, the affected order falls
-back to a fixed absolute discount.  Two simpler smoothings are available:
-"absolute" (raw counts, fixed discount) and "mle" (maximum likelihood with
-one reserved <unk> count at the unigram level and no back-off mass).
+Training counts n-grams over sentences padded with <s> / </s>; one builder
+then discounts each order's counts, gives the removed mass to the next lower
+order (at the unigram level, to a uniform distribution, so <unk> receives
+mass) and writes the result in back-off form.  A smoothing is a choice of
+counts and of a discount rule:
+- "kneser_ney" (the default; interpolated modified Kneser-Ney): continuation
+  counts below the top order (raw counts for <s>-initial grams) and three
+  discounts per order from counts-of-counts, or a fixed 0.75 for an order
+  where that estimate degenerates on a tiny corpus;
+- "absolute": raw counts, a fixed 0.75 discount;
+- "mle": raw counts plus one reserved <unk> count, zero discounts, so every
+  back-off weight is LOG10_ZERO.
 
 All scores are base-10 logs to match the ARPA format; the decoder converts
 to natural logs at its boundary.  Models are immutable after training or
@@ -17,13 +20,11 @@ loading and scoring is pure.
 
 from __future__ import annotations
 
-import logging
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
-
-logger = logging.getLogger(__name__)
 
 BOS = "<s>"
 EOS = "</s>"
@@ -66,8 +67,8 @@ class ArpaModel:
             for gram, (logp, bow) in self.tables[n].items():
                 if len(gram) != n:
                     raise ArpaError(f"{gram} filed under order {n}")
-                if logp > 1e-12:
-                    raise ArpaError(f"positive log10 probability for {gram}")
+                if not logp <= 1e-12:
+                    raise ArpaError(f"positive or NaN log10 probability for {gram}")
                 if bow is not None and not math.isfinite(bow):
                     raise ArpaError(f"non-finite back-off for {gram}")
                 if n > 1 and gram[:-1] not in self.tables[n - 1]:
@@ -124,9 +125,7 @@ def _estimate_discounts(values: Iterable[int]) -> tuple[float, float, float]:
 
 
 def _discount_for(c: int, d: tuple[float, float, float]) -> float:
-    if c <= 0:
-        return 0.0
-    return d[min(c, 3) - 1]
+    return d[min(c, 3) - 1] if c > 0 else 0.0
 
 
 def lm_train(corpus: Iterable[str], order: int = 4, smoothing: str = "kneser_ney") -> ArpaModel:
@@ -141,53 +140,38 @@ def lm_train(corpus: Iterable[str], order: int = 4, smoothing: str = "kneser_ney
     if smoothing not in ("kneser_ney", "absolute", "mle"):
         raise ValueError(f"unknown smoothing {smoothing!r}")
     sentences = [line.split() for line in corpus]
-    n_tokens = sum(len(s) for s in sentences)
-    if n_tokens == 0:
+    if not any(sentences):
         raise ValueError("corpus has zero tokens")
 
     counts = _count_ngrams(sentences, order)
     vocab = sorted({w for s in sentences for w in s} | {BOS, EOS, UNK})
 
-    if smoothing == "mle":
-        tables = _mle_tables(counts, order, n_tokens + len(sentences))
+    if smoothing == "kneser_ney":
+        counts, rule = _adjusted_counts(counts, order), _estimate_discounts
+    elif smoothing == "absolute":
+        rule = _fixed_discounts(_FALLBACK_DISCOUNT)
     else:
-        use = _adjusted_counts(counts, order) if smoothing == "kneser_ney" else counts
-        tables = _discounted_tables(use, order, vocab, fixed=(smoothing == "absolute"))
+        counts[1][(UNK,)] = counts[1].get((UNK,), 0) + 1  # the reserved <unk> count
+        rule = _fixed_discounts(0.0)
+    tables = _discounted_tables(counts, order, vocab, rule)
     model = ArpaModel(order=order, tables=tuple(tables), vocab=tuple(vocab))
     model.validate()
     return model
 
 
-def _mle_tables(counts, order, n_predicted):
-    tables = [None] + [dict() for _ in range(order)]
-    denom = n_predicted + 1  # one reserved count for <unk>
-    for gram, c in counts[1].items():
-        if gram == (BOS,):
-            continue
-        tables[1][gram] = (math.log10(c / denom), None)
-    tables[1][(UNK,)] = (math.log10(1.0 / denom), None)
-    tables[1][(BOS,)] = (LOG10_ZERO, None)
-    for n in range(2, order + 1):
-        denoms = {}
-        for gram, c in counts[n].items():
-            denoms[gram[:-1]] = denoms.get(gram[:-1], 0) + c
-        for gram, c in counts[n].items():
-            tables[n][gram] = (math.log10(c / denoms[gram[:-1]]), None)
-        for hist in denoms:
-            logp, _ = tables[n - 1][hist]
-            tables[n - 1][hist] = (logp, LOG10_ZERO)
-    return tables
+def _fixed_discounts(d: float):
+    return lambda values: (d, d, d)
 
 
-def _discounted_tables(counts, order, vocab, fixed: bool):
+def _discounted_tables(counts, order, vocab, rule):
     # interpolated probabilities computed order by order, then written in
-    # back-off form: stored P is the interpolated value, bow(h) = gamma(h)
+    # back-off form: stored P is the interpolated value, bow(h) = gamma(h);
+    # rule maps one order's count values to its (D1, D2, D3+) discounts
     tables = [None] + [dict() for _ in range(order)]
     probs = [None] + [dict() for _ in range(order)]  # linear-domain interpolated p
 
     uni = {g: c for g, c in counts[1].items() if g != (BOS,)}
-    discounts = ((_FALLBACK_DISCOUNT,) * 3 if fixed
-                 else _estimate_discounts(uni.values()))
+    discounts = rule(uni.values())
     denom = sum(uni.values())
     removed = sum(_discount_for(c, discounts) for c in uni.values())
     gamma1 = removed / denom
@@ -203,8 +187,7 @@ def _discounted_tables(counts, order, vocab, fixed: bool):
 
     for n in range(2, order + 1):
         grams = counts[n]
-        discounts = ((_FALLBACK_DISCOUNT,) * 3 if fixed
-                     else _estimate_discounts(grams.values()))
+        discounts = rule(grams.values())
         denoms: dict[tuple, int] = {}
         removed_by_hist: dict[tuple, float] = {}
         for gram, c in grams.items():
@@ -320,7 +303,11 @@ def _fmt(x: float) -> str:
 
 
 def arpa_read(path) -> ArpaModel:
-    """Parse an ARPA file, validating counts and history closure."""
+    """Parse an ARPA file, validating counts and history closure.
+
+    Bad input raises ArpaError naming the file, as ``path:line`` when one
+    line is at fault.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     i = 0
     while i < len(lines) and lines[i].strip() != "\\data\\":
@@ -331,11 +318,11 @@ def arpa_read(path) -> ArpaModel:
     declared: dict[int, int] = {}
     while i < len(lines) and lines[i].strip():
         part = lines[i].strip()
-        if not part.startswith("ngram "):
-            raise ArpaError(f"{path}: bad data line {part!r}")
-        n, cnt = part[len("ngram "):].split("=")
-        declared[int(n)] = int(cnt)
         i += 1
+        m = re.fullmatch(r"ngram\s+(\d+)\s*=\s*(\d+)", part)
+        if m is None:
+            raise ArpaError(f"{path}:{i}: bad data line {part!r}")
+        declared[int(m[1])] = int(m[2])
     if not declared or sorted(declared) != list(range(1, max(declared) + 1)):
         raise ArpaError(f"{path}: non-contiguous n-gram orders {sorted(declared)}")
     order = max(declared)
@@ -343,37 +330,37 @@ def arpa_read(path) -> ArpaModel:
     tables: list = [None] + [dict() for _ in range(order)]
     current: Optional[int] = None
     ended = False
-    for raw in lines[i:]:
+    for lineno, raw in enumerate(lines[i:], i + 1):
         line = raw.strip()
         if not line:
             continue
         if line == "\\end\\":
             ended = True
             break
-        if line.startswith("\\") and line.endswith("-grams:"):
-            current = int(line[1:-len("-grams:")])
-            if current not in declared:
-                raise ArpaError(f"{path}: undeclared section {line!r}")
-            continue
-        if current is None:
-            raise ArpaError(f"{path}: entry outside any n-grams section: {line!r}")
-        fields = raw.strip().split("\t")
-        if len(fields) == 1:  # tolerate space-separated files from other tools
-            fields = raw.strip().split()
-            logp, gram_words = fields[0], fields[1:]
-            bow = None
-            if len(gram_words) == current + 1:
-                bow, gram_words = gram_words[-1], gram_words[:-1]
-            fields = [logp, " ".join(gram_words)] + ([bow] if bow is not None else [])
-        if len(fields) not in (2, 3):
-            raise ArpaError(f"{path}: malformed entry {raw!r}")
-        gram = tuple(fields[1].split())
-        if len(gram) != current:
-            raise ArpaError(f"{path}: {fields[1]!r} is not a {current}-gram")
-        bow = float(fields[2]) if len(fields) == 3 else None
-        if gram in tables[current]:
-            raise ArpaError(f"{path}: duplicate {current}-gram {fields[1]!r}")
-        tables[current][gram] = (float(fields[0]), bow)
+        try:  # any fault in this line is reported as path:line
+            if line.startswith("\\") and line.endswith("-grams:"):
+                current = int(line[1:-len("-grams:")])
+                if current not in declared:
+                    raise ValueError(f"undeclared section {line!r}")
+                continue
+            if current is None:
+                raise ValueError(f"entry outside any n-grams section: {line!r}")
+            fields = line.split("\t")
+            if len(fields) == 1:  # tolerate space-separated files from other tools
+                words = line.split()
+                bow = [words.pop()] if len(words) == current + 2 else []
+                fields = [words[0], " ".join(words[1:])] + bow
+            if len(fields) not in (2, 3):
+                raise ValueError(f"malformed entry {raw!r}")
+            gram = tuple(fields[1].split())
+            if len(gram) != current:
+                raise ValueError(f"{fields[1]!r} is not a {current}-gram")
+            if gram in tables[current]:
+                raise ValueError(f"duplicate {current}-gram {fields[1]!r}")
+            tables[current][gram] = (float(fields[0]),
+                                     float(fields[2]) if len(fields) == 3 else None)
+        except ValueError as e:
+            raise ArpaError(f"{path}:{lineno}: {e}") from None
     if not ended:
         raise ArpaError(f"{path}: missing \\end\\ marker")
     for n, want in declared.items():
@@ -383,5 +370,8 @@ def arpa_read(path) -> ArpaModel:
             )
     vocab = tuple(sorted(g[0] for g in tables[1]))
     model = ArpaModel(order=order, tables=tuple(tables), vocab=vocab)
-    model.validate()
+    try:
+        model.validate()
+    except ArpaError as e:
+        raise ArpaError(f"{path}: {e}") from None
     return model

@@ -33,9 +33,11 @@ class BpeModel:
 
     def __post_init__(self):
         if self.vocab[:2] != (BLANK_TOKEN, UNK_TOKEN):
-            raise ValueError("vocab must start with the blank and unk specials")
+            raise ValueError(f"vocab must start with {BLANK_TOKEN!r} and {UNK_TOKEN!r}, "
+                             f"got {list(self.vocab[:2])}")
         if len(set(self.vocab)) != len(self.vocab):
-            raise ValueError("duplicate tokens in vocab")
+            dup = next(t for i, t in enumerate(self.vocab) if t in self.vocab[:i])
+            raise ValueError(f"duplicate token {dup!r} in vocab")
 
     @property
     def token_to_id(self) -> dict[str, int]:
@@ -137,23 +139,6 @@ def bpe_decode(ids: Sequence[int], model: BpeModel) -> str:
     return "".join(parts).replace(MARKER, " ").strip()
 
 
-def token_ids_to_words(ids: Sequence[int], model: BpeModel) -> list[str]:
-    """Group a token-id sequence into words at boundary markers."""
-    words: list[str] = []
-    current = ""
-    for i in ids:
-        tok = model.vocab[i]
-        if tok.startswith(MARKER):
-            if current:
-                words.append(current)
-            current = tok[len(MARKER):]
-        else:
-            current += tok
-    if current:
-        words.append(current)
-    return words
-
-
 def save_bpe(model: BpeModel, path) -> None:
     """Plain-text model file: versioned header, merges list, vocab list."""
     lines = [_FILE_HEADER, "[merges]"]
@@ -179,4 +164,7 @@ def load_bpe(path) -> BpeModel:
             raise ValueError(f"{path}:{lineno}: expected 'left TAB right' merge")
         merges.append(pair)
     vocab = tuple(ln for ln in lines[end + 1:] if ln)
-    return BpeModel(merges=tuple(merges), vocab=vocab)
+    try:
+        return BpeModel(merges=tuple(merges), vocab=vocab)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -101,6 +101,27 @@ class TestCtcLoss:
                     fd = (ctc_loss(up, labels) - ctc_loss(down, labels)) / (2 * eps)
                     assert grad[t, k] == pytest.approx(fd, rel=1e-3, abs=1e-6)
 
+    def test_negative_inf_cell_gets_zero_gradient(self):
+        # frame 1 can only be blank: paths "1 0 0" and "0 0 1", mass 1/2
+        logits = np.array([[math.log(.5), math.log(.5)], [0.0, -np.inf],
+                           [math.log(.5), math.log(.5)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = ctc_loss(logits, [1], with_grad=True)
+        assert loss == pytest.approx(math.log(2))
+        assert loss == ctc_loss(logits, [1])
+        assert np.isfinite(grad).all()
+        assert grad[1, 1] == 0
+        assert grad.sum(axis=1) == pytest.approx([-1.0, -1.0, -1.0])
+
+    def test_labels_blocked_by_negative_inf_are_inf_with_zero_gradient(self):
+        logits = np.array([[0.0, -np.inf], [0.0, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = ctc_loss(logits, [1], with_grad=True)
+        assert loss == math.inf and ctc_loss(logits, [1]) == math.inf
+        assert np.all(grad == 0)
+
     def test_depends_only_on_normalized_rows(self):
         # shifting one frame's scores before renormalization is a no-op
         rng = np.random.default_rng(7)

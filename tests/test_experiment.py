@@ -117,6 +117,29 @@ class TestConfig:
             run_experiment(cfg)
 
 
+class TestStageErrors:
+    """Bad settings fail as a PipelineError of the stage that meets them."""
+
+    @pytest.mark.parametrize("mode, setting, stage, message", [
+        ("phoneme", "beam_size = 0", "config", "beam_size"),
+        ("phoneme", "beam_size = ten", "config", "config.ini: key 'beam_size'"),
+        ("phoneme", "lm_weight = nan", "config", "lm_weight"),
+        ("phoneme", "mode = grapheme", "config", "mode"),
+        ("phoneme", "folds = 6", "split", "need at least 6 utterances"),
+        ("phoneme", "runs = 3", "split", "3 runs need 6 distinct folds"),
+        ("phoneme", "runs = 0", "split", "at least one run"),
+        ("subword", "bpe_vocab_size = 3", "bpe", "vocab_size 3"),
+    ])
+    def test_bad_setting(self, tmp_path, mode, setting, stage, message):
+        cfg_path = write_toy_experiment(tmp_path / "toy", mode=mode)
+        key = setting.split(" = ")[0]
+        text = re.sub(rf"^{key} = .*$", setting, cfg_path.read_text(), flags=re.M)
+        cfg_path.write_text(text)
+        with pytest.raises(PipelineError, match=re.escape(message)) as info:
+            run_experiment(load_config(cfg_path))
+        assert info.value.stage == stage
+
+
 class TestToyExperiment:
     def test_wer_zero(self, toy, tmp_path):
         _, cfg_path = toy

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +126,17 @@ class TestNormalization:
         for h in hists:
             assert normalization_mass(m, h) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_mle_with_literal_unk_sums_to_one(self, order):
+        # the reserved <unk> count adds to the observed ones
+        m = lm_train(["a <unk> b", "a b"], order=order, smoothing="mle")
+        hists = [()]
+        for n in range(1, order):
+            hists += [h for h in m.tables[n] if h[-1] != EOS]
+        for h in hists:
+            assert normalization_mass(m, h) == pytest.approx(1.0, abs=1e-9)
+        assert 10 ** lm_score(m, [], UNK) == pytest.approx(2 / 8)
+
     def test_bos_carries_no_real_mass(self):
         m = lm_train(TOY3, order=2)
         assert m.tables[1][(BOS,)][0] == -99.0
@@ -208,6 +220,36 @@ class TestArpaRoundTrip:
         path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1\ta\n",
                         encoding="utf-8")
         with pytest.raises(ArpaError, match="end"):
+            arpa_read(path)
+
+
+GOOD_ARPA = ["\\data\\", "ngram 1=2", "", "\\1-grams:", "-0.3\ta", "-0.5\tb",
+             "", "\\end\\"]
+
+
+class TestArpaReadErrors:
+    @pytest.mark.parametrize("lineno, bad", [
+        (2, "ngram 1 5"),
+        (4, "\\x-grams:"),
+        (5, "zero\ta"),
+        (5, "-0.3\ta\tnone"),
+        (5, "-0.3 a none"),
+    ], ids=["data-line-without-eq", "non-numeric-section", "log-prob", "tab-back-off",
+            "space-back-off"])
+    def test_names_path_and_line(self, tmp_path, lineno, bad):
+        path = tmp_path / "bad.arpa"
+        lines = list(GOOD_ARPA)
+        lines[lineno - 1] = bad
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ArpaError, match=re.escape(f"{path}:{lineno}: ")):
+            arpa_read(path)
+
+    def test_nan_log_prob_rejected(self, tmp_path):
+        path = tmp_path / "nan.arpa"
+        lines = list(GOOD_ARPA)
+        lines[4] = "nan\ta"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ArpaError, match=re.escape(f"{path}: ")):
             arpa_read(path)
 
 

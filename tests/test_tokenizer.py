@@ -5,7 +5,7 @@ import pytest
 
 from mienasr import BLANK_TOKEN, UNK_TOKEN
 from mienasr.tokenizer import (MARKER, bpe_decode, bpe_encode, bpe_train,
-                               load_bpe, save_bpe, token_ids_to_words)
+                               load_bpe, save_bpe)
 
 
 class TestTrain:
@@ -83,10 +83,10 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             bpe_decode([99], model)
 
-    def test_token_ids_to_words(self):
+    def test_decode_splits_into_words(self):
         model = bpe_train(["yie mingh nyei"], vocab_size=25)
         ids = bpe_encode("mingh nyei", model)
-        assert token_ids_to_words(ids, model) == ["mingh", "nyei"]
+        assert bpe_decode(ids, model).split() == ["mingh", "nyei"]
 
 
 class TestModelFile:
@@ -120,4 +120,16 @@ class TestModelFile:
         path.write_text("mienasr-bpe v1\n[merges]\na\tb\nab\n[vocab]\n<blk>\n<unk>\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: expected 'left TAB right'")):
+            load_bpe(path)
+
+    @pytest.mark.parametrize("vocab, token", [
+        ([BLANK_TOKEN, UNK_TOKEN, "a", "b", "a"], "'a'"),
+        ([UNK_TOKEN, BLANK_TOKEN, "a"], repr(UNK_TOKEN)),
+        (["a", "b"], "'a'"),
+    ], ids=["duplicate", "specials-swapped", "no-specials"])
+    def test_bad_vocab_names_path_and_token(self, tmp_path, vocab, token):
+        path = tmp_path / "bpe.model"
+        path.write_text("mienasr-bpe v1\n[merges]\n[vocab]\n" + "\n".join(vocab) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(token)):
             load_bpe(path)
