@@ -88,9 +88,7 @@ def cmd_bpe_train(args):
 
 def cmd_bpe_encode(args):
     model = load_bpe(args.model)
-    if args.text is None and args.input is None:
-        raise ValueError("provide --text or --input")
-    lines = [normalize_text(args.text)] if args.text else _read_texts(args.input)
+    lines = [normalize_text(args.text)] if args.text is not None else _read_texts(args.input)
     for line in lines:
         print(" ".join(str(i) for i in bpe_encode(line, model)))
     return 0
@@ -98,11 +96,18 @@ def cmd_bpe_encode(args):
 
 def cmd_bpe_decode(args):
     model = load_bpe(args.model)
-    if args.ids is None and args.input is None:
-        raise ValueError("provide --ids or --input")
-    lines = [args.ids] if args.ids else _read_lines(args.input)
-    for line in lines:
-        print(bpe_decode([int(x) for x in line.split()], model))
+    if args.ids is not None:
+        lines = [("--ids", args.ids)]
+    else:
+        lines = [(f"{args.input}:{n}", ln) for n, ln in
+                 enumerate(Path(args.input).read_text(encoding="utf-8").splitlines(), 1)
+                 if ln.strip()]
+    for where, line in lines:
+        try:
+            text = bpe_decode([int(x) for x in line.split()], model)
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
+        print(text)
     return 0
 
 
@@ -233,13 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("bpe-encode", cmd_bpe_encode, "encode text to token ids")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--text")
-    sp.add_argument("--input")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--text", help="one line of text")
+    source.add_argument("--input", help="text lines or utt TAB text file")
 
     sp = add("bpe-decode", cmd_bpe_decode, "decode token ids to text")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--ids")
-    sp.add_argument("--input")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--ids", help="one line of space-separated ids")
+    source.add_argument("--input", help="one id sequence per line")
 
     sp = add("lm-train", cmd_lm_train, "train an ARPA n-gram model")
     sp.add_argument("--corpus", required=True)

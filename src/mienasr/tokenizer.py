@@ -1,18 +1,38 @@
 """Byte-pair-encoding subword tokenizer for the subword modeling path.
 
 Plain BPE over whitespace-pretokenized text: word-initial symbols carry the
-boundary marker "▁" as a prefix, training repeatedly merges the most frequent
-adjacent symbol pair, and ties break on the lexicographically smallest pair
-so two runs over the same corpus always produce the same merge list.
+boundary marker "▁" as a prefix, and training repeatedly merges the most
+frequent adjacent symbol pair, counted over word types weighted by their
+corpus frequency.  Ties break on the smallest pair (code-point order of the
+left symbol, then the right), so two runs over the same corpus always produce
+the same merge list.  Merging stops at the target size or once no pair occurs
+twice.
+
+Training counts pairs once and then keeps the counts up to date: an index
+maps each pair to the words that may hold it, and a merge re-segments only
+those words, subtracting their old pairs and adding their new ones.  The
+next merge is the top of a lazy max-heap keyed ``(-count, pair)`` whose
+stale entries (count no longer current) are skipped, which is exactly the
+highest-count, smallest-pair rule above.
+
+Encoding a word equals replaying every merge in training order.  A merge
+whose pair is absent from the word changes nothing, so the encoder jumps
+straight to the lowest-ranked merge that is present and ranked after the
+last one applied, until none is left.  This is not the greedy "lowest rank
+present" rule: where a merge uses a token that only a later merge forms,
+greedy would apply the earlier merge after the later one, and replay never
+does.
 
 Vocabulary ids are dense from 0 with the CTC blank at id 0 and <unk> at id 1.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,7 +46,11 @@ _FILE_HEADER = "mienasr-bpe v1"
 
 @dataclass(frozen=True)
 class BpeModel:
-    """Ordered merge list plus the id-dense vocabulary."""
+    """Ordered merge list plus the id-dense vocabulary.
+
+    Every merge's two parts and its result are vocab tokens, and no merge
+    repeats, so each pair has one rank.
+    """
 
     merges: tuple[tuple[str, str], ...]
     vocab: tuple[str, ...]
@@ -38,10 +62,22 @@ class BpeModel:
         if len(set(self.vocab)) != len(self.vocab):
             dup = next(t for i, t in enumerate(self.vocab) if t in self.vocab[:i])
             raise ValueError(f"duplicate token {dup!r} in vocab")
+        tokens, seen = set(self.vocab), set()
+        for pair in self.merges:
+            missing = next((t for t in (*pair, pair[0] + pair[1]) if t not in tokens), None)
+            if missing is not None:
+                raise ValueError(f"merge {pair!r}: token {missing!r} not in vocab")
+            if pair in seen:
+                raise ValueError(f"merge {pair!r} repeated")
+            seen.add(pair)
 
-    @property
+    @cached_property
     def token_to_id(self) -> dict[str, int]:
         return {tok: i for i, tok in enumerate(self.vocab)}
+
+    @cached_property
+    def _ranks(self) -> dict[tuple[str, str], int]:
+        return {pair: rank for rank, pair in enumerate(self.merges)}
 
     @property
     def unk_id(self) -> int:
@@ -86,23 +122,39 @@ def bpe_train(corpus: Iterable[str], vocab_size: int) -> BpeModel:
             f"vocab_size {vocab_size} must exceed specials + distinct characters ({base})"
         )
 
+    counts: dict[tuple[str, str], int] = defaultdict(int)
+    holders: dict[tuple[str, str], set[str]] = defaultdict(set)  # words that hold or held it
+    for w, syms in words.items():
+        for pair in zip(syms, syms[1:]):
+            counts[pair] += word_freq[w]
+            holders[pair].add(w)
+    heap = [(-c, pair) for pair, c in counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
     merged_tokens: list[str] = []
     while base + len(merges) < vocab_size:
-        pairs = Counter()
-        for w, syms in words.items():
-            f = word_freq[w]
-            for a, b in zip(syms, syms[1:]):
-                pairs[(a, b)] += f
-        if not pairs:
+        while heap and counts[heap[0][1]] != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             break
-        top = max(pairs.values())
-        if top < 2:
-            break
-        best = min(p for p, c in pairs.items() if c == top)
+        best = heapq.heappop(heap)[1]
         merges.append(best)
         merged_tokens.append(best[0] + best[1])
-        words = {w: _merge_word(syms, best) for w, syms in words.items()}
+        delta: dict[tuple[str, str], int] = defaultdict(int)
+        for w in holders.pop(best):
+            old, f = words[w], word_freq[w]
+            new = words[w] = _merge_word(old, best)
+            for pair in zip(old, old[1:]):
+                delta[pair] -= f
+            for pair in zip(new, new[1:]):
+                delta[pair] += f
+                holders[pair].add(w)
+        for pair, d in delta.items():
+            if d:
+                counts[pair] += d
+                if counts[pair]:
+                    heapq.heappush(heap, (-counts[pair], pair))
 
     size = base + len(merges)
     if size < vocab_size:
@@ -115,17 +167,23 @@ def bpe_train(corpus: Iterable[str], vocab_size: int) -> BpeModel:
 
 
 def bpe_encode(text: str, model: BpeModel) -> list[int]:
-    """Encode text to token ids by replaying merges in training order.
+    """Encode text to token ids, as if replaying merges in training order.
 
     Characters unseen at training time map to the unk id.
     """
     ids: list[int] = []
-    to_id = model.token_to_id
+    to_id, ranks, merges, unk = model.token_to_id, model._ranks, model.merges, model.unk_id
     for word in text.split():
         symbols = _word_symbols(word)
-        for pair in model.merges:
-            symbols = _merge_word(symbols, pair)
-        ids.extend(to_id.get(s, model.unk_id) for s in symbols)
+        last = -1
+        while True:
+            present = [r for r in map(ranks.get, zip(symbols, symbols[1:]))
+                       if r is not None and r > last]
+            if not present:
+                break
+            last = min(present)
+            symbols = _merge_word(symbols, merges[last])
+        ids.extend(to_id.get(s, unk) for s in symbols)
     return ids
 
 

@@ -76,6 +76,39 @@ class TestBpe:
         assert code == 0
         assert out.strip() == "yie mingh"
 
+    @pytest.fixture()
+    def model(self, capsys, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("yie mingh nyei\nmingh yie\n")
+        model = tmp_path / "bpe.model"
+        run(capsys, "bpe-train", "--corpus", corpus, "--vocab-size", "20", "--output", model)
+        return model
+
+    def test_empty_text_and_ids(self, capsys, model):
+        assert run(capsys, "bpe-encode", "--model", model, "--text", "") == (0, "\n", "")
+        assert run(capsys, "bpe-decode", "--model", model, "--ids", "") == (0, "\n", "")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("bpe-encode", ("--text", "--input")),
+        ("bpe-decode", ("--ids", "--input")),
+    ])
+    def test_needs_exactly_one_input(self, capsys, tmp_path, model, command, flags):
+        lines = tmp_path / "in.txt"
+        lines.write_text("2 3\n")
+        for extra in ([], [flags[0], "2", flags[1], str(lines)]):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--model", str(model)] + extra)
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert flags[0] in err and flags[1] in err
+
+    def test_decode_bad_id_names_line(self, capsys, tmp_path, model):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("2 3\n\n2 x\n")
+        code, _, err = run(capsys, "bpe-decode", "--model", model, "--input", ids)
+        assert code == 1
+        assert f"{ids}:3:" in err and "'x'" in err
+
 
 class TestLm:
     def test_train_and_ppl(self, capsys, tmp_path):

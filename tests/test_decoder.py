@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mienasr import BLANK_TOKEN
 from mienasr.ctc import EmissionMatrix, collapse, normalize_rows
@@ -81,12 +81,15 @@ LAE_PAIRS = st.one_of(
 class TestLogAddExp:
     @settings(max_examples=2000, deadline=None)
     @given(LAE_PAIRS)
+    @example((1.7976931348623155e+308, -2.9937604643020797e+292))  # numpy's a - b overflows
     def test_matches_numpy_bit_for_bit(self, pair):
         a, b = pair
         for x, y in (pair, (b, a)):
             got = _lae(x, y)
             assert type(got) is float
-            assert got.hex() == float(np.logaddexp(x, y)).hex(), (x, y)
+            with np.errstate(over="ignore"):
+                want = float(np.logaddexp(x, y))
+            assert got.hex() == want.hex(), (x, y)
 
 
 class TestBuildPrefixTree:

@@ -1,10 +1,14 @@
 import logging
 import re
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mienasr import BLANK_TOKEN, UNK_TOKEN
-from mienasr.tokenizer import (MARKER, bpe_decode, bpe_encode, bpe_train,
+from mienasr.tokenizer import (MARKER, BpeModel, bpe_decode, bpe_encode, bpe_train,
                                load_bpe, save_bpe)
 
 
@@ -133,3 +137,141 @@ class TestModelFile:
                         encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(token)):
             load_bpe(path)
+
+    @pytest.mark.parametrize("merges, vocab, pair", [
+        (["▁y\ti"], [BLANK_TOKEN, UNK_TOKEN, "▁y", "i", "e"], "('▁y', 'i')"),
+        (["a\tb"], [BLANK_TOKEN, UNK_TOKEN, "a", "ab"], "('a', 'b')"),
+        (["a\tb", "a\tb"], [BLANK_TOKEN, UNK_TOKEN, "a", "b", "ab"], "('a', 'b')"),
+    ], ids=["result-not-in-vocab", "part-not-in-vocab", "repeated-pair"])
+    def test_inconsistent_merges_name_path_and_pair(self, tmp_path, merges, vocab, pair):
+        path = tmp_path / "bpe.model"
+        path.write_text("mienasr-bpe v1\n[merges]\n" + "\n".join(merges) + "\n[vocab]\n"
+                        + "\n".join(vocab) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(pair)):
+            load_bpe(path)
+
+
+# -- reference: the original full-recount trainer and merge replay ----------
+
+def _ref_merge_word(symbols, pair):
+    out = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
+            out.append(symbols[i] + symbols[i + 1])
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return tuple(out)
+
+
+def _ref_word_symbols(word):
+    return (MARKER + word[0],) + tuple(word[1:])
+
+
+def ref_bpe_train(corpus, vocab_size):
+    """(merges, vocab) as the original trainer built them, recounting every step."""
+    word_freq = Counter()
+    for line in corpus:
+        word_freq.update(line.split())
+    if not word_freq:
+        raise ValueError("empty training corpus")
+
+    words = {w: _ref_word_symbols(w) for w in word_freq}
+    alphabet = sorted({s for syms in words.values() for s in syms})
+    base = 2 + len(alphabet)  # specials + initial symbols
+    if vocab_size <= base:
+        raise ValueError(
+            f"vocab_size {vocab_size} must exceed specials + distinct characters ({base})"
+        )
+
+    merges = []
+    merged_tokens = []
+    while base + len(merges) < vocab_size:
+        pairs = Counter()
+        for w, syms in words.items():
+            f = word_freq[w]
+            for a, b in zip(syms, syms[1:]):
+                pairs[(a, b)] += f
+        if not pairs:
+            break
+        top = max(pairs.values())
+        if top < 2:
+            break
+        best = min(p for p, c in pairs.items() if c == top)
+        merges.append(best)
+        merged_tokens.append(best[0] + best[1])
+        words = {w: _ref_merge_word(syms, best) for w, syms in words.items()}
+
+    vocab = (BLANK_TOKEN, UNK_TOKEN) + tuple(alphabet) + tuple(merged_tokens)
+    return tuple(merges), vocab
+
+
+def ref_bpe_encode(text, merges, vocab):
+    ids = []
+    to_id = {tok: i for i, tok in enumerate(vocab)}
+    for word in text.split():
+        symbols = _ref_word_symbols(word)
+        for pair in merges:
+            symbols = _ref_merge_word(symbols, pair)
+        ids.extend(to_id.get(s, 1) for s in symbols)
+    return ids
+
+
+# small alphabets force count ties; "a"-heavy ones force overlapping runs
+ALPHABETS = st.sampled_from(["a", "ab", "aab", "abc", "aabbc", "abcd", "ab" + MARKER])
+
+
+@st.composite
+def training_case(draw):
+    chars = draw(ALPHABETS)
+    word = st.text(alphabet=chars, min_size=1, max_size=9)
+    lines = draw(st.lists(st.lists(word, max_size=6).map(" ".join), min_size=1, max_size=8))
+    vocab_size = draw(st.integers(2, 40))
+    # encode seen words, unseen words, and characters never seen in training
+    texts = draw(st.lists(st.lists(st.one_of(word, st.text(alphabet=chars + "xz", min_size=1,
+                                                           max_size=9)),
+                                   max_size=5).map(" ".join), max_size=4))
+    return lines, vocab_size, texts
+
+
+class TestMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(training_case())
+    def test_same_model_file_and_ids(self, case):
+        lines, vocab_size, texts = case
+        try:
+            want = BpeModel(*ref_bpe_train(lines, vocab_size))
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                bpe_train(lines, vocab_size)
+            return
+        got = bpe_train(lines, vocab_size)
+        assert got == want
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = Path(tmp) / "got.model", Path(tmp) / "want.model"
+            save_bpe(got, paths[0])
+            save_bpe(want, paths[1])
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+        for text in texts + lines:
+            assert bpe_encode(text, got) == ref_bpe_encode(text, want.merges, want.vocab)
+
+    @pytest.mark.parametrize("word", ["aaaa", "aaaaa", "aaaaaaa", "abababa", "aabaab"])
+    def test_overlapping_runs(self, word):
+        lines = [word, f"{word} {word[:-1]}", word[1:]]
+        for vocab_size in range(7, 24):
+            want = ref_bpe_train(lines, vocab_size)
+            got = bpe_train(lines, vocab_size)
+            assert (got.merges, got.vocab) == want
+            for text in [word + word, word[:3], word + "x" + word]:
+                assert bpe_encode(text, got) == ref_bpe_encode(text, *want)
+
+    def test_replay_not_greedy_rank_order(self):
+        # merge 0 needs "yz", which only merge 1 forms: replay never applies
+        # merge 0 here, where "lowest rank present" would, after merge 1
+        model = BpeModel(merges=((MARKER + "x", "yz"), ("y", "z")),
+                         vocab=(BLANK_TOKEN, UNK_TOKEN, MARKER + "x", "y", "z",
+                                MARKER + "xyz", "yz"))
+        assert bpe_encode("xyz", model) == ref_bpe_encode("xyz", model.merges, model.vocab)
+        assert [model.vocab[i] for i in bpe_encode("xyz", model)] == [MARKER + "x", "yz"]
