@@ -19,6 +19,7 @@ from .evaluate import error_rate, make_cv_plan, pool
 from .experiment import (best_words, emission_path, load_config, normalize_text,
                          read_corpus, read_tagged, run_experiment, tagged_line,
                          write_lines)
+from .inputs import located, read_utf8
 from .lexicon import (build_lexicon, default_g2p_table, derive_phoneme_vocab,
                       load_g2p_table, read_lexicon, read_vocab, write_lexicon,
                       write_vocab)
@@ -35,10 +36,11 @@ def _g2p_table(args):
 
 
 def _read_lines(path):
-    return [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    with located(path):
+        return [ln for ln in read_utf8(path).splitlines() if ln.strip()]
 
 
-def _read_texts(path):
+def _read_transcripts(path):
     """Normalized transcripts from either plain lines or "utt TAB text" files."""
     return [normalize_text(ln.split("\t", 1)[1] if "\t" in ln else ln)
             for ln in _read_lines(path)]
@@ -62,7 +64,7 @@ def cmd_parse(args):
 
 def cmd_lexicon(args):
     inv, table = _inventory(args), _g2p_table(args)
-    words = [w for text in _read_texts(args.corpus or args.words) for w in text.split()]
+    words = [w for text in _read_transcripts(args.corpus or args.words) for w in text.split()]
     entries, failures = build_lexicon(words, table, inv)
     write_lexicon(entries, args.output)
     for word, err in failures:
@@ -80,7 +82,7 @@ def cmd_vocab(args):
 
 
 def cmd_bpe_train(args):
-    model = bpe_train(_read_texts(args.corpus), args.vocab_size)
+    model = bpe_train(_read_transcripts(args.corpus), args.vocab_size)
     save_bpe(model, args.output)
     print(f"{len(model.vocab)} tokens, {len(model.merges)} merges -> {args.output}")
     return 0
@@ -88,7 +90,7 @@ def cmd_bpe_train(args):
 
 def cmd_bpe_encode(args):
     model = load_bpe(args.model)
-    lines = [normalize_text(args.text)] if args.text is not None else _read_texts(args.input)
+    lines = [normalize_text(args.text)] if args.text is not None else _read_transcripts(args.input)
     for line in lines:
         print(" ".join(str(i) for i in bpe_encode(line, model)))
     return 0
@@ -96,23 +98,19 @@ def cmd_bpe_encode(args):
 
 def cmd_bpe_decode(args):
     model = load_bpe(args.model)
-    if args.ids is not None:
-        lines = [("--ids", args.ids)]
-    else:
-        lines = [(f"{args.input}:{n}", ln) for n, ln in
-                 enumerate(Path(args.input).read_text(encoding="utf-8").splitlines(), 1)
-                 if ln.strip()]
-    for where, line in lines:
-        try:
-            text = bpe_decode([int(x) for x in line.split()], model)
-        except ValueError as e:
-            raise ValueError(f"{where}: {e}") from None
-        print(text)
+    with located("--ids" if args.ids is not None else args.input) as at:
+        if args.ids is not None:
+            lines = [(None, args.ids)]
+        else:
+            lines = [(n, ln) for n, ln in enumerate(read_utf8(args.input).splitlines(), 1)
+                     if ln.strip()]
+        for at.line, line in lines:
+            print(bpe_decode([int(x) for x in line.split()], model))
     return 0
 
 
 def cmd_lm_train(args):
-    model = lm_mod.lm_train(_read_texts(args.corpus), order=args.order,
+    model = lm_mod.lm_train(_read_transcripts(args.corpus), order=args.order,
                             smoothing=args.smoothing)
     lm_mod.arpa_write(model, args.output)
     counts = ", ".join(f"{n}-grams: {len(model.tables[n])}" for n in range(1, model.order + 1))
@@ -122,7 +120,7 @@ def cmd_lm_train(args):
 
 def cmd_lm_ppl(args):
     model = lm_mod.arpa_read(args.model)
-    print(f"{lm_mod.perplexity(model, _read_texts(args.text)):.6f}")
+    print(f"{lm_mod.perplexity(model, _read_transcripts(args.text)):.6f}")
     return 0
 
 

@@ -12,6 +12,7 @@ aborts.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from itertools import groupby
@@ -21,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import BLANK_ID
+from .inputs import located, read_utf8
 
 _MAGIC = b"EMISMAT1"
 NEG_INF = -np.inf
@@ -175,44 +177,42 @@ def read_emissions(path) -> EmissionMatrix:
 
     Rows are renormalized on load so float32 storage round-trips cleanly
     through the normalization invariant.  Bad files raise ValueError naming
-    the file (and the line, for text files).
+    the file (and the line, for text files).  A binary file must be exactly
+    as long as its header says, so a corrupted header is caught before any
+    payload is read.
     """
     path = Path(path)
-    with open(path, "rb") as f:
-        binary = f.read(len(_MAGIC)) == _MAGIC
-        if binary:
-            header = f.read(8)
-            if len(header) != 8:
-                raise ValueError(f"{path}: truncated emission header")
-            T, V = struct.unpack("<II", header)
-            data = np.frombuffer(f.read(4 * T * V), dtype="<f4").astype(np.float64)
-            if data.size != T * V:
-                raise ValueError(f"{path}: truncated emission payload")
-            logits = data.reshape(T, V)
-    if not binary:
-        try:
-            lines = path.read_text(encoding="utf-8").split("\n")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: neither an EMISMAT1 file nor UTF-8 text") from None
-        try:
-            T, V = (int(x) for x in lines[0].split())
-        except ValueError:
-            raise ValueError(f"{path}:1: expected a 'T V' header line") from None
-        rows = []
-        for lineno, line in enumerate(lines[1:T + 1], 2):
+    with located(path) as at:
+        with open(path, "rb") as f:
+            binary = f.read(len(_MAGIC)) == _MAGIC
+            if binary:
+                header = f.read(8)
+                if len(header) != 8:
+                    raise ValueError("truncated emission header")
+                T, V = struct.unpack("<II", header)
+                want = len(_MAGIC) + 8 + 4 * T * V
+                size = os.fstat(f.fileno()).st_size
+                if size != want:
+                    raise ValueError(f"header says {T} x {V} cells, {want} bytes; "
+                                     f"the file has {size} bytes")
+                logits = np.frombuffer(f.read(), dtype="<f4").astype(np.float64).reshape(T, V)
+        if not binary:
+            lines = read_utf8(path, "neither an EMISMAT1 file nor UTF-8 text").split("\n")
+            at.line = 1
             try:
+                T, V = (int(x) for x in lines[0].split())
+            except ValueError:
+                raise ValueError("expected a 'T V' header line") from None
+            rows = []
+            for at.line, line in enumerate(lines[1:T + 1], 2):
                 rows.append([float(x) for x in line.split()])
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            if len(rows[-1]) != V:
-                raise ValueError(f"{path}:{lineno}: expected {V} values, found {len(rows[-1])}")
-        if len(rows) != T:
-            raise ValueError(f"{path}: header says {T} rows, found {len(rows)}")
-        logits = np.array(rows, dtype=np.float64).reshape(T, V)
-    # NaN and +inf propagate through max; an all -inf frame cannot be normalized
-    if logits.size and not np.isfinite(logits.max(axis=1)).all():
-        raise ValueError(f"{path}: a frame holds NaN or +inf, or no finite cell")
-    try:
+                if len(rows[-1]) != V:
+                    raise ValueError(f"expected {V} values, found {len(rows[-1])}")
+            at.line = None
+            if len(rows) != T:
+                raise ValueError(f"header says {T} rows, found {len(rows)}")
+            logits = np.array(rows, dtype=np.float64).reshape(T, V)
+        # NaN and +inf propagate through max; an all -inf frame cannot be normalized
+        if logits.size and not np.isfinite(logits.max(axis=1)).all():
+            raise ValueError("a frame holds NaN or +inf, or no finite cell")
         return EmissionMatrix(logits=normalize_rows(logits))
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None

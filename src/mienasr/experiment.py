@@ -16,6 +16,7 @@ import configparser
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -23,6 +24,7 @@ from . import lm as lm_mod
 from .ctc import read_emissions
 from .decoder import DecodeConfig, PrefixTree, build_prefix_tree, decode
 from .evaluate import aggregate, error_rate, make_cv_plan, pool
+from .inputs import located, read_utf8
 from .lexicon import (LexiconEntry, build_lexicon, default_g2p_table,
                       derive_phoneme_vocab, g2p, load_g2p_table, write_lexicon,
                       write_vocab)
@@ -90,25 +92,29 @@ _CONFIG_KEYS = {
 def load_config(path) -> PipelineConfig:
     """Read an [experiment] INI section; relative paths resolve against it."""
     path = Path(path)
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read or "experiment" not in parser:
-        raise PipelineError("config", f"{path}: missing [experiment] section")
-    section = parser["experiment"]
-    kwargs = {}
-    for key, value in section.items():
-        if key not in _CONFIG_KEYS:
-            raise PipelineError("config", f"{path}: unknown key {key!r}")
-        conv = _CONFIG_KEYS[key]
-        if conv is Path:
-            p = Path(value)
-            kwargs[key] = p if p.is_absolute() else (path.parent / p)
-        else:
-            with _stage("config", f"{path}: key {key!r}: "):
-                kwargs[key] = conv(value)
-    missing = {"corpus", "emissions_dir", "output_dir"} - set(kwargs)
-    if missing:
-        raise PipelineError("config", f"{path}: missing required keys {sorted(missing)}")
+    with located(path, partial(PipelineError, "config")):
+        parser = configparser.ConfigParser()
+        try:
+            parser.read_string(read_utf8(path), source=str(path))
+            if "experiment" not in parser:
+                raise ValueError("missing [experiment] section")
+            items = list(parser["experiment"].items())
+        except (OSError, configparser.Error) as e:
+            raise ValueError(e) from None
+        kwargs = {}
+        for key, value in items:
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown key {key!r}")
+            conv = _CONFIG_KEYS[key]
+            if conv is Path:
+                p = Path(value)
+                kwargs[key] = p if p.is_absolute() else (path.parent / p)
+            else:
+                with located(f"key {key!r}"):
+                    kwargs[key] = conv(value)
+        missing = {"corpus", "emissions_dir", "output_dir"} - set(kwargs)
+        if missing:
+            raise ValueError(f"missing required keys {sorted(missing)}")
     return PipelineConfig(**kwargs)
 
 
@@ -159,15 +165,17 @@ def normalize_text(text: str) -> str:
 def read_tagged(path) -> list[tuple[str, str]]:
     """Non-blank "utt-id TAB text" lines; text is kept verbatim."""
     utts = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        if "\t" not in line:
-            raise PipelineError("corpus", f"{path}:{lineno}: expected 'utt-id TAB text'")
-        utt, text = line.split("\t", 1)
-        utts.append((utt.strip(), text))
-    if not utts:
-        raise PipelineError("corpus", f"{path}: no utterances")
+    with located(path, partial(PipelineError, "corpus")) as at:
+        for at.line, line in enumerate(read_utf8(path).splitlines(), 1):
+            if not line.strip():
+                continue
+            if "\t" not in line:
+                raise ValueError("expected 'utt-id TAB text'")
+            utt, text = line.split("\t", 1)
+            utts.append((utt.strip(), text))
+        at.line = None
+        if not utts:
+            raise ValueError("no utterances")
     return utts
 
 

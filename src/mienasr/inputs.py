@@ -1,0 +1,34 @@
+"""How an input file becomes text, and how a fault in it is reported.
+
+Every reader decodes its file with ``read_utf8`` inside a ``located`` block.
+A ValueError raised in the block, an undecodable byte included, leaves it as
+the reader's own error type, prefixed with ``path``, or with ``path:line``
+while the reader has set the yielded ``line``.  The prefix is formatted only
+on error, so a hot loop pays one attribute store per line:
+``for at.line, raw in enumerate(lines, 1)``.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from pathlib import Path
+from types import SimpleNamespace
+
+
+@contextmanager
+def located(where, error=ValueError):
+    """Yield a namespace with ``line``; a ValueError inside becomes ``error``."""
+    at = SimpleNamespace(line=None)
+    try:
+        yield at
+    except ValueError as e:
+        prefix = where if at.line is None else f"{where}:{at.line}"
+        raise error(f"{prefix}: {e}") from None
+
+
+def read_utf8(path, fault: str = "not UTF-8 text") -> str:
+    """The file's text, newlines translated; an undecodable byte is ``fault``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{fault}: byte {e.object[e.start]:#04x} at offset {e.start}") from None

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import BLANK_TOKEN
+from .inputs import located, read_utf8
 from .orthography import InventoryConfig, ParseError, Syllable, parse_word
 
 logger = logging.getLogger(__name__)
@@ -113,64 +114,65 @@ def load_g2p_table(path) -> G2PTable:
     lines where the mark "none" denotes the unmarked tone and marks may carry
     a ``@checked`` qualifier.
     """
-    path = Path(path)
-    onset: dict[str, tuple[str, ...]] = {}
-    rime: dict[str, tuple[str, ...]] = {}
-    tone_base: dict[str, str] = {}
-    tone_checked: dict[str, str] = {}
-    in_tones = False
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if line.strip() == "[tones]":
-            in_tones = True
-            continue
-        if "\t" not in line:
-            raise TableError(f"{path}:{lineno}: expected TAB-separated entry")
-        key, value = line.split("\t", 1)
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise TableError(f"{path}:{lineno}: empty key or value")
-        if in_tones:
-            mark, _, qual = key.partition("@")
-            mark = "" if mark == "none" else mark
-            if qual not in ("", CHECKED):
-                raise TableError(f"{path}:{lineno}: unknown tone qualifier {qual!r}")
-            target = tone_checked if qual == CHECKED else tone_base
-            if mark in target:
-                raise TableError(f"{path}:{lineno}: duplicate tone entry {key!r}")
-            target[mark] = value
-        else:
-            graph, _, qual = key.partition("@")
-            tokens = tuple(value.split())
-            if qual == "":
-                views = (onset, rime)
-            elif qual == "initial":
-                views = (onset,)
-            elif qual == "final":
-                views = (rime,)
+    with located(path, TableError) as at:
+        onset: dict[str, tuple[str, ...]] = {}
+        rime: dict[str, tuple[str, ...]] = {}
+        tone_base: dict[str, str] = {}
+        tone_checked: dict[str, str] = {}
+        in_tones = False
+        for at.line, raw in enumerate(read_utf8(path).splitlines(), 1):
+            line = raw.split("#", 1)[0].rstrip()
+            if not line.strip():
+                continue
+            if line.strip() == "[tones]":
+                in_tones = True
+                continue
+            if "\t" not in line:
+                raise TableError("expected TAB-separated entry")
+            key, value = line.split("\t", 1)
+            key, value = key.strip(), value.strip()
+            if not key or not value:
+                raise TableError("empty key or value")
+            if in_tones:
+                mark, _, qual = key.partition("@")
+                mark = "" if mark == "none" else mark
+                if qual not in ("", CHECKED):
+                    raise TableError(f"unknown tone qualifier {qual!r}")
+                target = tone_checked if qual == CHECKED else tone_base
+                if mark in target:
+                    raise TableError(f"duplicate tone entry {key!r}")
+                target[mark] = value
             else:
-                raise TableError(f"{path}:{lineno}: unknown qualifier {qual!r}")
-            for view in views:
-                if graph in view and qual == "":
-                    raise TableError(f"{path}:{lineno}: duplicate entry {graph!r}")
-                view[graph] = tokens
+                graph, _, qual = key.partition("@")
+                tokens = tuple(value.split())
+                if qual == "":
+                    views = (onset, rime)
+                elif qual == "initial":
+                    views = (onset,)
+                elif qual == "final":
+                    views = (rime,)
+                else:
+                    raise TableError(f"unknown qualifier {qual!r}")
+                for view in views:
+                    if graph in view and qual == "":
+                        raise TableError(f"duplicate entry {graph!r}")
+                    view[graph] = tokens
+        at.line = None
 
-    if not tone_base:
-        raise TableError(f"{path}: missing [tones] section")
-    tone_map = {}
-    for mark, digit in tone_base.items():
-        tone_map[(mark, OPEN)] = digit
-        tone_map[(mark, CHECKED)] = tone_checked.get(mark, digit)
-    for mark, digit in tone_checked.items():
-        tone_map.setdefault((mark, OPEN), digit)
+        if not tone_base:
+            raise TableError("missing [tones] section")
+        tone_map = {}
+        for mark, digit in tone_base.items():
+            tone_map[(mark, OPEN)] = digit
+            tone_map[(mark, CHECKED)] = tone_checked.get(mark, digit)
+        for mark, digit in tone_checked.items():
+            tone_map.setdefault((mark, OPEN), digit)
 
-    base_tokens = {t for toks in list(onset.values()) + list(rime.values()) for t in toks}
-    clash = base_tokens & set(tone_map.values())
-    if clash:
-        raise TableError(f"{path}: tone digits collide with IPA tokens: {sorted(clash)}")
-    return G2PTable(onset_entries=onset, rime_entries=rime, tone_map=tone_map)
+        base_tokens = {t for toks in list(onset.values()) + list(rime.values()) for t in toks}
+        clash = base_tokens & set(tone_map.values())
+        if clash:
+            raise TableError(f"tone digits collide with IPA tokens: {sorted(clash)}")
+        return G2PTable(onset_entries=onset, rime_entries=rime, tone_map=tone_map)
 
 
 def default_g2p_table() -> G2PTable:
@@ -297,13 +299,14 @@ def write_lexicon(entries: Sequence[LexiconEntry], path) -> None:
 
 def read_lexicon(path) -> list[LexiconEntry]:
     entries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        if "\t" not in line:
-            raise TableError(f"{path}:{lineno}: expected TAB-separated lexicon line")
-        word, pron = line.split("\t", 1)
-        entries.append(LexiconEntry(word=word.strip(), pron=tuple(pron.split())))
+    with located(path, TableError) as at:
+        for at.line, line in enumerate(read_utf8(path).splitlines(), 1):
+            if not line.strip():
+                continue
+            if "\t" not in line:
+                raise TableError("expected TAB-separated lexicon line")
+            word, pron = line.split("\t", 1)
+            entries.append(LexiconEntry(word=word.strip(), pron=tuple(pron.split())))
     return entries
 
 
@@ -313,10 +316,8 @@ def write_vocab(vocab: PhonemeVocab, path) -> None:
 
 
 def read_vocab(path) -> PhonemeVocab:
-    tokens = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
-    if not tokens:
-        raise ValueError(f"{path}: empty vocabulary file")
-    try:
+    with located(path):
+        tokens = [ln for ln in read_utf8(path).splitlines() if ln]
+        if not tokens:
+            raise ValueError("empty vocabulary file")
         return PhonemeVocab(tokens=tuple(tokens))
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .inputs import located, read_utf8
+
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
@@ -308,36 +310,37 @@ def arpa_read(path) -> ArpaModel:
     Bad input raises ArpaError naming the file, as ``path:line`` when one
     line is at fault.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    i = 0
-    while i < len(lines) and lines[i].strip() != "\\data\\":
+    with located(path, ArpaError) as at:
+        lines = read_utf8(path).splitlines()
+        i = 0
+        while i < len(lines) and lines[i].strip() != "\\data\\":
+            i += 1
+        if i == len(lines):
+            raise ArpaError("missing \\data\\ header")
         i += 1
-    if i == len(lines):
-        raise ArpaError(f"{path}: missing \\data\\ header")
-    i += 1
-    declared: dict[int, int] = {}
-    while i < len(lines) and lines[i].strip():
-        part = lines[i].strip()
-        i += 1
-        m = re.fullmatch(r"ngram\s+(\d+)\s*=\s*(\d+)", part)
-        if m is None:
-            raise ArpaError(f"{path}:{i}: bad data line {part!r}")
-        declared[int(m[1])] = int(m[2])
-    if not declared or sorted(declared) != list(range(1, max(declared) + 1)):
-        raise ArpaError(f"{path}: non-contiguous n-gram orders {sorted(declared)}")
-    order = max(declared)
+        declared: dict[int, int] = {}
+        while i < len(lines) and lines[i].strip():
+            part = lines[i].strip()
+            i += 1
+            m = re.fullmatch(r"ngram\s+(\d+)\s*=\s*(\d+)", part)
+            if m is None:
+                at.line = i
+                raise ArpaError(f"bad data line {part!r}")
+            declared[int(m[1])] = int(m[2])
+        if not declared or sorted(declared) != list(range(1, max(declared) + 1)):
+            raise ArpaError(f"non-contiguous n-gram orders {sorted(declared)}")
+        order = max(declared)
 
-    tables: list = [None] + [dict() for _ in range(order)]
-    current: Optional[int] = None
-    ended = False
-    for lineno, raw in enumerate(lines[i:], i + 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line == "\\end\\":
-            ended = True
-            break
-        try:  # any fault in this line is reported as path:line
+        tables: list = [None] + [dict() for _ in range(order)]
+        current: Optional[int] = None
+        ended = False
+        for at.line, raw in enumerate(lines[i:], i + 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line == "\\end\\":
+                ended = True
+                break
             if line.startswith("\\") and line.endswith("-grams:"):
                 current = int(line[1:-len("-grams:")])
                 if current not in declared:
@@ -359,19 +362,13 @@ def arpa_read(path) -> ArpaModel:
                 raise ValueError(f"duplicate {current}-gram {fields[1]!r}")
             tables[current][gram] = (float(fields[0]),
                                      float(fields[2]) if len(fields) == 3 else None)
-        except ValueError as e:
-            raise ArpaError(f"{path}:{lineno}: {e}") from None
-    if not ended:
-        raise ArpaError(f"{path}: missing \\end\\ marker")
-    for n, want in declared.items():
-        if len(tables[n]) != want:
-            raise ArpaError(
-                f"{path}: declared {want} {n}-grams, found {len(tables[n])}"
-            )
-    vocab = tuple(sorted(g[0] for g in tables[1]))
-    model = ArpaModel(order=order, tables=tuple(tables), vocab=vocab)
-    try:
+        at.line = None
+        if not ended:
+            raise ArpaError("missing \\end\\ marker")
+        for n, want in declared.items():
+            if len(tables[n]) != want:
+                raise ArpaError(f"declared {want} {n}-grams, found {len(tables[n])}")
+        vocab = tuple(sorted(g[0] for g in tables[1]))
+        model = ArpaModel(order=order, tables=tuple(tables), vocab=vocab)
         model.validate()
-    except ArpaError as e:
-        raise ArpaError(f"{path}: {e}") from None
     return model

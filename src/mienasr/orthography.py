@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .inputs import located, read_utf8
+
 logger = logging.getLogger(__name__)
 
 TONE_LETTERS = ("h", "v", "z", "x", "c")
@@ -144,58 +146,57 @@ def load_inventory(path) -> InventoryConfig:
     Raises InventoryError for malformed files, duplicate graphemes, or
     graphemes containing characters outside a-z.
     """
-    path = Path(path)
-    sections: dict[str, list[str]] = {name: [] for name in _SECTIONS}
-    expected: dict[str, int] = {}
-    current: Optional[str] = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if "]" not in line:
-                raise InventoryError(f"{path}:{lineno}: unterminated section header")
-            name = line[1:line.index("]")].strip()
-            if name not in _SECTIONS:
-                raise InventoryError(f"{path}:{lineno}: unknown section [{name}]")
-            current = name
-            tail = line[line.index("]") + 1:].split()
-            if tail:
-                if len(tail) != 2 or tail[0] != "expect" or not tail[1].isdigit():
-                    raise InventoryError(f"{path}:{lineno}: bad section annotation {tail}")
-                expected[name] = int(tail[1])
-            continue
-        if current is None:
-            raise InventoryError(f"{path}:{lineno}: grapheme outside any section")
-        if not line.isascii() or not line.isalpha() or not line.islower():
+    with located(path, InventoryError) as at:
+        sections: dict[str, list[str]] = {name: [] for name in _SECTIONS}
+        expected: dict[str, int] = {}
+        current: Optional[str] = None
+        for at.line, raw in enumerate(read_utf8(path).splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("["):
+                if "]" not in line:
+                    raise InventoryError("unterminated section header")
+                name = line[1:line.index("]")].strip()
+                if name not in _SECTIONS:
+                    raise InventoryError(f"unknown section [{name}]")
+                current = name
+                tail = line[line.index("]") + 1:].split()
+                if tail:
+                    if len(tail) != 2 or tail[0] != "expect" or not tail[1].isdigit():
+                        raise InventoryError(f"bad section annotation {tail}")
+                    expected[name] = int(tail[1])
+                continue
+            if current is None:
+                raise InventoryError("grapheme outside any section")
+            if not line.isascii() or not line.isalpha() or not line.islower():
+                raise InventoryError(f"grapheme {line!r} is not lowercase basic Latin")
+            if line in sections[current]:
+                raise InventoryError(f"duplicate grapheme {line!r} in [{current}]")
+            sections[current].append(line)
+        at.line = None
+
+        for name in ("initials", "mains", "finals", "tones"):
+            if not sections[name]:
+                raise InventoryError(f"missing or empty section [{name}]")
+        if set(sections["tones"]) != set(TONE_LETTERS):
             raise InventoryError(
-                f"{path}:{lineno}: grapheme {line!r} is not lowercase basic Latin"
+                f"tone letters must be exactly {set(TONE_LETTERS)}, "
+                f"got {set(sections['tones'])}"
             )
-        if line in sections[current]:
-            raise InventoryError(f"{path}:{lineno}: duplicate grapheme {line!r} in [{current}]")
-        sections[current].append(line)
+        for name, want in expected.items():
+            have = len(sections[name])
+            if have != want:
+                logger.warning("%s: [%s] lists %d graphemes, expected %d", path, name, have, want)
 
-    for name in ("initials", "mains", "finals", "tones"):
-        if not sections[name]:
-            raise InventoryError(f"{path}: missing or empty section [{name}]")
-    if set(sections["tones"]) != set(TONE_LETTERS):
-        raise InventoryError(
-            f"{path}: tone letters must be exactly {set(TONE_LETTERS)}, "
-            f"got {set(sections['tones'])}"
+        return InventoryConfig(
+            initials=tuple(sections["initials"]),
+            finals=tuple(sections["finals"]),
+            medials=frozenset(sections["medials"]),
+            mains=frozenset(sections["mains"]),
+            codas=frozenset(sections["codas"]),
+            tone_letters=tuple(sections["tones"]),
         )
-    for name, want in expected.items():
-        have = len(sections[name])
-        if have != want:
-            logger.warning("%s: [%s] lists %d graphemes, expected %d", path, name, have, want)
-
-    return InventoryConfig(
-        initials=tuple(sections["initials"]),
-        finals=tuple(sections["finals"]),
-        medials=frozenset(sections["medials"]),
-        mains=frozenset(sections["mains"]),
-        codas=frozenset(sections["codas"]),
-        tone_letters=tuple(sections["tones"]),
-    )
 
 
 def default_inventory() -> InventoryConfig:

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import BLANK_TOKEN, UNK_TOKEN
+from .inputs import located, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -113,6 +114,9 @@ def bpe_train(corpus: Iterable[str], vocab_size: int) -> BpeModel:
         word_freq.update(line.split())
     if not word_freq:
         raise ValueError("empty training corpus")
+    marked = next((w for w in word_freq if MARKER in w), None)
+    if marked is not None:
+        raise ValueError(f"training word {marked!r} holds the word-boundary marker {MARKER!r}")
 
     words = {w: _word_symbols(w) for w in word_freq}
     alphabet = sorted({s for syms in words.values() for s in syms})
@@ -207,22 +211,22 @@ def save_bpe(model: BpeModel, path) -> None:
 
 
 def load_bpe(path) -> BpeModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _FILE_HEADER:
-        raise ValueError(f"{path}: not a {_FILE_HEADER!r} model file")
-    if lines[1:2] != ["[merges]"]:
-        raise ValueError(f"{path}:2: expected [merges] section")
-    if "[vocab]" not in lines:
-        raise ValueError(f"{path}: missing [vocab] section")
-    end = lines.index("[vocab]")
-    merges = []
-    for lineno, line in enumerate(lines[2:end], 3):
-        pair = tuple(line.split("\t"))
-        if len(pair) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'left TAB right' merge")
-        merges.append(pair)
-    vocab = tuple(ln for ln in lines[end + 1:] if ln)
-    try:
+    with located(path) as at:
+        lines = read_utf8(path).splitlines()
+        if not lines or lines[0] != _FILE_HEADER:
+            raise ValueError(f"not a {_FILE_HEADER!r} model file")
+        if lines[1:2] != ["[merges]"]:
+            at.line = 2
+            raise ValueError("expected [merges] section")
+        if "[vocab]" not in lines:
+            raise ValueError("missing [vocab] section")
+        end = lines.index("[vocab]")
+        merges = []
+        for at.line, line in enumerate(lines[2:end], 3):
+            pair = tuple(line.split("\t"))
+            if len(pair) != 2:
+                raise ValueError("expected 'left TAB right' merge")
+            merges.append(pair)
+        at.line = None
+        vocab = tuple(ln for ln in lines[end + 1:] if ln)
         return BpeModel(merges=tuple(merges), vocab=vocab)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None

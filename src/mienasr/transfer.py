@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import BLANK_TOKEN
+from .inputs import located, read_utf8
 from .lexicon import PhonemeVocab, strip_token
 
 
@@ -139,26 +140,25 @@ def write_matrix(mat: EmbeddingMatrix, path) -> None:
 
 
 def read_matrix(path) -> EmbeddingMatrix:
-    lines = [(n, ln) for n, ln in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), 1) if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty matrix file")
-    n, header = lines[0]
-    fields = header.split()
-    if len(fields) != 2 or not all(f.isdecimal() for f in fields):
-        raise ValueError(f"{path}:{n}: expected a 'rows dims' header line")
-    v, d = (int(f) for f in fields)
-    if len(lines) - 1 != v:
-        raise ValueError(f"{path}: header declares {v} rows, found {len(lines) - 1}")
-    labels = []
-    rows = np.empty((v, d), dtype=np.float64)
-    for i, (n, line) in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != d + 1:
-            raise ValueError(f"{path}: row {i} has {len(parts) - 1} values, expected {d}")
-        labels.append(parts[0])
-        try:
-            rows[i] = [float(x) for x in parts[1:]]
-        except ValueError as e:
-            raise ValueError(f"{path}:{n}: {e}") from None
-    return EmbeddingMatrix(rows=rows, row_labels=tuple(labels))
+    with located(path) as at:
+        lines = [(n, ln) for n, ln in enumerate(read_utf8(path).splitlines(), 1) if ln.strip()]
+        if not lines:
+            raise ValueError("empty matrix file")
+        at.line, header = lines[0]
+        fields = header.split()
+        if len(fields) != 2 or not all(f.isdecimal() for f in fields):
+            raise ValueError("expected a 'rows dims' header line")
+        at.line = None
+        v, d = (int(f) for f in fields)
+        if len(lines) - 1 != v:
+            raise ValueError(f"header declares {v} rows, found {len(lines) - 1}")
+        labels, rows = [], []
+        for at.line, line in lines[1:]:
+            label, *values = line.split()
+            if len(values) != d:
+                raise ValueError(f"row {len(rows)} has {len(values)} values, expected {d}")
+            labels.append(label)
+            rows.append([float(x) for x in values])
+        at.line = None
+        return EmbeddingMatrix(rows=np.array(rows, dtype=np.float64).reshape(v, d),
+                               row_labels=tuple(labels))

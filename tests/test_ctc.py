@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 import warnings
 from itertools import groupby, product
 
@@ -270,3 +271,15 @@ class TestEmissionFiles:
         with pytest.raises(ValueError, match=re.escape(f"{path}: neither")) as info:
             read_emissions(path)
         assert not isinstance(info.value, UnicodeDecodeError)
+
+
+class TestBinaryPayloadSize:
+    """The header's T x V must match the file size before any payload is read."""
+
+    @pytest.mark.parametrize("T, V, payload", [(3, 3, 10), (1024, 1024, 36), (2, 3, 28)],
+                             ids=["short-odd", "header-claims-4MB", "trailing-bytes"])
+    def test_size_mismatch_names_file(self, tmp_path, T, V, payload):
+        path = tmp_path / "x.em"
+        path.write_bytes(b"EMISMAT1" + struct.pack("<II", T, V) + bytes(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header says {T} x {V} cells")):
+            read_emissions(path)

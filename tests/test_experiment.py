@@ -117,6 +117,31 @@ class TestConfig:
             run_experiment(cfg)
 
 
+class TestConfigFileErrors:
+    """Every way the INI file itself is bad is a config error naming the file."""
+
+    @pytest.mark.parametrize("text, detail", [
+        ("[experiment]\ncorpus = a\ncorpus = b\n", "option 'corpus'"),
+        ("[experiment]\ncorpus = a\n[experiment]\nseed = 1\n", "section 'experiment'"),
+        ("corpus = a\n[experiment]\n", "no section headers"),
+        ("[experiment]\nno equals sign\n", "parsing errors"),
+        ("[experiment]\ncorpus = 50%\n", "'%'"),
+    ], ids=["duplicate-option", "duplicate-section", "no-section-header", "no-equals",
+            "bad-interpolation"])
+    def test_parser_error(self, tmp_path, text, detail):
+        path = tmp_path / "c.ini"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(f"[config] {path}: ")) as info:
+            load_config(path)
+        assert info.value.stage == "config" and detail in str(info.value)
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.ini"
+        with pytest.raises(PipelineError, match=re.escape(f"[config] {path}: ")) as info:
+            load_config(path)
+        assert "No such file" in str(info.value)
+
+
 class TestStageErrors:
     """Bad settings fail as a PipelineError of the stage that meets them."""
 
@@ -236,6 +261,15 @@ class TestSubwordExperiment:
         run_experiment(cfg)
         assert tree_digest(cfg.output_dir) == first
         assert (tmp_path / "out1" / "run0" / "bpe.model").exists()
+
+    def test_marker_in_corpus_is_a_bpe_error(self, tmp_path):
+        cfg_path = write_toy_experiment(tmp_path / "toy", mode="subword")
+        corpus = tmp_path / "toy" / "corpus.tsv"
+        corpus.write_text(corpus.read_text(encoding="utf-8").replace("\t", "\tx\u2581maaih "),
+                          encoding="utf-8")
+        with pytest.raises(PipelineError, match="x\u2581maaih.*marker") as info:
+            run_experiment(load_config(cfg_path))
+        assert info.value.stage == "bpe"
 
 
 class TestCorpusReader:

@@ -1,0 +1,320 @@
+"""Every input file is decoded in one place and every fault names its file.
+
+The guard tests parse the package source, so a reader that decodes a file
+itself, or decodes outside a ``located`` block, fails here.  The fuzz gate
+mutates files the toolkit writes and requires each mutant to load or to fail
+with the reader's own error type naming the file.  The round-trip properties
+check that each writer's output reads back as what was written.
+"""
+
+import ast
+import random
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mienasr import BLANK_TOKEN, orthography
+from mienasr.cli import main
+from mienasr.ctc import normalize_rows, read_emissions, write_emissions
+from mienasr.experiment import PipelineError, load_config, read_tagged, tagged_line, write_lines
+from mienasr.fixtures import TOY_UTTS, write_toy_experiment
+from mienasr.inputs import located
+from mienasr.lexicon import (LexiconEntry, PhonemeVocab, TableError, load_g2p_table,
+                             read_lexicon, read_vocab, write_lexicon, write_vocab)
+from mienasr.lm import ArpaError, arpa_read, arpa_write, lm_train
+from mienasr.orthography import InventoryError, load_inventory
+from mienasr.tokenizer import bpe_train, load_bpe, save_bpe
+from mienasr.transfer import EmbeddingMatrix, read_matrix, write_matrix
+
+SRC = Path(__file__).parents[1] / "src" / "mienasr"
+DATA = Path(orthography.__file__).parent / "data"
+HELPER = "inputs.py"
+CORPUS = ["mienh nyei dorn", "dorn maaih mienh", "maaih mienh nyei nyei", "nyei dorn"]
+
+
+class TestLocated:
+    def test_prefixes_path_then_line(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape("f.txt: bad")):
+            with located("f.txt"):
+                raise ValueError("bad")
+        with pytest.raises(ArpaError, match=re.escape("f.txt:7: bad")):
+            with located("f.txt", ArpaError) as at:
+                at.line = 7
+                raise ValueError("bad")
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(KeyError):
+            with located("f.txt"):
+                raise KeyError("k")
+
+    def test_nested_prefixes_compose(self):
+        with pytest.raises(ValueError, match=re.escape("c.ini: key 'x': bad")):
+            with located("c.ini"):
+                with located("key 'x'"):
+                    raise ValueError("bad")
+
+
+# -- files the toolkit writes, and the reader of each ------------------------
+
+def _arpa(d):
+    arpa_write(lm_train(CORPUS, order=3), d / "lm.arpa")
+    return d / "lm.arpa"
+
+
+def _bpe(d):
+    save_bpe(bpe_train(CORPUS, 20), d / "bpe.model")
+    return d / "bpe.model"
+
+
+def _emissions(d, binary):
+    logits = normalize_rows(np.random.default_rng(0).normal(size=(4, 5)))
+    write_emissions(d / "x.em", logits, binary=binary)
+    return d / "x.em"
+
+
+def _matrix(d):
+    rows = np.random.default_rng(1).normal(size=(4, 3))
+    write_matrix(EmbeddingMatrix(rows=rows, row_labels=(BLANK_TOKEN, "a", "b", "c")), d / "m.txt")
+    return d / "m.txt"
+
+
+def _lexicon(d):
+    write_lexicon([LexiconEntry("mienh", ("m", "i", "e", "n", "1")),
+                   LexiconEntry("dorn", ("t", "o", "n", "3"))], d / "lexicon.tsv")
+    return d / "lexicon.tsv"
+
+
+def _vocab(d):
+    write_vocab(PhonemeVocab((BLANK_TOKEN, "m", "i", "e", "n", "1")), d / "tokens.txt")
+    return d / "tokens.txt"
+
+
+def _packaged(name):
+    def copy(d):
+        (d / name).write_bytes((DATA / name).read_bytes())
+        return d / name
+    return copy
+
+
+def _corpus(d):
+    write_lines(d / "corpus.tsv", [tagged_line(u, t.split()) for u, t in TOY_UTTS])
+    return d / "corpus.tsv"
+
+
+def _config(d):
+    return write_toy_experiment(d / "toy")
+
+
+READERS = {  # kind: (write a file into a directory, read it, the reader's error type)
+    "arpa": (_arpa, arpa_read, ArpaError),
+    "bpe": (_bpe, load_bpe, ValueError),
+    "emissions-binary": (lambda d: _emissions(d, True), read_emissions, ValueError),
+    "emissions-text": (lambda d: _emissions(d, False), read_emissions, ValueError),
+    "matrix": (_matrix, read_matrix, ValueError),
+    "lexicon": (_lexicon, read_lexicon, TableError),
+    "vocab": (_vocab, read_vocab, ValueError),
+    "inventory": (_packaged("iu_mien_inventory.txt"), load_inventory, InventoryError),
+    "g2p-table": (_packaged("iu_mien_g2p.tsv"), load_g2p_table, TableError),
+    "corpus": (_corpus, read_tagged, PipelineError),
+    "config": (_config, load_config, PipelineError),
+}
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_reader_names_file(self, tmp_path, kind):
+        write, read, error = READERS[kind]
+        path = write(tmp_path)
+        read(path)  # the file as written loads
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(error, match=re.escape(f"{path}: ")) as info:
+            read(path)
+        assert not isinstance(info.value, UnicodeDecodeError)
+        assert "byte 0xff at offset 0" in str(info.value)
+
+    def test_emissions_keep_their_message(self, tmp_path):
+        path = tmp_path / "x.em"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: neither an EMISMAT1 file")):
+            read_emissions(path)
+
+    @pytest.mark.parametrize("command", ["split", "bpe-decode"])
+    def test_cli_line_readers_name_file(self, tmp_path, capsys, command):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"u1\tmienh\n\xffu2\tdorn\n")
+        if command == "split":
+            argv = ["split", "--ids", path, "--output-dir", tmp_path / "out"]
+        else:
+            argv = ["bpe-decode", "--model", _bpe(tmp_path), "--input", path]
+        assert main([str(a) for a in argv]) == 1
+        assert f"{path}: not UTF-8 text: byte 0xff at offset 9" in capsys.readouterr().err
+
+
+# -- the invariant: one decode site, and every decode inside located ---------
+
+def _modules():
+    return [(p.name, ast.parse(p.read_text(encoding="utf-8")))
+            for p in sorted(SRC.glob("*.py")) if p.name != HELPER]
+
+
+def _called(node, name):
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == name
+            or isinstance(func, ast.Attribute) and func.attr == name)
+
+
+class TestOneDecodePath:
+    def test_no_reader_decodes_a_file_itself(self):
+        offenders = []
+        for name, tree in _modules():
+            parsers = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                       and _called(node.value, "ConfigParser")
+                       for t in node.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                parser_read = (isinstance(func, ast.Attribute)
+                               and func.attr in ("read", "read_file")
+                               and isinstance(func.value, ast.Name) and func.value.id in parsers)
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                text_open = _called(node, "open") and not (
+                    isinstance(mode, ast.Constant) and "b" in mode.value)
+                if _called(node, "read_text") or parser_read or text_open:
+                    offenders.append(f"{name}:{node.lineno}")
+        assert offenders == []
+
+    def test_every_decode_is_located(self):
+        unlocated = []
+        for name, tree in _modules():
+            inside = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.With) and any(_called(i.context_expr, "located")
+                                                      for i in node.items):
+                    inside.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+            unlocated += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                          if _called(node, "read_utf8") and id(node) not in inside]
+        assert unlocated == []
+
+
+# -- fuzz gate ----------------------------------------------------------------
+
+def mutate(data: bytes, rng: random.Random) -> tuple[bytes, str]:
+    how = rng.choice(["truncate", "flip", "delete", "duplicate-line", "insert-ff"])
+    i = rng.randrange(len(data))
+    if how == "truncate":
+        return data[:i], f"{how} at {i}"
+    if how == "flip":
+        return data[:i] + bytes([data[i] ^ rng.randrange(1, 256)]) + data[i + 1:], f"{how} {i}"
+    if how == "delete":
+        n = rng.randint(1, 8)
+        return data[:i] + data[i + n:], f"{how} {n} at {i}"
+    if how == "insert-ff":
+        return data[:i] + b"\xff" + data[i:], f"{how} at {i}"
+    lines = data.splitlines(keepends=True)
+    k = rng.randrange(len(lines))
+    return b"".join(lines[:k + 1] + lines[k:]), f"{how} {k + 1}"
+
+
+class TestFuzzGate:
+    MUTANTS = 300
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_mutant_loads_or_names_file(self, tmp_path, kind):
+        write, read, error = READERS[kind]
+        path = write(tmp_path)
+        original = path.read_bytes()
+        rng = random.Random(f"fuzz-{kind}")
+        for _ in range(self.MUTANTS):
+            data, how = mutate(original, rng)
+            path.write_bytes(data)
+            try:
+                read(path)
+            except error as e:
+                assert str(path) in str(e), f"{how}: {e}"
+            except Exception as e:
+                pytest.fail(f"{how}: {type(e).__name__}: {e}")
+
+
+# -- round trips ----------------------------------------------------------------
+
+WORDS = st.sampled_from(["a", "b", "c", "dd"])
+SENTENCES = st.lists(st.lists(WORDS, min_size=1, max_size=6).map(" ".join),
+                     min_size=1, max_size=6)
+# no whitespace, so no line or field breaks inside a token
+TOKENS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+                 min_size=1, max_size=6).filter(lambda t: not any(c.isspace() for c in t))
+
+
+class TestRoundTrips:
+    @settings(max_examples=40, deadline=None)
+    @given(SENTENCES, st.integers(1, 3), st.sampled_from(["kneser_ney", "absolute", "mle"]))
+    def test_arpa(self, tmp_path_factory, sentences, order, smoothing):
+        path = tmp_path_factory.mktemp("arpa") / "lm.arpa"
+        model = lm_train(sentences, order=order, smoothing=smoothing)
+        arpa_write(model, path)
+        back = arpa_read(path)
+        assert back.order == model.order and back.vocab == model.vocab
+        for n in range(1, order + 1):
+            assert back.tables[n].keys() == model.tables[n].keys()
+            for gram, (logp, bow) in model.tables[n].items():
+                assert back.tables[n][gram][0] == pytest.approx(logp, abs=1e-10)
+                assert (back.tables[n][gram][1] is None) == (bow is None)
+        written = path.read_bytes()
+        arpa_write(back, path)
+        assert path.read_bytes() == written
+
+    @settings(max_examples=40, deadline=None)
+    @given(SENTENCES, st.integers(8, 30))
+    def test_bpe(self, tmp_path_factory, sentences, vocab_size):
+        path = tmp_path_factory.mktemp("bpe") / "bpe.model"
+        try:
+            model = bpe_train(sentences, vocab_size)
+        except ValueError:  # vocab_size below the alphabet
+            return
+        save_bpe(model, path)
+        assert load_bpe(path) == model
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 6), st.integers(0, 2**32 - 1), st.booleans())
+    def test_emissions(self, tmp_path_factory, T, V, seed, binary):
+        path = tmp_path_factory.mktemp("em") / "x.em"
+        logits = normalize_rows(np.random.default_rng(seed).normal(scale=5, size=(T, V)))
+        write_emissions(path, logits, binary=binary)
+        got = read_emissions(path).logits
+        if binary:  # float32 storage, renormalized on load
+            assert np.array_equal(got, normalize_rows(logits.astype("<f4").astype(np.float64)))
+        else:
+            np.testing.assert_allclose(got, logits, rtol=0, atol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(TOKENS, min_size=1, max_size=5, unique=True), st.integers(1, 4), st.data())
+    def test_matrix(self, tmp_path_factory, labels, dim, data):
+        path = tmp_path_factory.mktemp("mat") / "m.txt"
+        cells = st.floats(allow_nan=False, allow_infinity=False, width=64)
+        rows = np.array(data.draw(st.lists(st.lists(cells, min_size=dim, max_size=dim),
+                                           min_size=len(labels), max_size=len(labels))))
+        mat = EmbeddingMatrix(rows=rows.reshape(len(labels), dim), row_labels=tuple(labels))
+        write_matrix(mat, path)
+        back = read_matrix(path)
+        assert back.row_labels == mat.row_labels and np.array_equal(back.rows, mat.rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(TOKENS, st.lists(TOKENS, max_size=5).map(tuple)), max_size=6))
+    def test_lexicon(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.mktemp("lex") / "lexicon.tsv"
+        entries = [LexiconEntry(word, pron) for word, pron in pairs]
+        write_lexicon(entries, path)
+        assert read_lexicon(path) == entries
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(TOKENS.filter(lambda t: t != BLANK_TOKEN), max_size=8, unique=True))
+    def test_vocab(self, tmp_path_factory, tokens):
+        path = tmp_path_factory.mktemp("vocab") / "tokens.txt"
+        vocab = PhonemeVocab((BLANK_TOKEN, *tokens))
+        write_vocab(vocab, path)
+        assert read_vocab(path) == vocab

@@ -1,8 +1,11 @@
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from mienasr import orthography
 from mienasr.orthography import (InventoryError, ParseError, load_inventory,
                                  parse_syllable, parse_word, report_coverage)
 
@@ -185,4 +188,11 @@ class TestInventoryLoading:
         f = tmp_path / "inv.txt"
         f.write_text("b\n[initials]\nb\n")
         with pytest.raises(InventoryError, match="outside"):
+            load_inventory(f)
+
+    def test_undecomposable_final_names_file(self, tmp_path):
+        shipped = Path(orthography.__file__).parent / "data" / "iu_mien_inventory.txt"
+        f = tmp_path / "inv.txt"
+        f.write_text(shipped.read_text(encoding="utf-8") + "[finals]\nzzzq\n", encoding="utf-8")
+        with pytest.raises(InventoryError, match=re.escape(f"{f}: final 'zzzq' does not decompose")):
             load_inventory(f)

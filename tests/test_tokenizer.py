@@ -55,6 +55,11 @@ class TestTrain:
         assert a.merges == b.merges
         assert a.vocab == b.vocab
 
+    def test_marker_in_training_word_rejected(self):
+        # "x▁a" would form the token "▁a", already the initial symbol of "a"
+        with pytest.raises(ValueError, match=re.escape("'x▁a'") + ".*" + re.escape(repr(MARKER))):
+            bpe_train(["x▁a x▁a a"], 20)
+
 
 class TestEncodeDecode:
     def test_round_trip_on_training_text(self):
@@ -241,6 +246,10 @@ class TestMatchesReference:
     @given(training_case())
     def test_same_model_file_and_ids(self, case):
         lines, vocab_size, texts = case
+        if any(MARKER in line for line in lines):  # the reference trained on these
+            with pytest.raises(ValueError, match=re.escape(repr(MARKER))):
+                bpe_train(lines, vocab_size)
+            return
         try:
             want = BpeModel(*ref_bpe_train(lines, vocab_size))
         except ValueError as e:
