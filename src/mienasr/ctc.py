@@ -179,7 +179,7 @@ def read_emissions(path) -> EmissionMatrix:
     through the normalization invariant.  Bad files raise ValueError naming
     the file (and the line, for text files).  A binary file must be exactly
     as long as its header says, so a corrupted header is caught before any
-    payload is read.
+    payload is read; a text file may hold only blank lines after its rows.
     """
     path = Path(path)
     with located(path) as at:
@@ -208,6 +208,9 @@ def read_emissions(path) -> EmissionMatrix:
                 rows.append([float(x) for x in line.split()])
                 if len(rows[-1]) != V:
                     raise ValueError(f"expected {V} values, found {len(rows[-1])}")
+            for at.line, line in enumerate(lines[T + 1:], T + 2):
+                if line.strip():
+                    raise ValueError(f"header says {T} rows; this line is past them")
             at.line = None
             if len(rows) != T:
                 raise ValueError(f"header says {T} rows, found {len(rows)}")

@@ -23,10 +23,11 @@ surviving state stands for.
   word sequence (one word reached through different pronunciations) merge
   into one hypothesis whose acoustic mass is their log-sum.
 - Subword mode: a position is the collapsed token sequence plus the pending
-  word.  Every BPE token extends every state; a boundary-marked token closes
-  the pending word and applies its LM score.  Ties break on the token
-  sequence.  Each token sequence stays its own final, so the n-best list can
-  hold one word sequence more than once, once per segmentation.
+  word.  Any BPE token may extend any state, subject to the bounded
+  expansion below; a boundary-marked token closes the pending word and
+  applies its LM score.  Ties break on the token sequence.  Each token
+  sequence stays its own final, so the n-best list can hold one word
+  sequence more than once, once per segmentation.
 
 Beam cut: after each frame the core keeps the ``beam_size`` states with the
 highest score (acoustic log-sum plus weighted LM and insertion terms).
@@ -35,6 +36,34 @@ goes first, then the mode's tie (trie node index, or token sequence).  The
 cut finds the ``beam_size``-th best score first and sorts only the states at
 or above it, which keeps the same states in the same order as sorting them
 all.  Completed hypotheses are ordered by score, then word sequence.
+
+Bounded expansion: the core skips a one-token extension that cannot
+survive this frame's beam cut before it builds the extension's key.  A
+mode's expansion gives, per state, groups sharing the new word sequence and
+LM log10; subword mode has two (word-opening and inner tokens), each sorted
+once per frame by that frame's emission score.  The core keeps a min-heap
+of the ``beam_size`` best scores among the keys it made from ranked tokens,
+walks each group best first and stops at the first score below the heap
+minimum.  The n-best list stays the same bit for bit:
+
+- IEEE addition is monotone, so within a group the score never rises as the
+  emission score falls, and the heap minimum never falls.
+- The repeat token (the state's last token) extends only the blank-ending
+  mass, which is at most the total, so when it scores too low it is skipped
+  and the walk goes on.
+- A subword key is fixed by its token sequence, so a ranked extension that
+  is not itself a state gets exactly one contribution, and its score is the
+  one the cut reads.
+- The heap holds final scores of ``beam_size`` distinct keys, so its minimum
+  is at most the cut: a score strictly below it would fail the cut, and a
+  score equal to it is kept, so ties at the cut break as before.
+
+Always taken, whatever the score: an extension into a key that is already a
+state (in subword mode, the state whose token sequence is this one plus one
+token), so the key still pools both contributions; and in phoneme mode every
+trie and re-entry arc, since several states can reach one trie key (one word
+through two pronunciations).  States are visited in the same order as
+without the bound, so contributions merge in the same order.
 
 Scores are natural logs; ARPA log10 values are converted at this boundary.
 The frame loop runs on Python floats with a scalar log-add-exp that matches
@@ -159,16 +188,24 @@ def _lae(x: float, y: float) -> float:
     return y + log1p(exp(d))
 
 
-def _prefix_beam_search(em, cfg, start, last_token, expand, tie, finish) -> list[Hypothesis]:
+def _prefix_beam_search(em, cfg, start, last_token, frame, tie, finish) -> list[Hypothesis]:
     """CTC prefix beam search shared by both modes; the hooks are the mode.
 
     A state maps ``(words, position)`` to ``[blank mass, non-blank mass, LM
     log10]``.  ``last_token(position)`` is the token a repeat would extend
-    (None at the start), ``expand(words, position, lm10)`` yields ``(token,
-    new state key, new LM log10)`` for each one-token extension, ``tie(position)``
-    breaks score ties after the word sequence, and ``finish(words, position,
-    lm10)`` yields ``(final key, words, LM log10)`` for each completed
-    hypothesis the state stands for; finals sharing a key pool their mass.
+    (None at the start).  ``frame(y, states)`` is called once per frame with
+    that frame's log-probabilities and the states it extends, and returns
+    ``expand(words, position, lm10)``, which gives a state's one-token
+    extensions as groups ``(new words, new LM log10, taken, ranked, step)``.
+    ``taken`` maps each always-added token to its new position.  ``ranked``
+    lists the group's other tokens best first by ``y``; the new position of
+    one is ``step(token)``, and the walk over them stops at the first score
+    below the running threshold (see "Bounded expansion" above), so a ranked
+    token must lead to a key that no other state reaches and that is not a
+    state itself.  ``tie(position)`` breaks score ties after the word
+    sequence, and ``finish(words, position, lm10)`` yields ``(final key,
+    words, LM log10)`` for each completed hypothesis the state stands for;
+    finals sharing a key pool their mass.
     """
     logits = em.logits
     beam_size = cfg.beam_size
@@ -178,7 +215,9 @@ def _prefix_beam_search(em, cfg, start, last_token, expand, tie, finish) -> list
     states = {((), start): [0.0, NEG_INF, 0.0]}
     for t in range(em.frames):
         y = logits[t].tolist()
+        expand = frame(y, states)
         beam: dict = {}
+        best: list = []   # min-heap of the beam_size best scores of ranked keys
         for key, (pb, pnb, lm10) in states.items():
             words, pos = key
             total = _lae(pb, pnb)
@@ -191,13 +230,33 @@ def _prefix_beam_search(em, cfg, start, last_token, expand, tie, finish) -> list
             last = last_token(pos)
             if last is not None:
                 entry[1] = _lae(entry[1], pnb + y[last])
-            for k, new_key, new_lm10 in expand(words, pos, lm10):
-                mass = (pb if k == last else total) + y[k]
-                entry = beam.get(new_key)
-                if entry is None:
-                    beam[new_key] = [NEG_INF, mass, new_lm10]
-                else:
-                    entry[1] = _lae(entry[1], mass)
+            for new_words, new_lm10, taken, ranked, step in expand(words, pos, lm10):
+                for k, new_pos in taken.items():
+                    mass = (pb if k == last else total) + y[k]
+                    new_key = (new_words, new_pos)
+                    entry = beam.get(new_key)
+                    if entry is None:
+                        beam[new_key] = [NEG_INF, mass, new_lm10]
+                    else:
+                        entry[1] = _lae(entry[1], mass)
+                if not ranked:
+                    continue
+                # the same sum, in the same order, as the score the cut reads
+                lm_term, wip_term = lam10 * new_lm10, wip * len(new_words)
+                for k in ranked:
+                    if k in taken:
+                        continue
+                    mass = (pb if k == last else total) + y[k]
+                    score = mass + lm_term + wip_term
+                    if len(best) < beam_size:
+                        heapq.heappush(best, score)
+                    elif score > best[0]:
+                        heapq.heapreplace(best, score)
+                    elif score < best[0]:
+                        if k == last:   # scored from pb; later tokens may score higher
+                            continue
+                        break
+                    beam[(new_words, step(k))] = [NEG_INF, mass, new_lm10]
         scored = []
         for key, entry in beam.items():
             pb, pnb, lm10 = entry
@@ -253,13 +312,11 @@ def decode_phoneme(
     root = lex.root
 
     def expand(words, node, lm10):
-        for pid, child in node.children.items():
-            yield pid, (words, child), lm10
+        groups = [(words, lm10, node.children, (), None)]
         for w in node.words:
-            w_lm10 = lm10 + _lm10(lm, (BOS,) + words, w)
-            new_words = words + (w,)
-            for pid, child in root.children.items():
-                yield pid, (new_words, child), w_lm10
+            groups.append((words + (w,), lm10 + _lm10(lm, (BOS,) + words, w),
+                           root.children, (), None))
+        return groups
 
     def finish(words, node, lm10):
         if node is root:
@@ -269,7 +326,7 @@ def decode_phoneme(
             yield full, full, (lm10 + _lm10(lm, (BOS,) + words, w)
                                + _lm10(lm, (BOS,) + full, EOS))
 
-    return _prefix_beam_search(em, cfg, root, attrgetter("phone"), expand,
+    return _prefix_beam_search(em, cfg, root, attrgetter("phone"), lambda y, states: expand,
                                attrgetter("idx"), finish)
 
 
@@ -289,21 +346,33 @@ def decode_subword(
     V = len(bpe.vocab)
     if em.vocab_size != V:
         raise ValueError(f"emission vocab size {em.vocab_size} != BPE vocab {V}")
-    # (token id, whether it opens a word, its spelling without the marker)
-    pieces = [(k, tok.startswith(MARKER), tok.removeprefix(MARKER))
-              for k, tok in enumerate(bpe.vocab) if k != BLANK_ID]
+    opens = [tok.startswith(MARKER) for tok in bpe.vocab]
+    text = [tok.removeprefix(MARKER) for tok in bpe.vocab]
+    openers = [k for k in range(V) if k != BLANK_ID and opens[k]]
+    inner = [k for k in range(V) if k != BLANK_ID and not opens[k]]
 
-    def expand(words, pos, lm10):
-        toks, partial = pos
-        closed, closed_lm10 = words, lm10
-        if partial:
-            closed = words + (partial,)
-            closed_lm10 = lm10 + _lm10(lm, (BOS,) + words, partial)
-        for k, opens, text in pieces:
-            if opens:
-                yield k, (closed, (toks + (k,), text)), closed_lm10
-            else:
-                yield k, (words, (toks + (k,), partial + text)), lm10
+    def frame(y, states):
+        ranked_open = sorted(openers, key=y.__getitem__, reverse=True)
+        ranked_inner = sorted(inner, key=y.__getitem__, reverse=True)
+        held = {}   # token sequence -> the tokens that extend it into a state
+        for _, (toks, _) in states:
+            if toks:
+                held.setdefault(toks[:-1], []).append(toks[-1])
+
+        def expand(words, pos, lm10):
+            toks, partial = pos
+            closed, closed_lm10 = words, lm10
+            if partial:
+                closed = words + (partial,)
+                closed_lm10 = lm10 + _lm10(lm, (BOS,) + words, partial)
+            opened = lambda k: (toks + (k,), text[k])
+            grown = lambda k: (toks + (k,), partial + text[k])
+            into_states = held.get(toks, ())
+            return ((closed, closed_lm10, {k: opened(k) for k in into_states if opens[k]},
+                     ranked_open, opened),
+                    (words, lm10, {k: grown(k) for k in into_states if not opens[k]},
+                     ranked_inner, grown))
+        return expand
 
     def finish(words, pos, lm10):
         toks, partial = pos
@@ -313,7 +382,7 @@ def decode_subword(
         yield toks, words, lm10 + _lm10(lm, (BOS,) + words, EOS)
 
     return _prefix_beam_search(em, cfg, ((), ""), lambda pos: pos[0][-1] if pos[0] else None,
-                               expand, itemgetter(0), finish)
+                               frame, itemgetter(0), finish)
 
 
 def decode(em: EmissionMatrix, cfg: DecodeConfig, *, lex: Optional[PrefixTree] = None,

@@ -14,6 +14,7 @@ split-diphthong / no-diacritic convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -39,6 +40,10 @@ class EmbeddingMatrix:
             raise ValueError("row count does not match label count")
         if len(set(self.row_labels)) != len(self.row_labels):
             raise ValueError("duplicate row labels")
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"row {i} ({self.row_labels[i]!r}) holds NaN or inf")
 
     @property
     def dim(self) -> int:
@@ -157,8 +162,11 @@ def read_matrix(path) -> EmbeddingMatrix:
             label, *values = line.split()
             if len(values) != d:
                 raise ValueError(f"row {len(rows)} has {len(values)} values, expected {d}")
+            row = [float(x) for x in values]
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"row {len(rows)} holds NaN or inf")
             labels.append(label)
-            rows.append([float(x) for x in values])
+            rows.append(row)
         at.line = None
         return EmbeddingMatrix(rows=np.array(rows, dtype=np.float64).reshape(v, d),
                                row_labels=tuple(labels))

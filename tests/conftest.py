@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from mienasr.lexicon import default_g2p_table
 from mienasr.orthography import InventoryConfig, default_inventory
+
+# no per-example time limit, since timing varies with machine load, and a
+# failing example is printed with the blob that replays it
+settings.register_profile("mienasr", deadline=None, print_blob=True)
+settings.load_profile("mienasr")
 
 
 @pytest.fixture(scope="session")

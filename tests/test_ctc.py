@@ -252,6 +252,20 @@ class TestEmissionFiles:
         with pytest.raises(ValueError, match=re.escape(f"{path}: header says 3 rows, found 1")):
             read_emissions(path)
 
+    @pytest.mark.parametrize("tail, line", [("7 7\n", 3), ("7 7", 3), ("\n\n7 7\n", 5),
+                                            ("0 0\n5 5\n", 3)])
+    def test_extra_text_rows_name_line(self, tmp_path, tail, line):
+        path = tmp_path / "x.txt"
+        path.write_text("1 2\n0 0\n" + tail, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: header says 1 rows")):
+            read_emissions(path)
+
+    @pytest.mark.parametrize("tail", ["", "\n", "\n\n", "\n  \n"])
+    def test_blank_lines_after_text_rows_load(self, tmp_path, tail):
+        path = tmp_path / "x.txt"
+        path.write_text("2 2\n0 0\n0 0" + tail, encoding="utf-8")
+        assert read_emissions(path).frames == 2
+
     def test_empty_shape_names_file(self, tmp_path):
         path = tmp_path / "x.txt"
         for text in ("0 3\n", "2 1\n0\n0\n"):

@@ -1,16 +1,18 @@
+import heapq
 import json
 import math
 from itertools import product
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mienasr import BLANK_TOKEN
-from mienasr.ctc import EmissionMatrix, collapse, normalize_rows
-from mienasr.decoder import (LN10, DecodeConfig, _lae, build_prefix_tree, decode,
-                             decode_phoneme, decode_subword)
+from mienasr import BLANK_ID, BLANK_TOKEN
+from mienasr.ctc import NEG_INF, EmissionMatrix, collapse, normalize_rows
+from mienasr.decoder import (LN10, DecodeConfig, Hypothesis, _lae, _lm10, build_prefix_tree,
+                             decode, decode_phoneme, decode_subword)
 from mienasr.fixtures import homophone_case, peaked_emissions
 from mienasr.lexicon import LexiconEntry, PhonemeVocab
 from mienasr.lm import BOS, EOS, lm_score, lm_train
@@ -79,7 +81,7 @@ LAE_PAIRS = st.one_of(
 
 
 class TestLogAddExp:
-    @settings(max_examples=2000, deadline=None)
+    @settings(max_examples=2000)
     @given(LAE_PAIRS)
     @example((1.7976931348623155e+308, -2.9937604643020797e+292))  # numpy's a - b overflows
     def test_matches_numpy_bit_for_bit(self, pair):
@@ -485,3 +487,199 @@ class TestGoldenTies:
             assert [h[0] for h in hyps] == [h[0] for h in want[cid]], cid
             for h, w in zip(hyps, want[cid]):
                 assert h[1:] == pytest.approx(w[1:], abs=1e-9, rel=0), cid
+
+
+# -- reference: the core and hooks that expanded every token ----------------
+
+def ref_prefix_beam_search(em, cfg, start, last_token, expand, tie, finish):
+    logits = em.logits
+    beam_size = cfg.beam_size
+    lam, wip = cfg.lm_weight, cfg.word_insertion_penalty
+    lam10 = lam * LN10
+
+    states = {((), start): [0.0, NEG_INF, 0.0]}
+    for t in range(em.frames):
+        y = logits[t].tolist()
+        beam: dict = {}
+        for key, (pb, pnb, lm10) in states.items():
+            words, pos = key
+            total = _lae(pb, pnb)
+            mass = total + y[BLANK_ID]
+            entry = beam.get(key)
+            if entry is None:
+                entry = beam[key] = [mass, NEG_INF, lm10]
+            else:
+                entry[0] = _lae(entry[0], mass)
+            last = last_token(pos)
+            if last is not None:
+                entry[1] = _lae(entry[1], pnb + y[last])
+            for k, new_key, new_lm10 in expand(words, pos, lm10):
+                mass = (pb if k == last else total) + y[k]
+                entry = beam.get(new_key)
+                if entry is None:
+                    beam[new_key] = [NEG_INF, mass, new_lm10]
+                else:
+                    entry[1] = _lae(entry[1], mass)
+        scored = []
+        for key, entry in beam.items():
+            pb, pnb, lm10 = entry
+            # most entries are fresh extensions with no blank mass yet
+            ac = pnb if pb == NEG_INF else _lae(pb, pnb)
+            scored.append((ac + lam10 * lm10 + wip * len(key[0]), key, entry))
+        if len(scored) > beam_size:
+            cut = heapq.nlargest(beam_size, [s[0] for s in scored])[-1]
+            scored = [s for s in scored if s[0] >= cut]
+        scored.sort(key=lambda s: (-s[0], s[1][0], tie(s[1][1])))
+        states = {key: entry for _, key, entry in scored[:beam_size]}
+
+    finals: dict = {}
+    for (words, pos), (pb, pnb, lm10) in states.items():
+        ac = _lae(pb, pnb)
+        if ac == NEG_INF:
+            continue
+        for final_key, full, full_lm10 in finish(words, pos, lm10):
+            entry = finals.get(final_key)
+            if entry is None:
+                finals[final_key] = [full, ac, full_lm10]
+            else:
+                entry[1] = _lae(entry[1], ac)
+
+    hyps = []
+    for words, ac, lm10 in finals.values():
+        score_lm = LN10 * lm10
+        hyps.append(Hypothesis(words=words, score_ac=ac, score_lm=score_lm,
+                               score=ac + lam * score_lm + wip * len(words)))
+    hyps.sort(key=lambda h: (-h.score, h.words))
+    return hyps
+
+
+def ref_decode_phoneme(em, lex, lm, cfg):
+    root = lex.root
+
+    def expand(words, node, lm10):
+        for pid, child in node.children.items():
+            yield pid, (words, child), lm10
+        for w in node.words:
+            w_lm10 = lm10 + _lm10(lm, (BOS,) + words, w)
+            new_words = words + (w,)
+            for pid, child in root.children.items():
+                yield pid, (new_words, child), w_lm10
+
+    def finish(words, node, lm10):
+        if node is root:
+            yield words, words, lm10 + _lm10(lm, (BOS,) + words, EOS)
+        for w in node.words:
+            full = words + (w,)
+            yield full, full, (lm10 + _lm10(lm, (BOS,) + words, w)
+                               + _lm10(lm, (BOS,) + full, EOS))
+
+    return ref_prefix_beam_search(em, cfg, root, attrgetter("phone"), expand,
+                                  attrgetter("idx"), finish)
+
+
+def ref_decode_subword(em, bpe, lm, cfg):
+    # (token id, whether it opens a word, its spelling without the marker)
+    pieces = [(k, tok.startswith(MARKER), tok.removeprefix(MARKER))
+              for k, tok in enumerate(bpe.vocab) if k != BLANK_ID]
+
+    def expand(words, pos, lm10):
+        toks, partial = pos
+        closed, closed_lm10 = words, lm10
+        if partial:
+            closed = words + (partial,)
+            closed_lm10 = lm10 + _lm10(lm, (BOS,) + words, partial)
+        for k, opens, text in pieces:
+            if opens:
+                yield k, (closed, (toks + (k,), text)), closed_lm10
+            else:
+                yield k, (words, (toks + (k,), partial + text)), lm10
+
+    def finish(words, pos, lm10):
+        toks, partial = pos
+        if partial:
+            lm10 = lm10 + _lm10(lm, (BOS,) + words, partial)
+            words = words + (partial,)
+        yield toks, words, lm10 + _lm10(lm, (BOS,) + words, EOS)
+
+    return ref_prefix_beam_search(em, cfg, ((), ""), lambda pos: pos[0][-1] if pos[0] else None,
+                                  expand, itemgetter(0), finish)
+
+
+@st.composite
+def emission_rows(draw, V):
+    """A T x V log-prob matrix: Gaussian, peaked, rounded or uniform (ties), or holed."""
+    T = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    kind = draw(st.sampled_from(["gaussian", "peaked", "rounded", "uniform", "holes"]))
+    rng = np.random.default_rng(seed)
+    raw = draw(st.sampled_from([0.3, 1.5, 4.0])) * rng.normal(size=(T, V))
+    if kind == "peaked":
+        raw[np.arange(T), rng.integers(0, V, size=T)] += 6.0
+    elif kind == "rounded":   # few distinct values per row: tied tokens
+        raw = np.round(raw)
+    elif kind == "uniform":   # every token ties, so the cut splits tied sets
+        raw = np.zeros((T, V))
+    elif kind == "holes":     # -inf cells, at least one finite cell per row
+        keep = rng.integers(0, V, size=T)
+        raw[rng.random((T, V)) < 0.4] = -math.inf
+        raw[np.arange(T), keep] = 0.0
+    return normalize_rows(raw)
+
+
+@st.composite
+def phoneme_case(draw):
+    """A lexicon with homophones and words of two or three pronunciations."""
+    V = draw(st.integers(3, 6))
+    vocab = vocab_of(V)
+    pron = st.lists(st.integers(1, V - 1), min_size=1, max_size=3).map(
+        lambda ids: tuple(f"p{i}" for i in ids))
+    shared = draw(pron)   # every word may take it, so homophones are common
+    entries = []
+    for word in draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True)):
+        for p in draw(st.lists(st.one_of(st.just(shared), pron), min_size=1, max_size=3)):
+            entries.append(LexiconEntry(word, p))
+    corpus = [" ".join(draw(st.lists(st.sampled_from([e.word for e in entries]),
+                                     min_size=1, max_size=4))) for _ in range(3)]
+    return build_prefix_tree(entries, vocab), V, corpus
+
+
+@st.composite
+def subword_case(draw):
+    """A BPE model small enough that one state's extension is often another state."""
+    chars = draw(st.sampled_from(["ab", "abc", "aab"]))
+    words = st.text(alphabet=chars, min_size=1, max_size=5)
+    corpus = draw(st.lists(st.lists(words, min_size=1, max_size=4).map(" ".join),
+                           min_size=1, max_size=4))
+    alphabet = {MARKER + w[0] for line in corpus for w in line.split()}
+    alphabet |= {c for line in corpus for w in line.split() for c in w[1:]}
+    bpe = bpe_train(corpus, draw(st.integers(3 + len(alphabet), 12 + len(alphabet))))
+    return bpe, len(bpe.vocab), corpus
+
+
+@st.composite
+def decode_case(draw):
+    mode = draw(st.sampled_from(["phoneme", "subword"]))
+    unit, V, corpus = draw(phoneme_case() if mode == "phoneme" else subword_case())
+    lm = None
+    if draw(st.booleans()):
+        lm = lm_train(corpus, order=draw(st.integers(1, 3)),
+                      smoothing=draw(st.sampled_from(["kneser_ney", "mle"])))
+    cfg = DecodeConfig(beam_size=draw(st.integers(1, 32)),
+                       lm_weight=draw(st.sampled_from([0.0, 0.5, 1.0, 2.3])),
+                       word_insertion_penalty=draw(st.sampled_from([-1.0, 0.0, 0.4])),
+                       mode=mode)
+    return EmissionMatrix(logits=draw(emission_rows(V))), unit, lm, cfg
+
+
+class TestMatchesReference:
+    """Bounded expansion keeps every n-best list of the all-token expansion."""
+
+    @settings(max_examples=600)
+    @given(decode_case())
+    def test_same_nbest_bit_for_bit(self, case):
+        em, unit, lm, cfg = case
+        if cfg.mode == "phoneme":
+            got, want = decode_phoneme(em, unit, lm, cfg), ref_decode_phoneme(em, unit, lm, cfg)
+        else:
+            got, want = decode_subword(em, unit, lm, cfg), ref_decode_subword(em, unit, lm, cfg)
+        assert repr(got) == repr(want)

@@ -135,6 +135,12 @@ class TestConfigFileErrors:
             load_config(path)
         assert info.value.stage == "config" and detail in str(info.value)
 
+    def test_doubled_percent_is_a_literal_percent(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[experiment]\ncorpus = data%%20.tsv\nemissions_dir = em\n"
+                        "output_dir = out\n", encoding="utf-8")
+        assert load_config(path).corpus == tmp_path / "data%20.tsv"
+
     def test_missing_file(self, tmp_path):
         path = tmp_path / "absent.ini"
         with pytest.raises(PipelineError, match=re.escape(f"[config] {path}: ")) as info:

@@ -251,7 +251,7 @@ TOKENS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp
 
 
 class TestRoundTrips:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(SENTENCES, st.integers(1, 3), st.sampled_from(["kneser_ney", "absolute", "mle"]))
     def test_arpa(self, tmp_path_factory, sentences, order, smoothing):
         path = tmp_path_factory.mktemp("arpa") / "lm.arpa"
@@ -268,7 +268,7 @@ class TestRoundTrips:
         arpa_write(back, path)
         assert path.read_bytes() == written
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(SENTENCES, st.integers(8, 30))
     def test_bpe(self, tmp_path_factory, sentences, vocab_size):
         path = tmp_path_factory.mktemp("bpe") / "bpe.model"
@@ -279,7 +279,7 @@ class TestRoundTrips:
         save_bpe(model, path)
         assert load_bpe(path) == model
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(1, 6), st.integers(2, 6), st.integers(0, 2**32 - 1), st.booleans())
     def test_emissions(self, tmp_path_factory, T, V, seed, binary):
         path = tmp_path_factory.mktemp("em") / "x.em"
@@ -291,7 +291,7 @@ class TestRoundTrips:
         else:
             np.testing.assert_allclose(got, logits, rtol=0, atol=1e-6)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(TOKENS, min_size=1, max_size=5, unique=True), st.integers(1, 4), st.data())
     def test_matrix(self, tmp_path_factory, labels, dim, data):
         path = tmp_path_factory.mktemp("mat") / "m.txt"
@@ -303,7 +303,7 @@ class TestRoundTrips:
         back = read_matrix(path)
         assert back.row_labels == mat.row_labels and np.array_equal(back.rows, mat.rows)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(st.tuples(TOKENS, st.lists(TOKENS, max_size=5).map(tuple)), max_size=6))
     def test_lexicon(self, tmp_path_factory, pairs):
         path = tmp_path_factory.mktemp("lex") / "lexicon.tsv"
@@ -311,7 +311,7 @@ class TestRoundTrips:
         write_lexicon(entries, path)
         assert read_lexicon(path) == entries
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(TOKENS.filter(lambda t: t != BLANK_TOKEN), max_size=8, unique=True))
     def test_vocab(self, tmp_path_factory, tokens):
         path = tmp_path_factory.mktemp("vocab") / "tokens.txt"

@@ -318,7 +318,7 @@ def models_by_order():
 
 
 class TestHistoryTail:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(data=st.data(), order=st.integers(1, 4),
            word=st.sampled_from(["a", "b", "c", "oov", EOS]))
     def test_slice_then_map_equals_map_then_slice(self, models_by_order, data, order, word):

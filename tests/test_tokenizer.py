@@ -242,7 +242,7 @@ def training_case(draw):
 
 
 class TestMatchesReference:
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=600)
     @given(training_case())
     def test_same_model_file_and_ids(self, case):
         lines, vocab_size, texts = case

@@ -108,6 +108,15 @@ class TestTransferInit:
             transfer_init(src, PhonemeVocab((BLANK_TOKEN, "a")), scale=-1.0)
 
 
+class TestEmbeddingMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected(self, bad):
+        rows = np.zeros((2, 3))
+        rows[1, 2] = bad
+        with pytest.raises(ValueError, match=re.escape("row 1 ('a') holds NaN or inf")):
+            EmbeddingMatrix(rows=rows, row_labels=(BLANK_TOKEN, "a"))
+
+
 class TestMatrixFile:
     def test_round_trip_exact(self, tmp_path):
         src = source_matrix([BLANK_TOKEN, "n̥", "aːɪ"], d=5)
@@ -141,4 +150,11 @@ class TestMatrixFile:
         path = tmp_path / "emb.txt"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:{line}:")):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 2\n{BLANK_TOKEN} 0 1\n\na {cell} 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: row 1 holds NaN or inf")):
             read_matrix(path)
