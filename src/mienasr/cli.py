@@ -35,6 +35,13 @@ def _g2p_table(args):
     return load_g2p_table(args.g2p_table) if args.g2p_table else default_g2p_table()
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _read_lines(path):
     with located(path):
         return [ln for ln in read_utf8(path).splitlines() if ln.strip()]
@@ -140,8 +147,10 @@ def cmd_decode(args):
 
     out_lines, nbest_lines = [], []
     for utt in _read_lines(args.ids):
-        em = ctc_mod.read_emissions(emission_path(args.emissions, utt))
-        hyps = decode(em, cfg, lex=lex, bpe=bpe, lm=ngram)
+        path = emission_path(args.emissions, utt)
+        em = ctc_mod.read_emissions(path)
+        with located(path):   # a width mismatch is the emission file's fault
+            hyps = decode(em, cfg, lex=lex, bpe=bpe, lm=ngram)
         out_lines.append(tagged_line(utt, best_words(hyps)))
         for rank, h in enumerate(hyps[:args.nbest_size]):
             nbest_lines.append(
@@ -270,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--wip", type=float, default=0.0)
     sp.add_argument("--output", required=True)
     sp.add_argument("--nbest")
-    sp.add_argument("--nbest-size", dest="nbest_size", type=int, default=10)
+    sp.add_argument("--nbest-size", dest="nbest_size", type=_positive_int, default=10)
 
     sp = add("transfer-init", cmd_transfer_init, "initialize a target head matrix")
     sp.add_argument("--src", required=True)

@@ -9,8 +9,8 @@ per prefix.  The search space is the same as the offline composition but
 the machinery stays small enough to check against brute-force enumeration.
 
 Both modes run one search core.  The core owns the state map from
-``(words, position)`` to blank mass, non-blank mass and accumulated LM
-log10; the frame loop with its blank and repeat extensions; ranking and the
+``(words, position)`` to blank mass, non-blank mass, accumulated LM log10
+and acoustic total; the frame loop with its blank and repeat extensions; ranking and the
 beam cut; finalization; and hypothesis assembly.  Each mode supplies only
 its hooks: what a position is, how a state expands by one token, how equal
 scores break after the word sequence, and which completed hypotheses a
@@ -33,37 +33,49 @@ Beam cut: after each frame the core keeps the ``beam_size`` states with the
 highest score (acoustic log-sum plus weighted LM and insertion terms).
 Among states with equal scores the lexicographically smaller word sequence
 goes first, then the mode's tie (trie node index, or token sequence).  The
-cut finds the ``beam_size``-th best score first and sorts only the states at
-or above it, which keeps the same states in the same order as sorting them
-all.  Completed hypotheses are ordered by score, then word sequence.
+cut is one sort of plain tuples (negated score, word sequence, tie), with no
+key function; the bounded expansion below leaves few entries to sort.
+Completed hypotheses are ordered by score, then word sequence.
 
 Bounded expansion: the core skips a one-token extension that cannot
-survive this frame's beam cut before it builds the extension's key.  A
-mode's expansion gives, per state, groups sharing the new word sequence and
-LM log10; subword mode has two (word-opening and inner tokens), each sorted
-once per frame by that frame's emission score.  The core keeps a min-heap
-of the ``beam_size`` best scores among the keys it made from ranked tokens,
-walks each group best first and stops at the first score below the heap
-minimum.  The n-best list stays the same bit for bit:
+survive this frame's beam cut.  It keeps a min-heap of ``beam_size`` lower
+bounds on the final scores of distinct keys, so the heap minimum is at most
+the cut, and an extension whose score is strictly below it is skipped: the
+cut would drop it.  A score equal to the minimum is kept, so ties at the cut
+break as before.
 
-- IEEE addition is monotone, so within a group the score never rises as the
-  emission score falls, and the heap minimum never falls.
-- The repeat token (the state's last token) extends only the blank-ending
-  mass, which is at most the total, so when it scores too low it is skipped
-  and the walk goes on.
-- A subword key is fixed by its token sequence, so a ranked extension that
-  is not itself a state gets exactly one contribution, and its score is the
-  one the cut reads.
-- The heap holds final scores of ``beam_size`` distinct keys, so its minimum
-  is at most the cut: a score strictly below it would fail the cut, and a
-  score equal to it is kept, so ties at the cut break as before.
+- Seeded floor.  Each frame the heap starts from the states' blank
+  extensions.  A state's key takes its blank mass from that extension alone
+  and other extensions only add non-blank mass, so the log-sum the cut reads
+  is at least it.  IEEE addition is monotone, so summed in the cut's order
+  (acoustic, then weighted LM, then insertion term) the bound is at most the
+  key's score, and the ``beam_size``-th best bound is a floor at or below
+  the cut.
+- A fresh key reached by one extension gets exactly that contribution, so
+  its score is exact; when it is added, it goes on the heap.
+- Subword mode gives each state two groups, word-opening and inner tokens,
+  each sorted once per frame by that frame's emission score, and the walk
+  over a group stops at the first score below the heap minimum.  Within a
+  group the score never rises as the emission score falls.  The repeat
+  token (the state's last token) extends only the blank-ending mass, which
+  is at most the total, so when it scores too low it is skipped and the
+  walk goes on.  A subword key is fixed by its token sequence, so only one
+  state reaches it.
+- Phoneme mode checks each trie arc on its own, and walks a word-final
+  state's re-entries over the root's children sorted once per frame, like a
+  subword group.  A trie arc's key is reached only from the state at the
+  parent node, and a re-entry's only from states ending the same word.
 
-Always taken, whatever the score: an extension into a key that is already a
-state (in subword mode, the state whose token sequence is this one plus one
-token), so the key still pools both contributions; and in phoneme mode every
-trie and re-entry arc, since several states can reach one trie key (one word
-through two pronunciations).  States are visited in the same order as
-without the bound, so contributions merge in the same order.
+Always added, whatever the score:
+
+- an extension into a key that is already a state, so the key still pools
+  every contribution;
+- in phoneme mode, a re-entry into a key that another state's re-entry
+  reaches in the same frame: one word through two pronunciations, whose
+  contributions may each fall below the floor while their log-sum does not.
+
+States are visited in the same order as without the bound, so contributions
+merge in the same order and the n-best list stays the same bit for bit.
 
 Scores are natural logs; ARPA log10 values are converted at this boundary.
 The frame loop runs on Python floats with a scalar log-add-exp that matches
@@ -75,6 +87,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import partial
 from math import exp, log1p
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
@@ -188,52 +201,84 @@ def _lae(x: float, y: float) -> float:
     return y + log1p(exp(d))
 
 
+class _Lazy(dict):
+    """A dict that fills a missing key with ``build(key)``.
+
+    It lives at module level: a class made per decode sits in a reference
+    cycle and would keep that decode's caches until the cyclic collector runs.
+    """
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _at_root(words, children, phone):
+    """The phoneme key of ``words`` at the root child reached by ``phone``."""
+    return words, children[phone]
+
+
 def _prefix_beam_search(em, cfg, start, last_token, frame, tie, finish) -> list[Hypothesis]:
     """CTC prefix beam search shared by both modes; the hooks are the mode.
 
-    A state maps ``(words, position)`` to ``[blank mass, non-blank mass, LM
-    log10]``.  ``last_token(position)`` is the token a repeat would extend
+    A state maps ``(words, position)`` to its blank mass, non-blank mass, LM
+    log10 and acoustic total (the log-sum of the two masses, carried out of
+    the cut).  ``last_token(position)`` is the token a repeat would extend
     (None at the start).  ``frame(y, states)`` is called once per frame with
-    that frame's log-probabilities and the states it extends, and returns
-    ``expand(words, position, lm10)``, which gives a state's one-token
-    extensions as groups ``(new words, new LM log10, taken, ranked, step)``.
-    ``taken`` maps each always-added token to its new position.  ``ranked``
-    lists the group's other tokens best first by ``y``; the new position of
-    one is ``step(token)``, and the walk over them stops at the first score
-    below the running threshold (see "Bounded expansion" above), so a ranked
-    token must lead to a key that no other state reaches and that is not a
-    state itself.  ``tie(position)`` breaks score ties after the word
-    sequence, and ``finish(words, position, lm10)`` yields ``(final key,
-    words, LM log10)`` for each completed hypothesis the state stands for;
-    finals sharing a key pool their mass.
+    that frame's log-probabilities and the states it extends, and returns a
+    mapping from each state's key to its one-token extensions, given as
+    groups ``(new words, new LM log10, taken, ranked, step, ordered)``, where
+    ``step(token)`` is the new key.  ``taken`` tokens are always added.  The
+    group's other tokens, ``ranked``, are bounded by the heap minimum, which
+    starts at the seeded floor (see "Bounded expansion" above):
+
+    - ``ordered``: best first by ``y``; the walk stops at the first score
+      below the minimum, so each must lead to a key that no other state
+      reaches and that is not a state;
+    - otherwise: each is checked on its own, and one below the minimum is
+      added only if its key is a state, so no other state may reach the keys
+      of these tokens.
+
+    ``tie(position)`` breaks score ties after the word sequence and differs
+    between keys that share one, and ``finish(words, position, lm10)`` yields
+    ``(final key, words, LM log10)`` for each completed hypothesis the state
+    stands for; finals sharing a key pool their mass.
     """
     logits = em.logits
     beam_size = cfg.beam_size
     lam, wip = cfg.lm_weight, cfg.word_insertion_penalty
     lam10 = lam * LN10
 
-    states = {((), start): [0.0, NEG_INF, 0.0]}
+    states = {((), start): (0.0, NEG_INF, 0.0, 0.0)}
     for t in range(em.frames):
         y = logits[t].tolist()
-        expand = frame(y, states)
+        blank = y[BLANK_ID]
+        # A state's key only gains mass past its blank extension, so the
+        # beam_size-th best of these bounds, summed as the cut sums, is a floor.
         beam: dict = {}
-        best: list = []   # min-heap of the beam_size best scores of ranked keys
-        for key, (pb, pnb, lm10) in states.items():
-            words, pos = key
-            total = _lae(pb, pnb)
-            mass = total + y[BLANK_ID]
-            entry = beam.get(key)
-            if entry is None:
-                entry = beam[key] = [mass, NEG_INF, lm10]
-            else:
-                entry[0] = _lae(entry[0], mass)
-            last = last_token(pos)
+        floor = []
+        for key, (_, _, lm10, total) in states.items():
+            mass = total + blank
+            beam[key] = [mass, NEG_INF, lm10]
+            floor.append(mass + lam10 * lm10 + wip * len(key[0]))
+        # ascending, so already a min-heap; -inf pads it so it never bounds too early
+        best = [NEG_INF] * (beam_size - len(floor)) + sorted(floor)[-beam_size:]
+        expansions = frame(y, states)
+        for key, (pb, pnb, lm10, total) in states.items():
+            last = last_token(key[1])
             if last is not None:
-                entry[1] = _lae(entry[1], pnb + y[last])
-            for new_words, new_lm10, taken, ranked, step in expand(words, pos, lm10):
-                for k, new_pos in taken.items():
+                entry = beam[key]
+                mass = pnb + y[last]
+                # log-adding into -inf gives the other term back (masses are never -0.0)
+                entry[1] = mass if entry[1] == NEG_INF else _lae(entry[1], mass)
+            for new_words, new_lm10, taken, ranked, step, ordered in expansions[key]:
+                for k in taken:
                     mass = (pb if k == last else total) + y[k]
-                    new_key = (new_words, new_pos)
+                    new_key = step(k)
                     entry = beam.get(new_key)
                     if entry is None:
                         beam[new_key] = [NEG_INF, mass, new_lm10]
@@ -248,30 +293,31 @@ def _prefix_beam_search(em, cfg, start, last_token, frame, tie, finish) -> list[
                         continue
                     mass = (pb if k == last else total) + y[k]
                     score = mass + lm_term + wip_term
-                    if len(best) < beam_size:
-                        heapq.heappush(best, score)
-                    elif score > best[0]:
-                        heapq.heapreplace(best, score)
-                    elif score < best[0]:
+                    low = score < best[0]
+                    if low and ordered:
                         if k == last:   # scored from pb; later tokens may score higher
                             continue
                         break
-                    beam[(new_words, step(k))] = [NEG_INF, mass, new_lm10]
+                    new_key = step(k)
+                    entry = beam.get(new_key)
+                    if entry is not None:   # a state pools every arc into it
+                        entry[1] = _lae(entry[1], mass)
+                    elif not low:
+                        beam[new_key] = [NEG_INF, mass, new_lm10]
+                        if score > best[0]:
+                            heapq.heapreplace(best, score)
         scored = []
-        for key, entry in beam.items():
-            pb, pnb, lm10 = entry
+        for key, (pb, pnb, lm10) in beam.items():
             # most entries are fresh extensions with no blank mass yet
             ac = pnb if pb == NEG_INF else _lae(pb, pnb)
-            scored.append((ac + lam10 * lm10 + wip * len(key[0]), key, entry))
-        if len(scored) > beam_size:
-            cut = heapq.nlargest(beam_size, [s[0] for s in scored])[-1]
-            scored = [s for s in scored if s[0] >= cut]
-        scored.sort(key=lambda s: (-s[0], s[1][0], tie(s[1][1])))
-        states = {key: entry for _, key, entry in scored[:beam_size]}
+            # negated, so a plain sort ranks by score, then word sequence, then the mode's tie
+            scored.append((-(ac + lam10 * lm10 + wip * len(key[0])), key[0], tie(key[1]),
+                           key, (pb, pnb, lm10, ac)))
+        scored.sort()
+        states = {s[3]: s[4] for s in scored[:beam_size]}
 
     finals: dict = {}
-    for (words, pos), (pb, pnb, lm10) in states.items():
-        ac = _lae(pb, pnb)
+    for (words, pos), (_, _, lm10, ac) in states.items():
         if ac == NEG_INF:
             continue
         for final_key, full, full_lm10 in finish(words, pos, lm10):
@@ -310,13 +356,54 @@ def decode_phoneme(
     if not lex.root.children:
         raise ValueError("empty lexicon")
     root = lex.root
+    root_nodes = frozenset(root.children.values())
+    lm10_of = {(): 0.0}       # word sequence -> its LM log10
+    reentries_of: dict = {}   # word-final key -> the word sequences it re-enters with
+    reentry_step: dict = {}   # word sequence -> phone -> key at that root child
 
-    def expand(words, node, lm10):
-        groups = [(words, lm10, node.children, (), None)]
-        for w in node.words:
-            groups.append((words + (w,), lm10 + _lm10(lm, (BOS,) + words, w),
-                           root.children, (), None))
-        return groups
+    def groups(key):
+        """A key's groups; trie arcs are prebuilt keys.
+
+        A word-final key's re-entry groups depend on the frame, so ``frame``
+        redoes them from ``reentries_of``.
+        """
+        words, node = key
+        arcs = {k: (words, child) for k, child in node.children.items()}
+        if node.words:
+            reentries_of[key] = reentries = []
+            for w in node.words:
+                new_words = words + (w,)
+                if new_words not in lm10_of:
+                    lm10_of[new_words] = lm10_of[words] + _lm10(lm, (BOS,) + words, w)
+                    reentry_step[new_words] = partial(_at_root, new_words, root.children)
+                reentries.append(new_words)
+        return [(words, lm10_of[words], (), arcs, arcs.__getitem__, False)]
+
+    groups_of = _Lazy(groups)   # each key's groups, built once per decode
+
+    def frame(y, states):
+        finals = [key for key in states if key[1].words]
+        if not finals:
+            return groups_of
+        by_y = sorted(root.children, key=y.__getitem__, reverse=True)
+        into = {}   # word sequence -> the root children where a state holds it
+        for words, node in states:
+            if node in root_nodes:
+                into.setdefault(words, []).append(node.phone)
+        seen, shared = set(), set()
+        for key in finals:
+            groups_of[key]   # builds the key's groups on first sight
+            for new_words in reentries_of[key]:
+                (shared if new_words in seen else seen).add(new_words)
+        for key in finals:
+            groups_of[key][1:] = [
+                # one word through two pronunciations: the keys pool, so all are taken
+                (new_words, lm10_of[new_words], root.children, (), reentry_step[new_words], True)
+                if new_words in shared else
+                (new_words, lm10_of[new_words], into.get(new_words, ()), by_y,
+                 reentry_step[new_words], True)
+                for new_words in reentries_of[key]]
+        return groups_of
 
     def finish(words, node, lm10):
         if node is root:
@@ -326,7 +413,7 @@ def decode_phoneme(
             yield full, full, (lm10 + _lm10(lm, (BOS,) + words, w)
                                + _lm10(lm, (BOS,) + full, EOS))
 
-    return _prefix_beam_search(em, cfg, root, attrgetter("phone"), lambda y, states: expand,
+    return _prefix_beam_search(em, cfg, root, attrgetter("phone"), frame,
                                attrgetter("idx"), finish)
 
 
@@ -359,20 +446,18 @@ def decode_subword(
             if toks:
                 held.setdefault(toks[:-1], []).append(toks[-1])
 
-        def expand(words, pos, lm10):
-            toks, partial = pos
+        def expand(key, lm10):
+            words, (toks, partial) = key
             closed, closed_lm10 = words, lm10
             if partial:
                 closed = words + (partial,)
                 closed_lm10 = lm10 + _lm10(lm, (BOS,) + words, partial)
-            opened = lambda k: (toks + (k,), text[k])
-            grown = lambda k: (toks + (k,), partial + text[k])
             into_states = held.get(toks, ())
-            return ((closed, closed_lm10, {k: opened(k) for k in into_states if opens[k]},
-                     ranked_open, opened),
-                    (words, lm10, {k: grown(k) for k in into_states if not opens[k]},
-                     ranked_inner, grown))
-        return expand
+            return ((closed, closed_lm10, [k for k in into_states if opens[k]], ranked_open,
+                     lambda k: (closed, (toks + (k,), text[k])), True),
+                    (words, lm10, [k for k in into_states if not opens[k]], ranked_inner,
+                     lambda k: (words, (toks + (k,), partial + text[k])), True))
+        return {key: expand(key, lm10) for key, (_, _, lm10, _) in states.items()}
 
     def finish(words, pos, lm10):
         toks, partial = pos

@@ -274,9 +274,11 @@ def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunR
     lm_mod.arpa_write(ngram, out_dir / "lm.arpa")
 
     def decode_one(utt):
-        em = read_emissions(emission_path(cfg.emissions_dir, utt))
-        with_lm = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=ngram)
-        without = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=None)
+        path = emission_path(cfg.emissions_dir, utt)
+        em = read_emissions(path)
+        with located(path):   # a width mismatch is the emission file's fault
+            with_lm = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=ngram)
+            without = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=None)
         return utt, best_words(with_lm), best_words(without)
 
     with _stage("decode", f"run {r}: "):

@@ -306,7 +306,10 @@ def read_lexicon(path) -> list[LexiconEntry]:
             if "\t" not in line:
                 raise TableError("expected TAB-separated lexicon line")
             word, pron = line.split("\t", 1)
-            entries.append(LexiconEntry(word=word.strip(), pron=tuple(pron.split())))
+            word = word.strip()
+            if len(word.split()) != 1:   # decoded, "" or "a b" would not read back as one word
+                raise TableError(f"lexicon word {word!r} is empty or holds whitespace")
+            entries.append(LexiconEntry(word=word, pron=tuple(pron.split())))
     return entries
 
 

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from mienasr.cli import main
+from mienasr.ctc import write_emissions
 from mienasr.experiment import load_config, run_experiment
 from mienasr.fixtures import TOY_UTTS, write_toy_experiment
 from mienasr.lm import arpa_read
@@ -216,6 +218,34 @@ class TestDecodeCli:
                            "--ids", str(ids), "--output", str(tmp_path / "o.txt"))
         assert code == 1
         assert "lexicon" in err
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_nbest_size_below_one_is_a_usage_error(self, capsys, toy, tmp_path, size):
+        root, _ = toy
+        with pytest.raises(SystemExit) as info:
+            main(["decode", "--mode", "phoneme", "--emissions", str(root / "emissions"),
+                  "--ids", str(tmp_path / "ids.txt"), "--output", str(tmp_path / "o.txt"),
+                  "--nbest", str(tmp_path / "n.txt"), "--nbest-size", size])
+        assert info.value.code == 2
+        assert "--nbest-size" in capsys.readouterr().err
+        assert not (tmp_path / "n.txt").exists()
+
+    def test_width_mismatch_names_emission_file(self, capsys, toy, tmp_path):
+        root, _ = toy
+        lex = tmp_path / "lex.tsv"
+        vocab = tmp_path / "ph.txt"
+        run(capsys, "lexicon", "--corpus", str(root / "corpus.tsv"), "--output", str(lex))
+        run(capsys, "vocab", "--lexicon", str(lex), "--output", str(vocab))
+        em = root / "emissions" / "u2.em"
+        write_emissions(em, np.log(np.full((3, 2), 0.5)))
+        ids = tmp_path / "ids.txt"
+        ids.write_text("u1\nu2\n")
+        code, _, err = run(capsys, "decode", "--mode", "phoneme",
+                           "--emissions", str(root / "emissions"), "--ids", str(ids),
+                           "--lexicon", str(lex), "--vocab", str(vocab),
+                           "--output", str(tmp_path / "o.txt"))
+        assert code == 1
+        assert f"{em}: emission vocab size 2 != lexicon phoneme vocab" in err
 
 
 class TestTransferCli:

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import json
 import math
@@ -683,3 +684,84 @@ class TestMatchesReference:
         else:
             got, want = decode_subword(em, unit, lm, cfg), ref_decode_subword(em, unit, lm, cfg)
         assert repr(got) == repr(want)
+
+
+@st.composite
+def tied_rows(draw, V):
+    """A T x V log-prob matrix whose cells take two finite values or -inf.
+
+    Equal cells give equal masses along different paths, and -inf cells
+    leave a key with only the mass of its blank extension, so a score can
+    land exactly on the seeded floor.
+    """
+    T = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = rng.choice([0.0, -1.0, -math.inf], size=(T, V))
+    raw[np.arange(T), rng.integers(0, V, size=T)] = 0.0
+    return normalize_rows(raw)
+
+
+@st.composite
+def narrow_case(draw):
+    """A decode case at beams 1-4, where the seeded floor prunes in most frames."""
+    em, unit, lm, cfg = draw(decode_case())
+    if draw(st.booleans()):
+        em = EmissionMatrix(logits=draw(tied_rows(em.vocab_size)))
+    return em, unit, lm, dataclasses.replace(cfg, beam_size=draw(st.integers(1, 4)))
+
+
+def floor_order_case():
+    """("x", p1) and ("x", p3) enter frame 2 with equal mass.  There p3 cannot
+    repeat, so ("x", p3) scores exactly its blank extension, and ("x", p1 p2)
+    ties with it and wins on the node index.  Summed in another order than
+    the cut's, that bound rounds one ulp above the tie and drops ("x", "ab").
+    """
+    tree = build_prefix_tree([LexiconEntry("ab", ("p1", "p2")), LexiconEntry("c", ("p3",)),
+                              LexiconEntry("x", ("p4",))], vocab_of(5))
+    with np.errstate(divide="ignore"):
+        logits = np.log([[0.01, 0.01, 0.01, 0.01, 0.96],
+                         [0.01, 0.49, 0.01, 0.49, 0.0],
+                         [0.45, 0.1, 0.45, 0.0, 0.0]])
+    lm = lm_train(["x ab", "x c"], order=1, smoothing="mle")
+    cfg = DecodeConfig(beam_size=2, lm_weight=1.0, word_insertion_penalty=-1.0)
+    return EmissionMatrix(logits=logits), tree, lm, cfg
+
+
+class TestBeamFloor:
+    """The floor from each frame's blank extensions drops only what the cut drops."""
+
+    @settings(max_examples=400)
+    @given(narrow_case())
+    @example(floor_order_case())
+    def test_narrow_beams_match_reference(self, case):
+        em, unit, lm, cfg = case
+        if cfg.mode == "phoneme":
+            got, want = decode_phoneme(em, unit, lm, cfg), ref_decode_phoneme(em, unit, lm, cfg)
+        else:
+            got, want = decode_subword(em, unit, lm, cfg), ref_decode_subword(em, unit, lm, cfg)
+        assert repr(got) == repr(want)
+
+    def test_two_pronunciations_reenter_together(self):
+        """Word "a" is said p1 or p2; both re-enter the root into ("a",) at p3.
+
+        At frame 1 the states are p1 and p2 (0.4 each) and the root (0.1),
+        so the floor is the root's blank extension, 0.1 * 0.55 = 0.055.
+        Each re-entry into p3 scores 0.4 * 0.1 = 0.04, below it, but the two
+        pool to 0.08 and keep ("a", "b") in the beam of 3.
+        """
+        vocab = vocab_of(4)
+        tree = build_prefix_tree([LexiconEntry("a", ("p1",)), LexiconEntry("a", ("p2",)),
+                                  LexiconEntry("b", ("p3",))], vocab)
+        em = EmissionMatrix(logits=np.log([[0.1, 0.4, 0.4, 0.1],
+                                           [0.55, 0.175, 0.175, 0.1]]))
+        cfg = DecodeConfig(beam_size=3)
+        got = decode_phoneme(em, tree, None, cfg)
+        assert repr(got) == repr(ref_decode_phoneme(em, tree, None, cfg))
+        assert [h.words for h in got] == [("a",), ("a", "b")]
+        assert got[1].score_ac == pytest.approx(math.log(0.08))
+
+    def test_floor_sums_as_the_cut_sums(self):
+        em, tree, lm, cfg = floor_order_case()
+        got = decode_phoneme(em, tree, lm, cfg)
+        assert repr(got) == repr(ref_decode_phoneme(em, tree, lm, cfg))
+        assert [h.words for h in got] == [("x", "ab")]

@@ -3,6 +3,7 @@ import hashlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mienasr.ctc import write_emissions
@@ -251,6 +252,18 @@ class TestToyExperiment:
         with pytest.raises(PipelineError, match="truncated emission header") as info:
             run_experiment(cfg)
         assert info.value.stage == "decode"
+
+    def test_width_mismatch_names_emission_file(self, tmp_path):
+        cfg_path = write_toy_experiment(tmp_path / "toy")
+        for utt, _ in TOY_UTTS:
+            write_emissions(tmp_path / "toy" / "emissions" / f"{utt}.em",
+                            np.log(np.full((3, 2), 0.5)))
+        cfg = load_config(cfg_path)
+        cfg.output_dir = tmp_path / "out"
+        with pytest.raises(PipelineError) as info:
+            run_experiment(cfg)
+        assert info.value.stage == "decode"
+        assert re.search(r"run 0: \S*[/\\]u\d\.em: emission vocab size 2 != ", str(info.value))
 
 
 class TestSubwordExperiment:

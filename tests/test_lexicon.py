@@ -192,6 +192,13 @@ class TestLexiconFiles:
         with pytest.raises(TableError):
             read_lexicon(path)
 
+    @pytest.mark.parametrize("line", ["\tp1", " \tp1", "a b\tp1", "a\u3000b\tp1"])
+    def test_empty_or_spaced_word_names_line(self, tmp_path, line):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"c\tp2\n{line}\n", encoding="utf-8")
+        with pytest.raises(TableError, match=rf"^{re.escape(str(path))}:2: "):
+            read_lexicon(path)
+
     def test_table_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("b\tp\nb\tq\n[tones]\nnone\t1\n", encoding="utf-8")
