@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vocab")
     sp.add_argument("--bpe-model", dest="bpe_model")
     sp.add_argument("--lm")
-    sp.add_argument("--beam", type=int, default=32)
+    sp.add_argument("--beam", type=_positive_int, default=32)
     sp.add_argument("--lm-weight", dest="lm_weight", type=float, default=1.0)
     sp.add_argument("--wip", type=float, default=0.0)
     sp.add_argument("--output", required=True)

@@ -12,6 +12,7 @@ aborts.
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -74,23 +75,31 @@ def _extended(labels: Sequence[int]) -> np.ndarray:
     return ext
 
 
-def _forward(logits: np.ndarray, ext: np.ndarray) -> np.ndarray:
+def _forward(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
     """alpha[t, s]: log mass of the paths through frames 0..t that end in
-    state s of the extended label sequence ``ext``, emission at t included."""
-    T, S = logits.shape[0], len(ext)
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, :2] = logits[0, ext[:2]]
+    state s of the extended label sequence ``ext``, emission at t included;
+    ``emit[t, s]`` is the emission ``logits[t, ext[s]]``.
+
+    The lattice is padded with two leading columns that stay -inf, so the
+    previous row's states s-1 and s-2 are plain slices of it, and each row is
+    filled in place by three ufunc calls with no per-frame allocation:
+    ``logaddexp(stay, prev)``, then ``logaddexp(row, skip)`` only where the
+    skip is allowed, then ``+= emit[t]``.  This is the same arithmetic in the
+    same operand order as adding a -inf skip everywhere: ``logaddexp(x, -inf)``
+    is ``x + 0.0``, which is ``x`` bit for bit unless ``x`` is -0.0, and a
+    ``logaddexp`` result never is.
+    """
+    T, S = emit.shape
+    alpha = np.full((T, S + 2), NEG_INF)
+    alpha[0, 2:4] = emit[0, :2]
     skip_ok = np.zeros(S, dtype=bool)
     skip_ok[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
     for t in range(1, T):
-        stay = alpha[t - 1]
-        prev = np.full(S, NEG_INF)
-        prev[1:] = alpha[t - 1, :-1]
-        skip = np.full(S, NEG_INF)
-        skip[2:] = alpha[t - 1, :-2]
-        skip[~skip_ok] = NEG_INF
-        alpha[t] = np.logaddexp(np.logaddexp(stay, prev), skip) + logits[t, ext]
-    return alpha
+        last, row = alpha[t - 1], alpha[t, 2:]
+        np.logaddexp(last[2:], last[1:-1], out=row)
+        np.logaddexp(row, last[:-2], out=row, where=skip_ok)
+        row += emit[t]
+    return alpha[:, 2:]
 
 
 def ctc_loss(
@@ -101,22 +110,34 @@ def ctc_loss(
     """Negative log-likelihood of ``labels`` under the CTC alignment model.
 
     ``logits`` is a T x V array of log-probabilities (or an EmissionMatrix).
-    The loss treats the entries as free log-domain parameters, so the
-    returned gradient d(-logP)/d(logits[t, k]) can be checked directly by
-    finite differences; a -inf entry gets gradient 0.  Labels must not
-    contain the blank id; a label sequence no path can emit (too long, or
-    blocked by -inf entries) returns +inf with a zero gradient.
+    The loss treats the entries as free log-domain parameters, so rows need
+    not be normalized and the returned gradient d(-logP)/d(logits[t, k]) can
+    be checked directly by finite differences; a -inf entry gets gradient 0.
+    A NaN or +inf entry, or a label that is not an integer in [1, V), raises
+    ValueError.  A label sequence no path can emit (too long, or blocked by
+    -inf entries) returns +inf with a zero gradient.
+
+    The gradient folds the occupancy of each extended state s into a V x T
+    accumulator row ``ext[s]``, one in-place ``logaddexp`` per state in
+    ascending s.  Each (t, token) cell thus takes the same values in the same
+    order and operand position as ``np.logaddexp.at`` over the states of
+    frame t, so the result is the same bit for bit, without a per-frame call.
     """
     if isinstance(logits, EmissionMatrix):
         logits = logits.logits
     logits = np.asarray(logits, dtype=np.float64)
     T, V = logits.shape
-    labels = list(labels)
+    if not logits.max() < np.inf:  # NaN propagates through max
+        raise ValueError("logits hold NaN or +inf cells")
+    try:
+        labels = [operator.index(l) for l in labels]
+    except TypeError:
+        raise ValueError("labels must be integer token ids") from None
     if any(not (0 < l < V) for l in labels):
         raise ValueError("labels must lie in [1, V)")
-
     ext = _extended(labels)
-    alpha = _forward(logits, ext)
+    emit = logits[:, ext]
+    alpha = _forward(emit, ext)
     log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2] if len(ext) > 1 else NEG_INF)
     if not with_grad:
         return float(-log_p)
@@ -127,16 +148,15 @@ def ctc_loss(
     # ext alternates blank and label, so reversal keeps the skip rule.  beta
     # includes the emission at frame t, so the log mass through (t, s) is
     # alpha + beta - logit, and -inf where the logit is -inf.
-    beta = _forward(logits[::-1], ext[::-1])[::-1, ::-1]
-    emit = logits[:, ext]
+    beta = _forward(emit[::-1, ::-1], ext[::-1])[::-1, ::-1]
     occupancy = np.subtract(alpha + beta, emit, out=np.full_like(emit, NEG_INF),
-                            where=emit > NEG_INF)
-    grad = np.zeros_like(logits)
-    for t in range(T):
-        acc = np.full(V, NEG_INF)
-        np.logaddexp.at(acc, ext, occupancy[t])
-        grad[t] = -np.exp(acc - log_p)
-    return float(-log_p), grad
+                            where=emit > NEG_INF).T.copy()
+    acc = np.full((V, T), NEG_INF)
+    for k, occ in zip(ext.tolist(), occupancy):
+        np.logaddexp(acc[k], occ, out=acc[k])
+    grad = np.subtract(acc.T, log_p, order="C")
+    np.exp(grad, out=grad)
+    return float(-log_p), np.negative(grad, out=grad)
 
 
 def greedy_decode(em: EmissionMatrix | np.ndarray) -> list[int]:

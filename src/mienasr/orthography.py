@@ -66,15 +66,15 @@ class InventoryConfig:
     codas: frozenset[str]
     tone_letters: tuple[str, ...]
     # lookup structures derived in __post_init__
-    _initials_by_len: tuple[str, ...] = field(default=(), repr=False, compare=False)
+    _initial_set: frozenset[str] = field(default=frozenset(), repr=False, compare=False)
+    _initial_lens: tuple[int, ...] = field(default=(), repr=False, compare=False)
     _final_set: frozenset[str] = field(default=frozenset(), repr=False, compare=False)
     _rime_slots: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_initials_by_len",
-            tuple(sorted(self.initials, key=lambda g: (-len(g), g))),
-        )
+        object.__setattr__(self, "_initial_set", frozenset(self.initials))
+        object.__setattr__(self, "_initial_lens",
+                           tuple(sorted({len(g) for g in self.initials}, reverse=True)))
         object.__setattr__(self, "_final_set", frozenset(self.finals))
         slots = {}
         for rime in self.finals:
@@ -213,7 +213,13 @@ def _check_lowercase(s: str, what: str):
 
 
 def _match_syllable(s: str, inv: InventoryConfig) -> Optional[Syllable]:
-    """One whole-string syllable match, or None."""
+    """One whole-string syllable match, or None.
+
+    Onsets are tried by length, longest first, as ``body[:n]`` in the set of
+    initials: at most one initial of each length is a prefix of ``body``, so
+    this picks the same onset as scanning every initial longest first.  A
+    ``body`` shorter than ``n`` leaves an empty rime, which no final is.
+    """
     if s and s[-1] in inv.tone_letters:
         candidates = [(s[:-1], s[-1]), (s, NO_TONE)]
     else:
@@ -221,10 +227,10 @@ def _match_syllable(s: str, inv: InventoryConfig) -> Optional[Syllable]:
     for body, tone in candidates:
         if not body:
             continue
-        for onset in inv._initials_by_len:
-            if body.startswith(onset) and body[len(onset):] in inv._final_set:
-                medial, main, coda = inv._rime_slots[body[len(onset):]]
-                return Syllable(onset, medial, main, coda, tone, s)
+        for n in inv._initial_lens:
+            if body[:n] in inv._initial_set and body[n:] in inv._final_set:
+                medial, main, coda = inv._rime_slots[body[n:]]
+                return Syllable(body[:n], medial, main, coda, tone, s)
         if body in inv._final_set:  # onsetless syllable
             medial, main, coda = inv._rime_slots[body]
             return Syllable("", medial, main, coda, tone, s)

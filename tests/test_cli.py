@@ -230,6 +230,17 @@ class TestDecodeCli:
         assert "--nbest-size" in capsys.readouterr().err
         assert not (tmp_path / "n.txt").exists()
 
+    @pytest.mark.parametrize("beam", ["0", "-1"])
+    def test_beam_below_one_is_a_usage_error(self, capsys, toy, tmp_path, beam):
+        root, _ = toy
+        with pytest.raises(SystemExit) as info:
+            main(["decode", "--mode", "phoneme", "--emissions", str(root / "emissions"),
+                  "--ids", str(tmp_path / "ids.txt"), "--output", str(tmp_path / "o.txt"),
+                  "--beam", beam])
+        assert info.value.code == 2
+        assert "--beam" in capsys.readouterr().err
+        assert not (tmp_path / "o.txt").exists()
+
     def test_width_mismatch_names_emission_file(self, capsys, toy, tmp_path):
         root, _ = toy
         lex = tmp_path / "lex.tsv"

@@ -6,8 +6,11 @@ from itertools import groupby, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mienasr.ctc import (EmissionMatrix, collapse, ctc_loss, greedy_decode,
+from mienasr import BLANK_ID
+from mienasr.ctc import (NEG_INF, EmissionMatrix, collapse, ctc_loss, greedy_decode,
                          min_frames, normalize_rows, read_emissions,
                          write_emissions)
 
@@ -132,6 +135,139 @@ class TestCtcLoss:
         labels = [1, 2]
         assert ctc_loss(normalize_rows(raw), labels) == pytest.approx(
             ctc_loss(normalize_rows(shifted), labels))
+
+
+class TestRawArrayBoundary:
+    """A raw array skips EmissionMatrix, so ctc_loss checks its own input;
+    finite cells of unnormalized rows and -inf cells stay accepted."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_nan_or_positive_inf_cell_rejected(self, bad, with_grad):
+        logits = np.log(np.full((3, 3), 1 / 3))
+        logits[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or \\+inf"):
+                ctc_loss(logits, [1], with_grad=with_grad)
+
+    @pytest.mark.parametrize("label", [1.5, 1.0, "1", None])
+    def test_non_integer_label_rejected(self, label):
+        logits = np.log(np.full((3, 3), 1 / 3))
+        with pytest.raises(ValueError, match="integer"):
+            ctc_loss(logits, [label])
+
+    def test_numpy_integer_labels_accepted(self):
+        logits = np.log(np.full((3, 3), 1 / 3))
+        assert ctc_loss(logits, np.array([1, 2])) == ctc_loss(logits, [1, 2])
+
+
+# The forward recursion and ctc_loss as they were before the allocation-free
+# rewrite, as the bit-for-bit reference: the code is verbatim, only names
+# changed and the docstring and comments of ctc_loss dropped.
+
+def _reference_extended(labels):
+    ext = np.full(2 * len(labels) + 1, BLANK_ID, dtype=np.int64)
+    ext[1::2] = labels
+    return ext
+
+
+def _reference_forward(logits: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """alpha[t, s]: log mass of the paths through frames 0..t that end in
+    state s of the extended label sequence ``ext``, emission at t included."""
+    T, S = logits.shape[0], len(ext)
+    alpha = np.full((T, S), NEG_INF)
+    alpha[0, :2] = logits[0, ext[:2]]
+    skip_ok = np.zeros(S, dtype=bool)
+    skip_ok[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
+    for t in range(1, T):
+        stay = alpha[t - 1]
+        prev = np.full(S, NEG_INF)
+        prev[1:] = alpha[t - 1, :-1]
+        skip = np.full(S, NEG_INF)
+        skip[2:] = alpha[t - 1, :-2]
+        skip[~skip_ok] = NEG_INF
+        alpha[t] = np.logaddexp(np.logaddexp(stay, prev), skip) + logits[t, ext]
+    return alpha
+
+
+def reference_ctc_loss(logits, labels, with_grad=False):
+    if isinstance(logits, EmissionMatrix):
+        logits = logits.logits
+    logits = np.asarray(logits, dtype=np.float64)
+    T, V = logits.shape
+    labels = list(labels)
+    if any(not (0 < l < V) for l in labels):
+        raise ValueError("labels must lie in [1, V)")
+
+    ext = _reference_extended(labels)
+    alpha = _reference_forward(logits, ext)
+    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2] if len(ext) > 1 else NEG_INF)
+    if not with_grad:
+        return float(-log_p)
+    if log_p == NEG_INF:
+        return np.inf, np.zeros_like(logits)
+
+    beta = _reference_forward(logits[::-1], ext[::-1])[::-1, ::-1]
+    emit = logits[:, ext]
+    occupancy = np.subtract(alpha + beta, emit, out=np.full_like(emit, NEG_INF),
+                            where=emit > NEG_INF)
+    grad = np.zeros_like(logits)
+    for t in range(T):
+        acc = np.full(V, NEG_INF)
+        np.logaddexp.at(acc, ext, occupancy[t])
+        grad[t] = -np.exp(acc - log_p)
+    return float(-log_p), grad
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def loss_case(draw):
+    """Unnormalized rows of finite cells, -inf cells and signed zeros, with
+    label sequences that repeat and often need more frames than there are."""
+    T, V = draw(st.integers(1, 12)), draw(st.integers(2, 6))
+    cells = st.one_of(st.floats(-30.0, 10.0), st.just(NEG_INF),
+                      st.sampled_from([0.0, -0.0, -1.0]))
+    logits = draw(arrays(np.float64, (T, V), elements=cells))
+    labels = draw(st.lists(st.integers(1, V - 1), max_size=6))
+    return logits, labels
+
+
+class TestMatchesReference:
+    """Loss and gradient equal the pre-rewrite code bit for bit."""
+
+    @staticmethod
+    def check(logits, labels):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_bits(ctc_loss(logits, labels), reference_ctc_loss(logits, labels))
+            loss, grad = ctc_loss(logits, labels, with_grad=True)
+            want_loss, want_grad = reference_ctc_loss(logits, labels, with_grad=True)
+        assert_same_bits(loss, want_loss)
+        assert_same_bits(grad, want_grad)
+
+    @settings(max_examples=1500)
+    @given(loss_case())
+    def test_property(self, case):
+        self.check(*case)
+
+    def test_build_sized_case(self):
+        rng = np.random.default_rng(12)
+        T, V = 256, 40
+        labels = rng.integers(1, V, size=100).tolist()
+        logits = normalize_rows(3 * rng.normal(size=(T, V)))
+        logits[rng.random((T, V)) < 0.05] = NEG_INF
+        logits[:, 0] = np.maximum(logits[:, 0], -5.0)
+        self.check(logits, labels)
+        self.check(EmissionMatrix(logits=normalize_rows(logits)), labels)
 
 
 class TestGreedyDecode:

@@ -1,13 +1,17 @@
 import itertools
 import random
 import re
+import string
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mienasr import orthography
-from mienasr.orthography import (InventoryError, ParseError, load_inventory,
-                                 parse_syllable, parse_word, report_coverage)
+from mienasr.orthography import (NO_TONE, InventoryConfig, InventoryError, ParseError, Syllable,
+                                 default_inventory, load_inventory, parse_syllable,
+                                 parse_word, report_coverage)
 
 # the five decompositions of the published spelling-scheme examples
 SPELLING_EXAMPLES = [
@@ -146,6 +150,75 @@ class TestOracleEquivalence:
         for _ in range(500):
             n = rng.randint(6, 8)
             self.check("".join(rng.choice(alphabet) for _ in range(n)), tiny_inv)
+
+
+def reference_match_syllable(s, inv):
+    """``_match_syllable`` as it was before the indexed onset lookup, kept
+    verbatim but for building the longest-first list of initials that the
+    inventory held then."""
+    _initials_by_len = tuple(sorted(inv.initials, key=lambda g: (-len(g), g)))
+    if s and s[-1] in inv.tone_letters:
+        candidates = [(s[:-1], s[-1]), (s, NO_TONE)]
+    else:
+        candidates = [(s, NO_TONE)]
+    for body, tone in candidates:
+        if not body:
+            continue
+        for onset in _initials_by_len:
+            if body.startswith(onset) and body[len(onset):] in inv._final_set:
+                medial, main, coda = inv._rime_slots[body[len(onset):]]
+                return Syllable(onset, medial, main, coda, tone, s)
+        if body in inv._final_set:  # onsetless syllable
+            medial, main, coda = inv._rime_slots[body]
+            return Syllable("", medial, main, coda, tone, s)
+    return None
+
+
+def _word_outcome(w, inv):
+    try:
+        return parse_word(w, inv)
+    except ParseError as e:
+        return ("error", str(e), e.position, e.remainder)
+
+
+# Every default final starts with a vowel, so at most one onset split of a
+# syllable is ever valid there; this inventory has finals that start with
+# letters initials end in ("hma" is "hm"+"a" or "h"+"ma"), so the
+# longest-onset rule decides.
+_AMBIGUOUS_INV = InventoryConfig(
+    initials=("g", "h", "hm", "m", "n", "ng"),
+    finals=("a", "ang", "m", "ma", "ng"),
+    medials=frozenset(),
+    mains=frozenset({"a", "m", "ma", "ng"}),
+    codas=frozenset({"ng"}),
+    tone_letters=("h", "v", "z", "x", "c"),
+)
+
+
+def _spelling(inv):
+    pieces = sorted(set(inv.initials) | set(inv.finals) | inv.medials | inv.mains
+                    | inv.codas | set(inv.tone_letters) | set(string.ascii_lowercase))
+    return st.tuples(st.just(inv), st.lists(st.sampled_from(pieces), min_size=1,
+                                            max_size=6).map("".join))
+
+
+class TestOnsetLookup:
+    """The indexed onset lookup gives the same syllables, parses and errors
+    as the linear scan over the initials it replaced."""
+
+    @settings(max_examples=1500)
+    @given(st.sampled_from([default_inventory(), _AMBIGUOUS_INV]).flatmap(_spelling))
+    @example((_AMBIGUOUS_INV, "hmangc"))
+    def test_matches_reference(self, case):
+        inv, w = case
+        for i in range(len(w)):
+            for j in range(i + 1, len(w) + 1):
+                assert orthography._match_syllable(w[i:j], inv) == \
+                    reference_match_syllable(w[i:j], inv)
+        got = _word_outcome(w, inv)
+        with mock.patch.object(orthography, "_match_syllable", reference_match_syllable):
+            want = _word_outcome(w, inv)
+        assert got == want
 
 
 class TestInventoryLoading:
