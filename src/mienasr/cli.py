@@ -14,7 +14,7 @@ from pathlib import Path
 from . import ctc as ctc_mod
 from . import lm as lm_mod
 from . import transfer as transfer_mod
-from .decoder import DecodeConfig, build_prefix_tree, decode
+from .decoder import DecodeConfig, build_prefix_tree, decode, spell_lm_words
 from .evaluate import error_rate, make_cv_plan, pool
 from .experiment import (best_words, emission_path, load_config, normalize_text,
                          read_corpus, read_tagged, run_experiment, tagged_line,
@@ -138,12 +138,19 @@ def cmd_decode(args):
     if args.mode == "phoneme":
         if not args.lexicon or not args.vocab:
             raise ValueError("phoneme mode needs --lexicon and --vocab")
-        lex = build_prefix_tree(read_lexicon(args.lexicon), read_vocab(args.vocab))
+        entries, vocab = read_lexicon(args.lexicon), read_vocab(args.vocab)
+        try:
+            lex = build_prefix_tree(entries, vocab)
+        except KeyError as e:   # a pronunciation token that --vocab lacks
+            raise ValueError(f"{args.lexicon}: {e.args[0]}") from None
     else:
         if not args.bpe_model:
             raise ValueError("subword mode needs --bpe-model")
         bpe = load_bpe(args.bpe_model)
     ngram = lm_mod.arpa_read(args.lm) if args.lm else None
+    if bpe is not None and ngram is not None:
+        with located(args.lm):   # an LM word the BPE model cannot spell
+            lex = spell_lm_words(bpe, ngram)
 
     out_lines, nbest_lines = [], []
     for utt in _read_lines(args.ids):
@@ -267,6 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--text", required=True)
 
     sp = add("decode", cmd_decode, "beam-search decode emission files")
+    sp.description = ("Beam-search decode emission files.  Subword mode without --lm gives "
+                      "the greedy 1-best: --beam, --lm-weight, --wip and --nbest-size do "
+                      "not apply to it.")
     sp.add_argument("--mode", choices=["subword", "phoneme"], required=True)
     sp.add_argument("--emissions", required=True, help="directory of <utt>.em files")
     sp.add_argument("--ids", required=True, help="utterance id list")

@@ -109,7 +109,8 @@ def ctc_loss(
 ) -> float | tuple[float, np.ndarray]:
     """Negative log-likelihood of ``labels`` under the CTC alignment model.
 
-    ``logits`` is a T x V array of log-probabilities (or an EmissionMatrix).
+    ``logits`` is a T x V array of log-probabilities (or an EmissionMatrix),
+    with T and V at least 1; another shape raises ValueError.
     The loss treats the entries as free log-domain parameters, so rows need
     not be normalized and the returned gradient d(-logP)/d(logits[t, k]) can
     be checked directly by finite differences; a -inf entry gets gradient 0.
@@ -126,6 +127,8 @@ def ctc_loss(
     if isinstance(logits, EmissionMatrix):
         logits = logits.logits
     logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or 0 in logits.shape:
+        raise ValueError(f"logits must be T>=1 by V>=1, got {logits.shape}")
     T, V = logits.shape
     if not logits.max() < np.inf:  # NaN propagates through max
         raise ValueError("logits hold NaN or +inf cells")

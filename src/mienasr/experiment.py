@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import lm as lm_mod
 from .ctc import read_emissions
-from .decoder import DecodeConfig, PrefixTree, build_prefix_tree, decode
+from .decoder import DecodeConfig, PrefixTree, build_prefix_tree, decode, spell_lm_words
 from .evaluate import aggregate, error_rate, make_cv_plan, pool
 from .inputs import located, read_utf8
 from .lexicon import (LexiconEntry, build_lexicon, default_g2p_table,
@@ -226,7 +226,8 @@ def run_experiment(cfg: PipelineConfig) -> ExperimentReport:
         plan = make_cv_plan([u for u, _ in utts], cfg.folds, cfg.runs, cfg.seed)
 
     out_root = Path(cfg.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
+    with _stage("config", "output_dir: "):
+        out_root.mkdir(parents=True, exist_ok=True)
 
     model_id = f"{cfg.mode}-ctc"
     report = ExperimentReport(model_id=model_id)
@@ -272,6 +273,8 @@ def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunR
     with _stage("lm", f"run {r}: "):
         ngram = lm_mod.lm_train(train_texts, order=cfg.lm_order, smoothing=cfg.lm_smoothing)
     lm_mod.arpa_write(ngram, out_dir / "lm.arpa")
+    if bpe is not None:   # the LM's words are the training words, which the BPE model spells
+        lex_tree = spell_lm_words(bpe, ngram)
 
     def decode_one(utt):
         path = emission_path(cfg.emissions_dir, utt)
@@ -305,7 +308,8 @@ def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunR
         wer_with.append(error_rate(ref_words, list(w_with)))
         wer_wo.append(error_rate(ref_words, list(w_wo)))
         if cfg.mode == "phoneme":
-            ref_phones = phones(ref_words)
+            with _stage("score", f"run {r}: utterance {utt}: "):
+                ref_phones = phones(ref_words)
             per_with.append(error_rate(ref_phones, phones(w_with)))
             per_wo.append(error_rate(ref_phones, phones(w_wo)))
     write_lines(out_dir / "hyp_with_lm.txt", [tagged_line(u, w) for u, w, _ in decoded])

@@ -258,6 +258,36 @@ class TestDecodeCli:
         assert code == 1
         assert f"{em}: emission vocab size 2 != lexicon phoneme vocab" in err
 
+    def test_lexicon_token_outside_vocab_names_lexicon_and_word(self, capsys, toy, tmp_path):
+        root, _ = toy
+        lex, vocab = tmp_path / "lex.tsv", tmp_path / "ph.txt"
+        lex.write_text("maaih\tm aːɪ 2\n", encoding="utf-8")
+        vocab.write_text("<blk>\nm\n2\n", encoding="utf-8")
+        ids = tmp_path / "ids.txt"
+        ids.write_text("u1\n")
+        code, _, err = run(capsys, "decode", "--mode", "phoneme",
+                           "--emissions", root / "emissions", "--ids", ids,
+                           "--lexicon", lex, "--vocab", vocab, "--output", tmp_path / "o.txt")
+        assert code == 1
+        assert f"{lex}: word 'maaih': token 'aːɪ' not in phoneme vocabulary" in err
+
+    def test_lm_word_the_bpe_model_cannot_spell_names_word(self, capsys, tmp_path):
+        root = tmp_path / "toy"
+        write_toy_experiment(root, mode="subword")
+        model, arpa = tmp_path / "bpe.model", tmp_path / "lm.arpa"
+        run(capsys, "bpe-train", "--corpus", root / "corpus.tsv", "--vocab-size", 20,
+            "--output", model)
+        text = tmp_path / "lm.txt"
+        text.write_text("maaih qxqx\n", encoding="utf-8")
+        run(capsys, "lm-train", "--corpus", text, "--order", 2, "--output", arpa)
+        ids = tmp_path / "ids.txt"
+        ids.write_text("u1\n")
+        code, _, err = run(capsys, "decode", "--mode", "subword",
+                           "--emissions", root / "emissions", "--ids", ids,
+                           "--bpe-model", model, "--lm", arpa, "--output", tmp_path / "o.txt")
+        assert code == 1
+        assert f"{arpa}: LM word 'qxqx' spells to <unk>" in err
+
 
 class TestTransferCli:
     def test_round_trip(self, capsys, tmp_path):
@@ -327,6 +357,22 @@ class TestStagesMatchExperiment:
                                  "--hyp", run0 / hyp)
             assert code == 0, err
             assert f"{float(out.split('rate=')[1]):.4f}" == reported, hyp
+
+    def test_subword_decode_writes_run0_hypotheses(self, capsys, tmp_path):
+        root = tmp_path / "toy"
+        code, _, err = run(capsys, "experiment", "--config",
+                           write_toy_experiment(root, mode="subword"))
+        assert code == 0, err
+        run0 = root / "out" / "run0"
+        for hyp, lm in (("hyp_with_lm.txt", ["--lm", run0 / "lm.arpa"]),
+                        ("hyp_without_lm.txt", [])):
+            out = tmp_path / hyp
+            code, _, err = run(capsys, "decode", "--mode", "subword",
+                               "--emissions", root / "emissions", "--ids", run0 / "manifest.test",
+                               "--bpe-model", run0 / "bpe.model", *lm, "--beam", 8,
+                               "--lm-weight", 0.5, "--output", out)
+            assert code == 0, err
+            assert out.read_bytes() == (run0 / hyp).read_bytes(), hyp
 
     def test_split_matches_manifests(self, capsys, tmp_path):
         root = tmp_path / "toy"

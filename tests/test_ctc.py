@@ -157,6 +157,12 @@ class TestRawArrayBoundary:
         with pytest.raises(ValueError, match="integer"):
             ctc_loss(logits, [label])
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (2, 3, 3), (3, 0)])
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_shape_other_than_frames_by_tokens_rejected(self, shape, with_grad):
+        with pytest.raises(ValueError, match=re.escape(f"T>=1 by V>=1, got {shape}")):
+            ctc_loss(np.zeros(shape), [], with_grad=with_grad)
+
     def test_numpy_integer_labels_accepted(self):
         logits = np.log(np.full((3, 3), 1 / 3))
         assert ctc_loss(logits, np.array([1, 2])) == ctc_loss(logits, [1, 2])

@@ -3,7 +3,7 @@ import heapq
 import json
 import math
 from itertools import product
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mienasr import BLANK_ID, BLANK_TOKEN
-from mienasr.ctc import NEG_INF, EmissionMatrix, collapse, normalize_rows
+from mienasr.ctc import NEG_INF, EmissionMatrix, collapse, greedy_decode, normalize_rows
 from mienasr.decoder import (LN10, DecodeConfig, Hypothesis, _lae, _lm10, build_prefix_tree,
-                             decode, decode_phoneme, decode_subword)
+                             decode, decode_phoneme, spell_lm_words)
 from mienasr.fixtures import homophone_case, peaked_emissions
 from mienasr.lexicon import LexiconEntry, PhonemeVocab
-from mienasr.lm import BOS, EOS, lm_score, lm_train
-from mienasr.tokenizer import MARKER, bpe_train
+from mienasr.lm import BOS, EOS, UNK, lm_score, lm_train
+from mienasr.tokenizer import MARKER, bpe_decode, bpe_encode, bpe_train
 
 
 def vocab_of(n):
@@ -261,62 +261,48 @@ def bpe():
     return bpe_train(["ab ab b", "ab b", "b ab ab"], vocab_size=6)
 
 
+def spelled(words, bpe):
+    """Lexicon entries spelling each word with its BPE tokens."""
+    return [LexiconEntry(w, tuple(bpe.vocab[i] for i in bpe_encode(w, bpe))) for w in words]
+
+
 class TestDecodeSubword:
 
     def test_peaked_word(self, bpe):
         target = bpe.token_to_id[MARKER + "ab"]
         em = EmissionMatrix(logits=peaked_emissions([target], len(bpe.vocab)))
-        hyps = decode_subword(em, bpe, None, DecodeConfig(beam_size=8, mode="subword"))
+        hyps = decode(em, DecodeConfig(beam_size=8, mode="subword"), bpe=bpe)
         assert hyps[0].words == ("ab",)
 
     def test_vocab_mismatch_rejected(self, bpe):
         em = EmissionMatrix(logits=peaked_emissions([1], len(bpe.vocab) + 2))
         with pytest.raises(ValueError, match="vocab"):
-            decode_subword(em, bpe, None, DecodeConfig(mode="subword"))
-
-    def test_zero_lm_weight_matches_pure_acoustic(self, bpe):
-        model = lm_train(["ab b", "b"], order=2)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            logits = normalize_rows(rng.normal(size=(3, len(bpe.vocab))))
-            em = EmissionMatrix(logits=logits)
-            zero = decode_subword(em, bpe, model,
-                                  DecodeConfig(beam_size=64, lm_weight=0.0, mode="subword"))
-            none = decode_subword(em, bpe, None,
-                                  DecodeConfig(beam_size=64, lm_weight=0.0, mode="subword"))
-            assert [h.words for h in zero] == [h.words for h in none]
+            decode(em, DecodeConfig(mode="subword"), bpe=bpe)
 
     def test_exhaustive_beam_equals_brute_force(self, bpe):
+        """With an LM, the best sequence of the LM's words as the BPE model spells them."""
         rng = np.random.default_rng(6)
         V = len(bpe.vocab)
+        model = lm_train(["ab ab b", "b ab"], order=2)
+        tree = spell_lm_words(bpe, model)
         for trial in range(25):
             T = int(rng.integers(1, 5))
-            model = lm_train(["ab ab b", "b ab"], order=2) if trial % 2 else None
             lw = float(rng.choice([0.0, 0.8]))
             logits = normalize_rows(rng.normal(size=(T, V)))
             cfg = DecodeConfig(beam_size=10 ** 6, lm_weight=lw, mode="subword")
-            hyps = decode_subword(EmissionMatrix(logits=logits), bpe, model, cfg)
-            best = None
-            for key, m in collapsed_mass(logits).items():
-                if m == 0.0:
-                    continue
-                words, cur = [], ""
-                for tok in (bpe.vocab[i] for i in key):
-                    if tok.startswith(MARKER):
-                        if cur:
-                            words.append(cur)
-                        cur = tok[len(MARKER):]
-                    else:
-                        cur += tok
-                if cur:
-                    words.append(cur)
-                words = tuple(words)
-                score = math.log(m) + lw * LN10 * lm_log10(model, words)
-                cand = (-score, words)
-                if best is None or cand < best:
-                    best = cand
-            assert hyps[0].words == best[1]
-            assert hyps[0].score == pytest.approx(-best[0], abs=1e-6)
+            hyps = decode(EmissionMatrix(logits=logits), cfg, lex=tree, bpe=bpe, lm=model)
+            want = brute_force_phoneme(logits, spelled(["ab", "b"], bpe), PhonemeVocab(bpe.vocab),
+                                       model, lw, 0.0)
+            if want is None:
+                assert not hyps
+                continue
+            assert hyps[0].words == want[0]
+            assert hyps[0].score == pytest.approx(want[1], abs=1e-6)
+
+    def test_lm_word_spelled_with_unk_rejected(self, bpe):
+        model = lm_train(["ab b", "abc"], order=2)
+        with pytest.raises(ValueError, match="'abc'.*<unk>"):
+            spell_lm_words(bpe, model)
 
 
 class TestFourGramIntegration:
@@ -374,9 +360,8 @@ MERGE_LOGITS = np.log(np.array([[0.1, 0.05, 0.5, 0.05, 0.3],
 def golden_cases():
     """Seeded decode cases whose full n-best lists are pinned in GOLDEN_NBEST.
 
-    Yields (case id, decode thunk).  The phoneme lexicon has a homophone
-    pair ("da"/"y") and a word with two pronunciations ("x"), whose finals
-    merge; the subword vocabulary spells "ab" both as "▁ab" and "▁a b".
+    Yields (case id, decode thunk).  The lexicon has a homophone pair
+    ("da"/"y") and a word with two pronunciations ("x"), whose finals merge.
     """
     vocab = vocab_of(5)
     entries = [LexiconEntry("ba", ("p1", "p2")), LexiconEntry("bad", ("p1", "p2", "p3")),
@@ -384,22 +369,17 @@ def golden_cases():
                LexiconEntry("x", ("p4",)), LexiconEntry("x", ("p2", "p4"))]
     tree = build_prefix_tree(entries, vocab)
     p_lm = lm_train(["ba da x", "x bad", "da ba y x", "y y ba"], order=2)
-    bpe = bpe_train(["ab ab b", "ab b", "b ab ab"], vocab_size=6)
-    s_lm = lm_train(["ab ab b", "b ab", "ab"], order=2)
-    modes = (("phoneme", decode_phoneme, tree, p_lm, len(vocab)),
-             ("subword", decode_subword, bpe, s_lm, len(bpe.vocab)))
-    for mode, fn, unit, model, V in modes:
-        for seed in range(3):
-            rng = np.random.default_rng(100 + seed)
-            logits = normalize_rows(1.5 * rng.normal(size=(int(rng.integers(5, 8)), V)))
-            for beam in (1, 4, 16):
-                for use_lm in (False, True):
-                    cfg = DecodeConfig(beam_size=beam, lm_weight=0.7, mode=mode,
-                                       word_insertion_penalty=(-0.4, 0.3, 0.9)[seed])
-                    lm = model if use_lm else None
-                    yield (f"{mode}-s{seed}-b{beam}-{'lm' if use_lm else 'nolm'}",
-                           lambda fn=fn, em=EmissionMatrix(logits=logits), unit=unit,
-                           lm=lm, cfg=cfg: fn(em, unit, lm, cfg))
+    for seed in range(3):
+        rng = np.random.default_rng(100 + seed)
+        logits = normalize_rows(1.5 * rng.normal(size=(int(rng.integers(5, 8)), len(vocab))))
+        for beam in (1, 4, 16):
+            for use_lm in (False, True):
+                cfg = DecodeConfig(beam_size=beam, lm_weight=0.7,
+                                   word_insertion_penalty=(-0.4, 0.3, 0.9)[seed])
+                lm = p_lm if use_lm else None
+                yield (f"phoneme-s{seed}-b{beam}-{'lm' if use_lm else 'nolm'}",
+                       lambda em=EmissionMatrix(logits=logits), lm=lm, cfg=cfg:
+                       decode_phoneme(em, tree, lm, cfg))
     # both pronunciations of "x" carry mass and end in one merged final
     for use_lm in (False, True):
         cfg = DecodeConfig(beam_size=16, lm_weight=0.7, word_insertion_penalty=-0.2)
@@ -424,11 +404,6 @@ class TestGoldenNBest:
             for h, w in zip(hyps, want[cid]):
                 assert h[1:] == pytest.approx(w[1:], abs=1e-9, rel=0), cid
 
-    def test_subword_case_lists_one_word_sequence_twice(self):
-        want = json.loads(GOLDEN_NBEST.read_text(encoding="utf-8"))
-        assert any(len({tuple(h[0]) for h in hyps}) < len(hyps)
-                   for cid, hyps in want.items() if cid.startswith("subword"))
-
     def test_merge_case_pools_both_pronunciations(self):
         want = json.loads(GOLDEN_NBEST.read_text(encoding="utf-8"))
         merged = [h for h in want["phoneme-merge-nolm"] if h[0] == ["x"]]
@@ -452,8 +427,7 @@ def tie_cases():
     every frame, so states with equal mass and equal word sequences tie on
     score (without the LM, equal word counts suffice).  Each beam is smaller
     than the set tied at its cut, so the pinned n-best fixes the tie-break
-    after the score: the word sequence, then the trie node (phoneme) or the
-    token sequence (subword).
+    after the score: the word sequence, then the trie node.
     """
     vocab = vocab_of(5)
     entries = [LexiconEntry("ba", ("p1", "p2")), LexiconEntry("bad", ("p1", "p2", "p3")),
@@ -461,20 +435,15 @@ def tie_cases():
                LexiconEntry("x", ("p4",)), LexiconEntry("x", ("p2", "p4"))]
     tree = build_prefix_tree(entries, vocab)
     p_lm = lm_train(["ba da x", "x bad", "da ba y x", "y y ba"], order=2)
-    bpe = bpe_train(["ab ab b", "ab b", "b ab ab"], vocab_size=6)
-    s_lm = lm_train(["ab ab b", "b ab", "ab"], order=2)
-    modes = (("phoneme", decode_phoneme, tree, p_lm, len(vocab)),
-             ("subword", decode_subword, bpe, s_lm, len(bpe.vocab)))
-    for mode, fn, unit, model, V in modes:
-        for T in (3, 5):
-            em = EmissionMatrix(logits=np.full((T, V), -math.log(V)))
-            for beam in (2, 3):
-                for use_lm in (False, True):
-                    cfg = DecodeConfig(beam_size=beam, lm_weight=0.7, mode=mode)
-                    lm = model if use_lm else None
-                    yield (f"{mode}-t{T}-b{beam}-{'lm' if use_lm else 'nolm'}",
-                           lambda fn=fn, em=em, unit=unit, lm=lm, cfg=cfg:
-                           fn(em, unit, lm, cfg))
+    V = len(vocab)
+    for T in (3, 5):
+        em = EmissionMatrix(logits=np.full((T, V), -math.log(V)))
+        for beam in (2, 3):
+            for use_lm in (False, True):
+                cfg = DecodeConfig(beam_size=beam, lm_weight=0.7)
+                lm = p_lm if use_lm else None
+                yield (f"phoneme-t{T}-b{beam}-{'lm' if use_lm else 'nolm'}",
+                       lambda em=em, lm=lm, cfg=cfg: decode_phoneme(em, tree, lm, cfg))
 
 
 class TestGoldenTies:
@@ -578,34 +547,6 @@ def ref_decode_phoneme(em, lex, lm, cfg):
                                   attrgetter("idx"), finish)
 
 
-def ref_decode_subword(em, bpe, lm, cfg):
-    # (token id, whether it opens a word, its spelling without the marker)
-    pieces = [(k, tok.startswith(MARKER), tok.removeprefix(MARKER))
-              for k, tok in enumerate(bpe.vocab) if k != BLANK_ID]
-
-    def expand(words, pos, lm10):
-        toks, partial = pos
-        closed, closed_lm10 = words, lm10
-        if partial:
-            closed = words + (partial,)
-            closed_lm10 = lm10 + _lm10(lm, (BOS,) + words, partial)
-        for k, opens, text in pieces:
-            if opens:
-                yield k, (closed, (toks + (k,), text)), closed_lm10
-            else:
-                yield k, (words, (toks + (k,), partial + text)), lm10
-
-    def finish(words, pos, lm10):
-        toks, partial = pos
-        if partial:
-            lm10 = lm10 + _lm10(lm, (BOS,) + words, partial)
-            words = words + (partial,)
-        yield toks, words, lm10 + _lm10(lm, (BOS,) + words, EOS)
-
-    return ref_prefix_beam_search(em, cfg, ((), ""), lambda pos: pos[0][-1] if pos[0] else None,
-                                  expand, itemgetter(0), finish)
-
-
 @st.composite
 def emission_rows(draw, V):
     """A T x V log-prob matrix: Gaussian, peaked, rounded or uniform (ties), or holed."""
@@ -658,9 +599,8 @@ def subword_case(draw):
 
 
 @st.composite
-def decode_case(draw):
-    mode = draw(st.sampled_from(["phoneme", "subword"]))
-    unit, V, corpus = draw(phoneme_case() if mode == "phoneme" else subword_case())
+def decode_case(draw, case=phoneme_case, mode="phoneme"):
+    unit, V, corpus = draw(case())
     lm = None
     if draw(st.booleans()):
         lm = lm_train(corpus, order=draw(st.integers(1, 3)),
@@ -679,11 +619,21 @@ class TestMatchesReference:
     @given(decode_case())
     def test_same_nbest_bit_for_bit(self, case):
         em, unit, lm, cfg = case
-        if cfg.mode == "phoneme":
-            got, want = decode_phoneme(em, unit, lm, cfg), ref_decode_phoneme(em, unit, lm, cfg)
-        else:
-            got, want = decode_subword(em, unit, lm, cfg), ref_decode_subword(em, unit, lm, cfg)
+        got, want = decode_phoneme(em, unit, lm, cfg), ref_decode_phoneme(em, unit, lm, cfg)
         assert repr(got) == repr(want)
+
+    @settings(max_examples=300)
+    @given(decode_case(subword_case, "subword"))
+    def test_subword_is_the_spelled_trie_with_lm_and_greedy_without(self, case):
+        em, bpe, lm, cfg = case
+        if lm is None:
+            got = decode(em, cfg, bpe=bpe)
+            assert [h.words for h in got] == [tuple(bpe_decode(greedy_decode(em), bpe).split())]
+            return
+        got = decode(em, cfg, lex=spell_lm_words(bpe, lm), bpe=bpe, lm=lm)
+        words = sorted(set(lm.vocab) - {BOS, EOS, UNK})
+        tree = build_prefix_tree(spelled(words, bpe), PhonemeVocab(bpe.vocab))
+        assert repr(got) == repr(ref_decode_phoneme(em, tree, lm, cfg))
 
 
 @st.composite
@@ -735,10 +685,7 @@ class TestBeamFloor:
     @example(floor_order_case())
     def test_narrow_beams_match_reference(self, case):
         em, unit, lm, cfg = case
-        if cfg.mode == "phoneme":
-            got, want = decode_phoneme(em, unit, lm, cfg), ref_decode_phoneme(em, unit, lm, cfg)
-        else:
-            got, want = decode_subword(em, unit, lm, cfg), ref_decode_subword(em, unit, lm, cfg)
+        got, want = decode_phoneme(em, unit, lm, cfg), ref_decode_phoneme(em, unit, lm, cfg)
         assert repr(got) == repr(want)
 
     def test_two_pronunciations_reenter_together(self):

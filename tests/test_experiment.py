@@ -171,6 +171,22 @@ class TestStageErrors:
             run_experiment(load_config(cfg_path))
         assert info.value.stage == stage
 
+    def test_unparseable_reference_word_names_run_and_utterance(self, tmp_path):
+        cfg_path = write_toy_experiment(tmp_path / "toy")
+        corpus = tmp_path / "toy" / "corpus.tsv"
+        corpus.write_text("".join(f"{u}\t{t} qxqx\n" for u, t in TOY_UTTS), encoding="utf-8")
+        with pytest.raises(PipelineError, match=r"run 0: utterance u\d: .*'qxqx'") as info:
+            run_experiment(load_config(cfg_path))
+        assert info.value.stage == "score"
+
+    def test_output_dir_naming_a_file(self, tmp_path):
+        cfg = load_config(write_toy_experiment(tmp_path / "toy"))
+        cfg.output_dir.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(str(cfg.output_dir))) as info:
+            run_experiment(cfg)
+        assert info.value.stage == "config"
+        assert cfg.output_dir.read_text(encoding="utf-8") == "kept\n"
+
 
 class TestToyExperiment:
     def test_wer_zero(self, toy, tmp_path):
