@@ -133,7 +133,7 @@ def cmd_lm_ppl(args):
 
 def cmd_decode(args):
     cfg = DecodeConfig(beam_size=args.beam, lm_weight=args.lm_weight,
-                       word_insertion_penalty=args.wip, mode=args.mode)
+                       word_insertion_penalty=args.wip)
     lex = bpe = None
     if args.mode == "phoneme":
         if not args.lexicon or not args.vocab:

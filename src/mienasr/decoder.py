@@ -91,7 +91,6 @@ class DecodeConfig:
     beam_size: int = 32
     lm_weight: float = 1.0
     word_insertion_penalty: float = 0.0
-    mode: str = "phoneme"
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -101,8 +100,6 @@ class DecodeConfig:
             raise ValueError("lm_weight must be finite and >= 0")
         if not math.isfinite(self.word_insertion_penalty):
             raise ValueError("word_insertion_penalty must be finite")
-        if self.mode not in ("phoneme", "subword"):
-            raise ValueError(f"unknown decode mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,6 @@ class PrefixTree:
     root: TrieNode
     vocab: PhonemeVocab
     node_count: int          # nodes excluding the root
-    words: frozenset[str]
 
 
 def build_prefix_tree(lexicon: Sequence[LexiconEntry], vocab: PhonemeVocab) -> PrefixTree:
@@ -165,8 +161,7 @@ def build_prefix_tree(lexicon: Sequence[LexiconEntry], vocab: PhonemeVocab) -> P
             node = nxt
         if entry.word not in node.words:
             node.words = tuple(sorted(node.words + (entry.word,)))
-    return PrefixTree(root=root, vocab=vocab, node_count=count,
-                      words=frozenset(e.word for e in lexicon))
+    return PrefixTree(root=root, vocab=vocab, node_count=count)
 
 
 def spell_lm_words(bpe: BpeModel, lm: ArpaModel) -> PrefixTree:
@@ -355,16 +350,14 @@ def decode_phoneme(
 
 def decode(em: EmissionMatrix, cfg: DecodeConfig, *, lex: Optional[PrefixTree] = None,
            bpe: Optional[BpeModel] = None, lm: Optional[ArpaModel] = None) -> list[Hypothesis]:
-    """Mode dispatcher used by the CLI and the experiment driver.
+    """Decode one utterance for the CLI and the experiment driver.
 
-    Phoneme mode searches ``lex``.  Subword mode with an LM searches ``lex``
-    as ``spell_lm_words(bpe, lm)`` builds it; without an LM it returns the
-    greedy 1-best, whose ``score_ac`` is the greedy path's log-probability,
-    whatever the beam and LM weight.
+    A given ``bpe`` means subword mode.  With an LM it searches ``lex`` as
+    ``spell_lm_words(bpe, lm)`` builds it; without one it returns the greedy
+    1-best, whose ``score_ac`` is the greedy path's log-probability, whatever
+    the beam and LM weight.  Phoneme mode (no ``bpe``) searches ``lex``.
     """
-    if cfg.mode == "subword":
-        if bpe is None:
-            raise ValueError("subword decoding requires a BPE model")
+    if bpe is not None:
         if em.vocab_size != len(bpe.vocab):
             raise ValueError(f"emission vocab size {em.vocab_size} != BPE vocab {len(bpe.vocab)}")
         if lm is None:
@@ -373,5 +366,5 @@ def decode(em: EmissionMatrix, cfg: DecodeConfig, *, lex: Optional[PrefixTree] =
             return [Hypothesis(words=words, score_ac=ac, score_lm=0.0,
                                score=ac + cfg.word_insertion_penalty * len(words))]
     if lex is None:
-        raise ValueError(f"{cfg.mode} decoding requires a prefix tree")
+        raise ValueError("decoding requires a prefix tree")
     return decode_phoneme(em, lex, lm, cfg)

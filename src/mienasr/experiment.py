@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from . import lm as lm_mod
 from .ctc import read_emissions
@@ -70,10 +70,11 @@ class PipelineConfig:
 
     def validate(self) -> DecodeConfig:
         """Check the settings and input paths; return the decoder settings."""
+        if self.mode not in ("phoneme", "subword"):
+            raise PipelineError("config", f"unknown mode {self.mode!r}")
         with _stage("config"):
             decode_cfg = DecodeConfig(beam_size=self.beam_size, lm_weight=self.lm_weight,
-                                      word_insertion_penalty=self.word_insertion_penalty,
-                                      mode=self.mode)
+                                      word_insertion_penalty=self.word_insertion_penalty)
         for name in ("corpus", "emissions_dir", "inventory", "g2p_table"):
             p = getattr(self, name)
             if p is not None and not Path(p).exists():
@@ -81,17 +82,14 @@ class PipelineConfig:
         return decode_cfg
 
 
-_CONFIG_KEYS = {
-    "corpus": Path, "emissions_dir": Path, "output_dir": Path, "mode": str,
-    "inventory": Path, "g2p_table": Path, "beam_size": int, "lm_weight": float,
-    "word_insertion_penalty": float, "lm_order": int, "lm_smoothing": str,
-    "bpe_vocab_size": int, "folds": int, "runs": int, "seed": int, "workers": int,
-}
-
-
 def load_config(path) -> PipelineConfig:
-    """Read an [experiment] INI section; relative paths resolve against it."""
+    """Read an [experiment] INI section; relative paths resolve against it.
+
+    The keys are ``PipelineConfig``'s fields, each converted by its type;
+    a ``Path`` or ``Optional[Path]`` value must not be empty.
+    """
     path = Path(path)
+    types = get_type_hints(PipelineConfig)
     with located(path, partial(PipelineError, "config")):
         parser = configparser.ConfigParser()
         try:
@@ -103,15 +101,15 @@ def load_config(path) -> PipelineConfig:
             raise ValueError(e) from None
         kwargs = {}
         for key, value in items:
-            if key not in _CONFIG_KEYS:
+            if key not in types:
                 raise ValueError(f"unknown key {key!r}")
-            conv = _CONFIG_KEYS[key]
-            if conv is Path:
-                p = Path(value)
-                kwargs[key] = p if p.is_absolute() else (path.parent / p)
-            else:
-                with located(f"key {key!r}"):
-                    kwargs[key] = conv(value)
+            with located(f"key {key!r}"):
+                if types[key] in (Path, Optional[Path]):
+                    if not value:
+                        raise ValueError("empty path")
+                    kwargs[key] = path.parent / value   # an absolute value replaces the base
+                else:
+                    kwargs[key] = types[key](value)
         missing = {"corpus", "emissions_dir", "output_dir"} - set(kwargs)
         if missing:
             raise ValueError(f"missing required keys {sorted(missing)}")
@@ -163,8 +161,8 @@ def normalize_text(text: str) -> str:
 
 
 def read_tagged(path) -> list[tuple[str, str]]:
-    """Non-blank "utt-id TAB text" lines; text is kept verbatim."""
-    utts = []
+    """Non-blank "utt-id TAB text" lines with distinct ids; text is kept verbatim."""
+    utts, seen = [], set()
     with located(path, partial(PipelineError, "corpus")) as at:
         for at.line, line in enumerate(read_utf8(path).splitlines(), 1):
             if not line.strip():
@@ -172,7 +170,11 @@ def read_tagged(path) -> list[tuple[str, str]]:
             if "\t" not in line:
                 raise ValueError("expected 'utt-id TAB text'")
             utt, text = line.split("\t", 1)
-            utts.append((utt.strip(), text))
+            utt = utt.strip()
+            if utt in seen:
+                raise ValueError(f"duplicate utterance id {utt!r}")
+            seen.add(utt)
+            utts.append((utt, text))
         at.line = None
         if not utts:
             raise ValueError("no utterances")

@@ -12,9 +12,10 @@ overrides that split the entering tones of stop-final syllables off as
 digits 7 and 8, which is how the orthography's eight-tone system is realized
 from six written marks.
 
-The table is data (see data/iu_mien_g2p.tsv); published phoneme-inventory
-sizes (54 with diacritics, 44 without) are logged as soft checks only, since
-they depend on the exact table and corpus coverage.
+The table is data (see data/iu_mien_g2p.tsv).  Published phoneme-inventory
+sizes (54 with diacritics, 44 without) are not checked, since they depend on
+the exact table and corpus coverage; the one soft check is the ``expect N``
+of an inventory file's section header (see ``orthography.load_inventory``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import logging
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import BLANK_TOKEN
 from .inputs import located, read_utf8
@@ -267,14 +268,11 @@ def strip_token(token: str) -> str:
 def derive_phoneme_vocab(
     lexicon: Sequence[LexiconEntry],
     strip_diacritics: bool = False,
-    expect_size: Optional[int] = None,
 ) -> PhonemeVocab:
     """Union of all pronunciation tokens, sorted, with blank at index 0.
 
     With ``strip_diacritics`` tokens are normalized by ``strip_token`` before
     the union, which merges e.g. /n̥/ into /n/ while tone digits survive.
-    ``expect_size`` (excluding blank) is checked softly: a mismatch is
-    logged, not raised.
     """
     if not lexicon:
         raise ValueError("cannot derive a vocabulary from an empty lexicon")
@@ -282,13 +280,8 @@ def derive_phoneme_vocab(
     for entry in lexicon:
         for tok in entry.pron:
             tokens.add(strip_token(tok) if strip_diacritics else tok)
-    ordered = (BLANK_TOKEN,) + tuple(sorted(tokens))
-    size = len(ordered) - 1
-    if expect_size is not None and size != expect_size:
-        logger.warning("phoneme vocabulary has %d tokens, expected %d", size, expect_size)
-    else:
-        logger.info("phoneme vocabulary: %d tokens (excluding blank)", size)
-    return PhonemeVocab(tokens=ordered)
+    logger.info("phoneme vocabulary: %d tokens (excluding blank)", len(tokens))
+    return PhonemeVocab(tokens=(BLANK_TOKEN,) + tuple(sorted(tokens)))
 
 
 def write_lexicon(entries: Sequence[LexiconEntry], path) -> None:

@@ -1,11 +1,20 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mienasr.cli import main
-from mienasr.ctc import write_emissions
-from mienasr.experiment import load_config, run_experiment
-from mienasr.fixtures import TOY_UTTS, write_toy_experiment
+from mienasr.ctc import normalize_rows, write_emissions
+from mienasr.experiment import load_config, run_experiment, write_lines
+from mienasr.fixtures import TOY_UTTS, TOY_WORDS, peaked_emissions, write_toy_experiment
+from mienasr.lexicon import default_g2p_table, derive_phoneme_vocab, g2p
 from mienasr.lm import arpa_read
+from mienasr.orthography import default_inventory
+from mienasr.tokenizer import bpe_encode, bpe_train
 
 
 @pytest.fixture()
@@ -161,6 +170,14 @@ class TestSplitScore:
         assert "S=0" in out and "N=2" in out
         _, out, _ = run(capsys, "score", "--metric", "per", "--ref", ref, "--hyp", hyp)
         assert "S=1" in out and "N=2" in out
+
+    def test_score_rejects_duplicate_ids(self, capsys, tmp_path):
+        ref = tmp_path / "ref.txt"
+        ref.write_text("u1\ta\nu1\tb\n")
+        for metric in ("wer", "per"):
+            code, out, err = run(capsys, "score", "--metric", metric, "--ref", ref, "--hyp", ref)
+            assert code == 1 and not out
+            assert f"{ref}:2: duplicate utterance id 'u1'" in err
 
     def test_score_missing_hyp_errors(self, capsys, tmp_path):
         ref = tmp_path / "ref.txt"
@@ -387,3 +404,105 @@ class TestStagesMatchExperiment:
             for name in ("train", "dev", "test"):
                 assert ((folds / f"run{r}.{name}").read_bytes()
                         == (cfg.output_dir / f"run{r}" / f"manifest.{name}").read_bytes())
+
+
+ROUTE_WORDS = TOY_WORDS + ("mbuo", "nyei", "daaih")
+
+
+@st.composite
+def route_case(draw):
+    """A permutation corpus whose every train fold shares one token inventory."""
+    words = draw(st.lists(st.sampled_from(ROUTE_WORDS), min_size=2, max_size=4, unique=True))
+    # four or more folds leave at least two train utterances, so every BPE
+    # pair occurs twice on every fold and the folds train one model
+    folds = draw(st.integers(4, 5))
+    n = draw(st.integers(folds, folds + 2))
+    texts = [" ".join(draw(st.permutations(words))) for _ in range(n)]
+    return {
+        "texts": texts, "folds": folds,
+        "seed": draw(st.integers(0, 2 ** 16)),
+        "beam": draw(st.integers(1, 8)),
+        "lm_weight": draw(st.floats(0, 2, allow_subnormal=False)),
+        "wip": draw(st.floats(-2, 2, allow_subnormal=False)),
+        "noise": draw(st.floats(0, 6)),
+        "lm_order": draw(st.integers(1, 3)),
+        "bpe_extra": draw(st.integers(1, 12)),
+    }
+
+
+def quiet_main(*argv):
+    """``main`` with its output swallowed; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+class TestRouteEquivalence:
+    """On generated corpora the CLI stages write the bytes ``run_experiment`` writes."""
+
+    @pytest.mark.parametrize("mode", ["phoneme", "subword"])
+    @settings(max_examples=60)
+    @given(case=route_case())
+    def test_stages_write_run0_bytes(self, mode, case):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check(Path(tmp), mode, case)
+
+    def check(self, root, mode, case):
+        texts = case["texts"]
+        utts = [(f"u{i}", t) for i, t in enumerate(texts)]
+        if mode == "phoneme":
+            inv, table = default_inventory(), default_g2p_table()
+            entries = {w: g2p(w, table, inv) for w in texts[0].split()}
+            vocab = derive_phoneme_vocab(list(entries.values()))
+            ids_of = lambda text: [vocab.index(t) for w in text.split() for t in entries[w].pron]
+            width, extra = len(vocab), []
+        else:
+            # a size never reached leaves vocab minus merges: the floor a size must exceed
+            full = bpe_train(texts, 10 ** 6)
+            bpe_size = len(full.vocab) - len(full.merges) + case["bpe_extra"]
+            bpe = bpe_train(texts, bpe_size)
+            ids_of = lambda text: bpe_encode(text, bpe)
+            width, extra = len(bpe.vocab), [f"bpe_vocab_size = {bpe_size}"]
+        rng = np.random.default_rng(case["seed"])
+        (root / "emissions").mkdir()
+        for utt, text in utts:
+            clean = peaked_emissions(ids_of(text), width)
+            write_emissions(root / "emissions" / f"{utt}.em",
+                            normalize_rows(clean + case["noise"] * rng.standard_normal(clean.shape)))
+        write_rows(root / "corpus.tsv", utts)
+        write_lines(root / "config.ini", [
+            "[experiment]", "corpus = corpus.tsv", "emissions_dir = emissions",
+            "output_dir = out", f"mode = {mode}", f"beam_size = {case['beam']}",
+            f"lm_weight = {case['lm_weight']!r}",
+            f"word_insertion_penalty = {case['wip']!r}",
+            f"lm_order = {case['lm_order']}", f"folds = {case['folds']}", "runs = 1",
+            f"seed = {case['seed']}", *extra])
+        code, err = quiet_main("experiment", "--config", root / "config.ini")
+        assert code == 0, err
+
+        run0, stages = root / "out" / "run0", root / "stages"
+        stages.mkdir()
+        train = stages / "train.tsv"
+        write_rows(train, [utts[int(u[1:])] for u in (run0 / "manifest.train").read_text().split()])
+        if mode == "phoneme":
+            argvs = {"lexicon.tsv": ["lexicon", "--corpus", train],
+                     "phonemes.txt": ["vocab", "--lexicon", stages / "lexicon.tsv"]}
+            model = ["--lexicon", stages / "lexicon.tsv", "--vocab", stages / "phonemes.txt"]
+        else:
+            argvs = {"bpe.model": ["bpe-train", "--corpus", train, "--vocab-size", bpe_size]}
+            model = ["--bpe-model", stages / "bpe.model"]
+        argvs["lm.arpa"] = ["lm-train", "--corpus", train, "--order", case["lm_order"]]
+        for name, argv in argvs.items():
+            code, err = quiet_main(*argv, "--output", stages / name)
+            assert code == 0, err
+        for hyp, lm in (("hyp_with_lm.txt", ["--lm", stages / "lm.arpa"]),
+                        ("hyp_without_lm.txt", [])):
+            code, err = quiet_main(
+                "decode", "--mode", mode, "--emissions", root / "emissions",
+                "--ids", run0 / "manifest.test", *model, *lm, "--beam", case["beam"],
+                f"--lm-weight={case['lm_weight']!r}", f"--wip={case['wip']!r}",
+                "--output", stages / hyp)
+            assert code == 0, err
+        for name in [*argvs, "hyp_with_lm.txt", "hyp_without_lm.txt"]:
+            assert (stages / name).read_bytes() == (run0 / name).read_bytes(), name

@@ -152,7 +152,7 @@ class TestDecodePhoneme:
         for _ in range(30):
             em = EmissionMatrix(logits=normalize_rows(rng.normal(size=(4, len(vocab)))))
             for h in decode_phoneme(em, tree, None, DecodeConfig(beam_size=4)):
-                assert all(w in tree.words for w in h.words)
+                assert set(h.words) <= {e.word for e in entries}
 
     def test_zero_lm_weight_matches_pure_acoustic_ranking(self):
         vocab, entries, tree = self.toy_tree()
@@ -271,13 +271,13 @@ class TestDecodeSubword:
     def test_peaked_word(self, bpe):
         target = bpe.token_to_id[MARKER + "ab"]
         em = EmissionMatrix(logits=peaked_emissions([target], len(bpe.vocab)))
-        hyps = decode(em, DecodeConfig(beam_size=8, mode="subword"), bpe=bpe)
+        hyps = decode(em, DecodeConfig(beam_size=8), bpe=bpe)
         assert hyps[0].words == ("ab",)
 
     def test_vocab_mismatch_rejected(self, bpe):
         em = EmissionMatrix(logits=peaked_emissions([1], len(bpe.vocab) + 2))
         with pytest.raises(ValueError, match="vocab"):
-            decode(em, DecodeConfig(mode="subword"), bpe=bpe)
+            decode(em, DecodeConfig(), bpe=bpe)
 
     def test_exhaustive_beam_equals_brute_force(self, bpe):
         """With an LM, the best sequence of the LM's words as the BPE model spells them."""
@@ -289,7 +289,7 @@ class TestDecodeSubword:
             T = int(rng.integers(1, 5))
             lw = float(rng.choice([0.0, 0.8]))
             logits = normalize_rows(rng.normal(size=(T, V)))
-            cfg = DecodeConfig(beam_size=10 ** 6, lm_weight=lw, mode="subword")
+            cfg = DecodeConfig(beam_size=10 ** 6, lm_weight=lw)
             hyps = decode(EmissionMatrix(logits=logits), cfg, lex=tree, bpe=bpe, lm=model)
             want = brute_force_phoneme(logits, spelled(["ab", "b"], bpe), PhonemeVocab(bpe.vocab),
                                        model, lw, 0.0)
@@ -328,20 +328,19 @@ class TestFourGramIntegration:
 
 
 class TestDispatcher:
-    def test_requires_matching_inputs(self):
+    def test_requires_matching_inputs(self, bpe):
         em = EmissionMatrix(logits=peaked_emissions([1], 3))
-        with pytest.raises(ValueError):
-            decode(em, DecodeConfig(mode="phoneme"))
-        with pytest.raises(ValueError):
-            decode(em, DecodeConfig(mode="subword"))
+        with pytest.raises(ValueError, match="prefix tree"):
+            decode(em, DecodeConfig())
+        em = EmissionMatrix(logits=peaked_emissions([1], len(bpe.vocab)))
+        with pytest.raises(ValueError, match="prefix tree"):   # subword mode with an LM
+            decode(em, DecodeConfig(), bpe=bpe, lm=lm_train(["ab b"], order=2))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DecodeConfig(beam_size=0)
         with pytest.raises(ValueError):
             DecodeConfig(lm_weight=-0.1)
-        with pytest.raises(ValueError):
-            DecodeConfig(mode="word")
 
     @pytest.mark.parametrize("field, value", [("lm_weight", math.nan), ("lm_weight", math.inf),
                                               ("word_insertion_penalty", math.nan),
@@ -599,7 +598,7 @@ def subword_case(draw):
 
 
 @st.composite
-def decode_case(draw, case=phoneme_case, mode="phoneme"):
+def decode_case(draw, case=phoneme_case):
     unit, V, corpus = draw(case())
     lm = None
     if draw(st.booleans()):
@@ -607,8 +606,7 @@ def decode_case(draw, case=phoneme_case, mode="phoneme"):
                       smoothing=draw(st.sampled_from(["kneser_ney", "mle"])))
     cfg = DecodeConfig(beam_size=draw(st.integers(1, 32)),
                        lm_weight=draw(st.sampled_from([0.0, 0.5, 1.0, 2.3])),
-                       word_insertion_penalty=draw(st.sampled_from([-1.0, 0.0, 0.4])),
-                       mode=mode)
+                       word_insertion_penalty=draw(st.sampled_from([-1.0, 0.0, 0.4])))
     return EmissionMatrix(logits=draw(emission_rows(V))), unit, lm, cfg
 
 
@@ -623,7 +621,7 @@ class TestMatchesReference:
         assert repr(got) == repr(want)
 
     @settings(max_examples=300)
-    @given(decode_case(subword_case, "subword"))
+    @given(decode_case(subword_case))
     def test_subword_is_the_spelled_trie_with_lm_and_greedy_without(self, case):
         em, bpe, lm, cfg = case
         if lm is None:

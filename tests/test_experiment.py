@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mienasr.ctc import write_emissions
-from mienasr.experiment import (_CONFIG_KEYS, PipelineConfig, PipelineError,
-                                load_config, read_corpus, run_experiment)
+from mienasr.experiment import (PipelineConfig, PipelineError, load_config, read_corpus,
+                                run_experiment)
 from mienasr.fixtures import TOY_UTTS, TOY_WORDS, peaked_emissions, write_toy_experiment
 from mienasr.lexicon import default_g2p_table, derive_phoneme_vocab, g2p
 from mienasr.orthography import default_inventory
@@ -98,10 +98,10 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_keys_match_fields_and_readme_example(self, tmp_path):
-        assert set(_CONFIG_KEYS) == {f.name for f in dataclasses.fields(PipelineConfig)}
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         example = re.search(r"```ini\n(\[experiment\]\n.*?)```", readme, re.S).group(1)
-        assert sorted(re.findall(r"^(\w+) =", example, re.M)) == sorted(_CONFIG_KEYS)
+        assert (sorted(re.findall(r"^(\w+) =", example, re.M))
+                == sorted(f.name for f in dataclasses.fields(PipelineConfig)))
         path = tmp_path / "config.ini"
         path.write_text(example, encoding="utf-8")
         load_config(path)  # the example loads as written
@@ -141,6 +141,15 @@ class TestConfigFileErrors:
         path.write_text("[experiment]\ncorpus = data%%20.tsv\nemissions_dir = em\n"
                         "output_dir = out\n", encoding="utf-8")
         assert load_config(path).corpus == tmp_path / "data%20.tsv"
+
+    @pytest.mark.parametrize("key", ["corpus", "emissions_dir", "output_dir",
+                                     "inventory", "g2p_table"])
+    def test_empty_path_value(self, tmp_path, key):
+        path = write_toy_experiment(tmp_path / "toy")
+        text = re.sub(rf"^{key} = .*\n", "", path.read_text(encoding="utf-8"), flags=re.M)
+        path.write_text(f"{text}{key} =\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(f"[config] {path}: key '{key}'")):
+            load_config(path)
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "absent.ini"
@@ -313,6 +322,21 @@ class TestCorpusReader:
         p.write_text("u1 no tab here\n")
         with pytest.raises(PipelineError, match="TAB"):
             read_corpus(p)
+
+    def test_duplicate_id_named_at_path_and_line(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("u1\ta\nu2\tb\n\nu1\tc\n")
+        with pytest.raises(PipelineError, match=re.escape(f"{p}:4: duplicate utterance id 'u1'")):
+            read_corpus(p)
+
+    def test_duplicate_corpus_id_is_a_corpus_error(self, tmp_path):
+        cfg_path = write_toy_experiment(tmp_path / "toy")
+        corpus = tmp_path / "toy" / "corpus.tsv"
+        with corpus.open("a", encoding="utf-8") as f:
+            f.write("u2\tdorn mienh maaih\n")
+        with pytest.raises(PipelineError, match=re.escape(f"{corpus}:6: duplicate utterance id 'u2'")) as info:
+            run_experiment(load_config(cfg_path))
+        assert info.value.stage == "corpus"
 
     def test_lowercases(self, tmp_path):
         p = tmp_path / "c.tsv"

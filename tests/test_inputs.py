@@ -201,6 +201,25 @@ class TestOneDecodePath:
         assert unlocated == []
 
 
+# -- no module imports a name it never uses -----------------------------------
+
+class TestNoUnusedImports:
+    def test_every_imported_name_is_used(self):
+        unused = []
+        for p in sorted(SRC.glob("*.py")):
+            tree = ast.parse(p.read_text(encoding="utf-8"))
+            imported = {}   # bound name -> line
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                    and node.module != "__future__"):
+                    for alias in node.names:
+                        imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{p.name}:{line}: {name}" for name, line in imported.items()
+                       if name not in used]
+        assert unused == []
+
+
 # -- fuzz gate ----------------------------------------------------------------
 
 def mutate(data: bytes, rng: random.Random) -> tuple[bytes, str]:

@@ -159,13 +159,6 @@ class TestPhonemeVocab:
         assert "n̥" in full.tokens and "n" in full.tokens
         assert "n̥" not in stripped.tokens
 
-    def test_soft_size_check_logs(self, inv, g2p_table, caplog):
-        import logging
-        entries, _ = build_lexicon(["mienh"], g2p_table, inv)
-        with caplog.at_level(logging.WARNING):
-            derive_phoneme_vocab(entries, expect_size=54)
-        assert any("expected 54" in r.message for r in caplog.records)
-
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ValueError):
             derive_phoneme_vocab([])
