@@ -8,6 +8,7 @@ print a stage-attributed diagnostic on stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +26,10 @@ from .lexicon import (build_lexicon, default_g2p_table, derive_phoneme_vocab,
                       write_vocab)
 from .orthography import default_inventory, load_inventory, parse_word
 from .tokenizer import bpe_decode, bpe_encode, bpe_train, load_bpe, save_bpe
+
+
+# argparse takes "-1e-05" for an option: read negative numbers in exponent form, inf and nan too
+_NEGATIVE_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
 
 
 def _inventory(args):
@@ -224,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_):
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(fn=fn)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         return sp
 
     sp = add("parse", cmd_parse, "syllabify IMUC words")

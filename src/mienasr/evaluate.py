@@ -3,7 +3,17 @@
 WER and PER share one engine: a unit-cost Levenshtein alignment whose
 substitution/deletion/insertion counts come from a single minimal-cost
 backtrace (ties prefer substitution over insertion over deletion).  The
-splitter cuts a seeded shuffle of the utterance ids into ten near-equal
+distances come from Myers' bit-vector recurrence in its global form (Myers
+1999, "A fast bit-vector algorithm for approximate string matching based on
+dynamic programming"): one Python int per hypothesis position holds the
++1/-1 vertical deltas of that column for every reference position, so time
+and memory are O(m * ceil(n / w)) for n reference and m hypothesis tokens
+and word size w, not an (n+1) x (m+1) table.  The backtrace reads any cell
+back from its column's two delta vectors with a popcount (Hyyrö 2004, "A
+note on bit-parallel alignment computation").  Tokens are compared as
+dictionary keys, so they must be hashable strings.
+
+The splitter cuts a seeded shuffle of the utterance ids into ten near-equal
 folds and assigns each run a disjoint (dev, test) fold pair, so three runs
 consume six distinct folds and every run trains on the remaining eight.
 
@@ -58,6 +68,14 @@ class CvPlan:
 def error_rate(ref: Sequence[str], hyp: Sequence[str]) -> ScoreReport:
     """Minimal-edit-distance alignment counts between token sequences.
 
+    Myers' bit-vector recurrence gives each column j of the distance table
+    D as two ints: bit i of ``vp`` (``vn``) is set where D[i+1][j] - D[i][j]
+    is +1 (-1).  The backtrace (after Hyyrö) reads a cell back as D[i][j] =
+    j + popcount(vp_j & low_i) - popcount(vn_j & low_i), ``low_i`` being the
+    i lowest bits, and prefers substitution, then insertion, then deletion
+    on ties.  Time and memory are O(m * ceil(n / w)) for n reference and m
+    hypothesis tokens.  Tokens must be hashable strings.
+
     An empty reference is flagged with a warning and scored against length 1,
     making the rate |hyp| by convention.
     """
@@ -65,31 +83,43 @@ def error_rate(ref: Sequence[str], hyp: Sequence[str]) -> ScoreReport:
         logger.warning("empty reference: rate defined as |hyp| / 1")
         return ScoreReport(0, 0, len(hyp), 0)
     n, m = len(ref), len(hyp)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][0] = i
-    for j in range(m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            sub = dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1])
-            ins = dist[i][j - 1] + 1
-            dele = dist[i - 1][j] + 1
-            dist[i][j] = min(sub, ins, dele)
+    full = (1 << n) - 1
+    match: dict[str, int] = {}   # token -> bits of the reference positions holding it
+    for i, tok in enumerate(ref):
+        match[tok] = match.get(tok, 0) | 1 << i
+    vp, vn = full, 0             # column 0: D[i][0] = i
+    cols = [(vp, vn)]
+    for tok in hyp:
+        x = match.get(tok, 0) | vn
+        d0 = ((vp + (x & vp)) ^ vp) | x   # where D[i][j] = D[i-1][j-1]
+        hp = vn | ~(vp | d0)
+        hn = vp & d0
+        hp = (hp << 1) | 1                # row 0 rises by one per column
+        vn = hp & d0   # n bits: a carry out of row n needs vp's top bit, which clears hp's
+        vp = ((hn << 1) | ~(hp | d0)) & full
+        cols.append((vp, vn))
 
     subs = ins = dels = 0
     i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            subs += ref[i - 1] != hyp[j - 1]
-            i, j = i - 1, j - 1
-        elif j > 0 and dist[i][j] == dist[i][j - 1] + 1:
+    d = m + vp.bit_count() - vn.bit_count()   # D[n][m]
+    while i and j:
+        pvp, pvn = cols[j - 1]
+        low = (1 << i) - 1
+        left = j - 1 + (pvp & low).bit_count() - (pvn & low).bit_count()   # D[i][j-1]
+        bit = 1 << (i - 1)
+        diag = left - bool(pvp & bit) + bool(pvn & bit)                     # D[i-1][j-1]
+        cost = ref[i - 1] != hyp[j - 1]
+        if d == diag + cost:
+            subs += cost
+            i, j, d = i - 1, j - 1, diag
+        elif d == left + 1:
             ins += 1
-            j -= 1
+            j, d = j - 1, left
         else:
+            vp, vn = cols[j]
             dels += 1
-            i -= 1
-    return ScoreReport(subs, dels, ins, n)
+            i, d = i - 1, d - bool(vp & bit) + bool(vn & bit)                 # D[i-1][j]
+    return ScoreReport(subs, dels + i, ins + j, n)
 
 
 def pool(reports: Sequence[ScoreReport]) -> ScoreReport:

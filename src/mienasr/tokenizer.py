@@ -21,7 +21,8 @@ straight to the lowest-ranked merge that is present and ranked after the
 last one applied, until none is left.  This is not the greedy "lowest rank
 present" rule: where a merge uses a token that only a later merge forms,
 greedy would apply the earlier merge after the later one, and replay never
-does.
+does.  A word's ids depend on the word alone, so each model keeps the ids of
+every word it has encoded and replays a word's merges only once.
 
 Vocabulary ids are dense from 0 with the CTC blank at id 0 and <unk> at id 1.
 """
@@ -79,6 +80,10 @@ class BpeModel:
     @cached_property
     def _ranks(self) -> dict[tuple[str, str], int]:
         return {pair: rank for rank, pair in enumerate(self.merges)}
+
+    @cached_property
+    def _word_ids(self) -> dict[str, tuple[int, ...]]:
+        return {}   # filled by bpe_encode, one entry per distinct word encoded
 
     @property
     def unk_id(self) -> int:
@@ -176,19 +181,27 @@ def bpe_encode(text: str, model: BpeModel) -> list[int]:
     Characters unseen at training time map to the unk id.
     """
     ids: list[int] = []
-    to_id, ranks, merges, unk = model.token_to_id, model._ranks, model.merges, model.unk_id
+    memo = model._word_ids
     for word in text.split():
-        symbols = _word_symbols(word)
-        last = -1
-        while True:
-            present = [r for r in map(ranks.get, zip(symbols, symbols[1:]))
-                       if r is not None and r > last]
-            if not present:
-                break
-            last = min(present)
-            symbols = _merge_word(symbols, merges[last])
-        ids.extend(to_id.get(s, unk) for s in symbols)
+        word_ids = memo.get(word)
+        if word_ids is None:
+            word_ids = memo[word] = _encode_word(word, model)
+        ids.extend(word_ids)
     return ids
+
+
+def _encode_word(word: str, model: BpeModel) -> tuple[int, ...]:
+    ranks, merges, to_id, unk = model._ranks, model.merges, model.token_to_id, model.unk_id
+    symbols = _word_symbols(word)
+    last = -1
+    while True:
+        present = [r for r in map(ranks.get, zip(symbols, symbols[1:]))
+                   if r is not None and r > last]
+        if not present:
+            break
+        last = min(present)
+        symbols = _merge_word(symbols, merges[last])
+    return tuple(to_id.get(s, unk) for s in symbols)
 
 
 def bpe_decode(ids: Sequence[int], model: BpeModel) -> str:

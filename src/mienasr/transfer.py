@@ -96,7 +96,8 @@ def transfer_init(
 ) -> tuple[EmbeddingMatrix, TransferReport]:
     """Build the target head: copy shared-phoneme rows, randomize the rest.
 
-    ``scale`` defaults to 1/sqrt(d).  Random rows are drawn in target-vocab
+    ``scale`` defaults to 1/sqrt(d); it must be positive with 2 * scale
+    finite, or the draw overflows.  Random rows are drawn in target-vocab
     order from one seeded stream, so equal seeds reproduce them exactly.
     The source must contain a blank row for the target blank to copy.
     """
@@ -105,8 +106,8 @@ def transfer_init(
     d = src.dim
     if scale is None:
         scale = 1.0 / np.sqrt(d)
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (scale > 0 and math.isfinite(2 * scale)):   # the draw spans 2 * scale
+        raise ValueError(f"scale must be positive with 2 * scale finite, got {scale}")
     if BLANK_TOKEN not in src.row_labels:
         raise ValueError("source matrix has no blank row to copy")
 

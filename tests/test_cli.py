@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mienasr import cli
 from mienasr.cli import main
 from mienasr.ctc import normalize_rows, write_emissions
 from mienasr.experiment import load_config, run_experiment, write_lines
@@ -258,6 +259,36 @@ class TestDecodeCli:
         assert "--beam" in capsys.readouterr().err
         assert not (tmp_path / "o.txt").exists()
 
+    @pytest.mark.parametrize("spelling", ["-1e-05", "-1E-5"])
+    def test_wip_in_exponent_form_is_a_value(self, capsys, monkeypatch, toy, tmp_path, spelling):
+        root, _ = toy
+        lex, vocab = tmp_path / "lex.tsv", tmp_path / "ph.txt"
+        run(capsys, "lexicon", "--corpus", root / "corpus.tsv", "--output", lex)
+        run(capsys, "vocab", "--lexicon", lex, "--output", vocab)
+        ids = tmp_path / "ids.txt"
+        ids.write_text("u1\n")
+        seen, real = [], cli.decode
+
+        def spy(em, cfg, **kw):
+            seen.append(cfg.word_insertion_penalty)
+            return real(em, cfg, **kw)
+
+        monkeypatch.setattr(cli, "decode", spy)
+        code, _, err = run(capsys, "decode", "--mode", "phoneme", "--emissions", root / "emissions",
+                           "--ids", ids, "--lexicon", lex, "--vocab", vocab,
+                           "--output", tmp_path / "o.txt", "--wip", spelling)
+        assert code == 0, err
+        assert seen == [-1e-05]
+
+    def test_negative_lm_weight_in_exponent_form_reaches_config_check(self, capsys, toy,
+                                                                       tmp_path):
+        root, _ = toy
+        code, _, err = run(capsys, "decode", "--mode", "phoneme", "--emissions", root / "emissions",
+                           "--ids", tmp_path / "ids.txt", "--output", tmp_path / "o.txt",
+                           "--lm-weight", "-1e-3")
+        assert code == 1
+        assert "lm_weight must be finite and >= 0" in err
+
     def test_width_mismatch_names_emission_file(self, capsys, toy, tmp_path):
         root, _ = toy
         lex = tmp_path / "lex.tsv"
@@ -322,6 +353,17 @@ class TestTransferCli:
         assert lines[0] == "3 3"
         assert lines[2].split()[0] == "n"
         assert [float(x) for x in lines[2].split()[1:]] == [1.0, 2.0, 3.0]
+
+    def test_negative_scale_in_exponent_form_reaches_scale_check(self, capsys, tmp_path):
+        src = tmp_path / "src.txt"
+        src.write_text("1 2\n<blk> 0.1 0.2\n")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("<blk>\nn\n")
+        code, _, err = run(capsys, "transfer-init", "--src", src, "--tgt-vocab", vocab,
+                           "--scale", "-1e-3", "--output", tmp_path / "out.txt")
+        assert code == 1
+        assert "scale" in err and "-0.001" in err
+        assert not (tmp_path / "out.txt").exists()
 
 
 class TestExperimentCli:

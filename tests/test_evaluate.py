@@ -1,7 +1,10 @@
 import itertools
 import logging
+import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mienasr.evaluate import (ScoreReport, aggregate, error_rate,
                               make_cv_plan, pool)
@@ -67,6 +70,86 @@ class TestErrorRate:
             a = [rng.choice("abc") for _ in range(rng.randint(1, 6))]
             b = [rng.choice("abc") for _ in range(rng.randint(1, 6))]
             assert error_rate(a, b).errors == error_rate(b, a).errors
+
+
+# -- reference: the original (n+1) x (m+1) table and its backtrace -----------
+
+def ref_error_rate(ref, hyp):
+    if len(ref) == 0:
+        return ScoreReport(0, 0, len(hyp), 0)
+    n, m = len(ref), len(hyp)
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        dist[i][0] = i
+    for j in range(m + 1):
+        dist[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            sub = dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1])
+            ins = dist[i][j - 1] + 1
+            dele = dist[i - 1][j] + 1
+            dist[i][j] = min(sub, ins, dele)
+
+    subs = ins = dels = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+            subs += ref[i - 1] != hyp[j - 1]
+            i, j = i - 1, j - 1
+        elif j > 0 and dist[i][j] == dist[i][j - 1] + 1:
+            ins += 1
+            j -= 1
+        else:
+            dels += 1
+            i -= 1
+    return ScoreReport(subs, dels, ins, n)
+
+
+@st.composite
+def token_pair(draw):
+    # one- and two-symbol alphabets force ties between the three moves
+    alphabet = draw(st.sampled_from(["a", "ab", "abc", "abcd"]))
+    seq = st.lists(st.sampled_from(alphabet), max_size=40)
+    return draw(seq), draw(seq)
+
+
+def seeded_pair(seed, n, m, symbols):
+    rng = random.Random(seed)
+    return ([rng.choice(symbols) for _ in range(n)],
+            [rng.choice(symbols) for _ in range(m)])
+
+
+class TestMatchesReference:
+    @settings(max_examples=2000)
+    @given(token_pair())
+    def test_same_report(self, pair):
+        ref, hyp = pair
+        assert error_rate(ref, hyp) == ref_error_rate(ref, hyp)
+
+    # lengths past 64 cross machine-word boundaries of the bit vectors
+    @pytest.mark.parametrize("n,m", [(65, 65), (64, 65), (65, 3), (1, 65), (128, 128),
+                                     (128, 127), (200, 200), (200, 150), (150, 200)])
+    @pytest.mark.parametrize("symbols", ["ab", "abcd", "abcdefgh"])
+    def test_long_pairs(self, n, m, symbols):
+        for seed in range(3):
+            ref, hyp = seeded_pair(seed, n, m, symbols)
+            assert error_rate(ref, hyp) == ref_error_rate(ref, hyp)
+            rng = random.Random(seed)
+            near = [t if rng.random() < 0.8 else "x" for t in ref]
+            assert error_rate(ref, near) == ref_error_rate(ref, near)
+
+
+def test_long_pair_memory_is_linear():
+    # an (n+1) x (m+1) table of Python ints peaks near 356 MB on this pair
+    ref, hyp = seeded_pair(13, 3000, 3000, "abcdefgh")
+    tracemalloc.start()
+    try:
+        report = error_rate(ref, hyp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert report == ScoreReport(1553, 266, 266, 3000)   # the table's report
 
 
 class TestAggregate:

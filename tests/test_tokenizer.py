@@ -276,6 +276,20 @@ class TestMatchesReference:
             for text in [word + word, word[:3], word + "x" + word]:
                 assert bpe_encode(text, got) == ref_bpe_encode(text, *want)
 
+    def test_memo_keeps_ids_and_hands_out_fresh_lists(self):
+        lines = ["aab abab ba", "abab aab", "bba aab aab"]
+        model = bpe_train(lines, 12)
+        texts = lines + ["aab xab", "ba ba ba", ""]
+        want = [ref_bpe_encode(t, model.merges, model.vocab) for t in texts]
+        assert [bpe_encode(t, model) for t in texts] == want
+        assert [bpe_encode(t, model) for t in texts] == want
+        assert [bpe_encode(t, model) for t in reversed(texts)] == want[::-1]
+        got = bpe_encode("aab aab", model)
+        got.append(-1)
+        got[0] = -1
+        assert bpe_encode("aab aab", model) == ref_bpe_encode("aab aab", model.merges,
+                                                              model.vocab)
+
     def test_replay_not_greedy_rank_order(self):
         # merge 0 needs "yz", which only merge 1 forms: replay never applies
         # merge 0 here, where "lowest rank present" would, after merge 1

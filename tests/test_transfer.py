@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -106,6 +107,18 @@ class TestTransferInit:
         src = source_matrix([BLANK_TOKEN, "a"])
         with pytest.raises(ValueError):
             transfer_init(src, PhonemeVocab((BLANK_TOKEN, "a")), scale=-1.0)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1e-3, 1e308])
+    def test_scale_not_finite_and_positive_names_value(self, scale):
+        # the draw spans 2 * scale, so 1e308 would overflow as nan and inf do
+        src = source_matrix([BLANK_TOKEN, "a"])
+        with pytest.raises(ValueError, match=rf"scale .*got {re.escape(str(scale))}$"):
+            transfer_init(src, PhonemeVocab((BLANK_TOKEN, "b")), scale=scale)
+
+    def test_largest_scale_draws_finite_rows(self):
+        src = source_matrix([BLANK_TOKEN, "a"])
+        out, _ = transfer_init(src, PhonemeVocab((BLANK_TOKEN, "b")), scale=sys.float_info.max / 2)
+        assert np.isfinite(out.rows).all()
 
 
 class TestEmbeddingMatrix:
