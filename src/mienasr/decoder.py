@@ -22,8 +22,17 @@ Beam cut: after each frame the search keeps the ``beam_size`` states with
 the highest score (acoustic log-sum plus weighted LM and insertion terms).
 Among states with equal scores the lexicographically smaller word sequence
 goes first, then the smaller trie node index.  The cut is one sort of plain
-tuples (negated score, word sequence, node index), with no key function;
-the bounded expansion below leaves few entries to sort.  Completed
+tuples (negated score, word sequence, node index, key, entry), with no key
+function; the bounded expansion below leaves few entries to sort.  The
+sorted list, truncated to the beam, is the next frame's states.  Each key's
+entry is one list: blank mass, non-blank mass, LM term ``lm_weight * ln 10
+* lm10``, insertion term ``word_insertion_penalty * len(words)``, and the
+acoustic log-sum that the cut writes.  The two terms depend only on the
+word sequence, so they are computed once, when the key is created (a
+word-final key's re-entry list holds them per word sequence), and carried.
+Carrying them is exact: a product of the same two floats has the same bits
+wherever it is formed, and the floor, the expansion and the cut all sum a
+score in one order, ``(acoustic + LM term) + insertion term``.  Completed
 hypotheses are ordered by score, then word sequence.
 
 Bounded expansion: the search skips a one-token extension that cannot
@@ -210,9 +219,13 @@ def decode_phoneme(
     Returns all completed hypotheses in the final beam, best first.  The LM
     scores each committed word given the preceding words (with <s> context)
     plus the final </s> event; homophones at one trie node spawn parallel
-    hypotheses.  A state maps ``(words, node)`` to its blank mass, non-blank
-    mass, LM log10 and acoustic total (the log-sum of the two masses,
-    carried out of the cut).
+    hypotheses.  A state is the key ``(words, node)`` and its entry
+    ``[blank mass, non-blank mass, LM term, insertion term, acoustic
+    log-sum]``; the cut writes the log-sum of the two masses into the entry
+    and the next frame reads it.  The terms are ``lam * ln 10 * lm10`` and
+    ``wip * len(words)``, computed once per key: a product of the same two
+    operands has the same bits wherever it is formed, and every score sums
+    them in one order, ``(acoustic + LM term) + insertion term``.
     """
     if em.vocab_size != len(lex.vocab):
         raise ValueError(
@@ -227,27 +240,32 @@ def decode_phoneme(
     lam, wip = cfg.lm_weight, cfg.word_insertion_penalty
     lam10 = lam * LN10
     lm10_of = {(): 0.0}       # word sequence -> its LM log10
-    reentries_of: dict = {}   # word-final key -> [(word sequence it re-enters with, LM log10)]
+    reentries_of: dict = {}   # word-final key -> [(word sequence it re-enters with, its terms)]
 
-    states = {((), root): (0.0, NEG_INF, 0.0, 0.0)}
+    # the cut's sorted list of (negated score, words, node index, key, entry), where
+    # entry = [blank mass, non-blank mass, LM term, insertion term, acoustic log-sum];
+    # the empty word sequence has zero terms
+    states = [(0.0, (), root.idx, ((), root), [0.0, NEG_INF, 0.0, 0.0, 0.0])]
     for y in em.logits.tolist():
         blank = y[BLANK_ID]
         # A state's key only gains mass past its blank extension, so the
         # beam_size-th best of these bounds, summed as the cut sums, is a floor.
         beam: dict = {}
         floor = []
-        for key, (_, _, lm10, total) in states.items():
+        finals = []
+        for _, _, _, key, (_, _, lm_term, wip_term, total) in states:
             mass = total + blank
-            beam[key] = [mass, NEG_INF, lm10]
-            floor.append(mass + lam10 * lm10 + wip * len(key[0]))
+            beam[key] = [mass, NEG_INF, lm_term, wip_term, 0.0]
+            floor.append(mass + lm_term + wip_term)
+            if key[1].words:
+                finals.append(key)
         # ascending, so already a min-heap; -inf pads it so it never bounds too early
-        best = [NEG_INF] * (beam_size - len(floor)) + sorted(floor)[-beam_size:]
+        best = [NEG_INF] * (beam_size - len(floor)) + sorted(floor)
 
-        finals = [key for key in states if key[1].words]
         if finals:
             by_y = sorted(roots, key=y.__getitem__, reverse=True)
             into: dict = {}   # word sequence -> the root children where a state holds it
-            for words, node in states:
+            for _, words, _, (_, node), _ in states:
                 if node in root_nodes:
                     into.setdefault(words, []).append(node.phone)
             seen, shared = set(), set()
@@ -259,34 +277,34 @@ def decode_phoneme(
                         new_words = words + (w,)
                         if new_words not in lm10_of:
                             lm10_of[new_words] = lm10_of[words] + _lm10(lm, (BOS,) + words, w)
-                        reentries.append((new_words, lm10_of[new_words]))
-                for new_words, _ in reentries_of[key]:
+                        reentries.append((new_words, lam10 * lm10_of[new_words],
+                                          wip * len(new_words)))
+                for new_words, _, _ in reentries_of[key]:
                     (shared if new_words in seen else seen).add(new_words)
 
-        for key, (pb, pnb, lm10, total) in states.items():
-            words, node = key
+        for _, words, _, key, (pb, pnb, lm_term, wip_term, total) in states:
+            node = key[1]
             last = node.phone
             if last is not None:
                 entry = beam[key]
                 mass = pnb + y[last]
                 # log-adding into -inf gives the other term back (masses are never -0.0)
                 entry[1] = mass if entry[1] == NEG_INF else _lae(entry[1], mass)
-            # the same sum, in the same order, as the score the cut reads
-            lm_term, wip_term = lam10 * lm10, wip * len(words)
             for k, child in node.children.items():
                 mass = (pb if k == last else total) + y[k]
-                score = mass + lm_term + wip_term
                 new_key = (words, child)
                 entry = beam.get(new_key)
                 if entry is not None:   # a state pools every arc into it
                     entry[1] = _lae(entry[1], mass)
-                elif not score < best[0]:
-                    beam[new_key] = [NEG_INF, mass, lm10]
+                    continue
+                score = mass + lm_term + wip_term   # the sum the cut reads, in its order
+                if not score < best[0]:
+                    beam[new_key] = [NEG_INF, mass, lm_term, wip_term, 0.0]
                     if score > best[0]:
                         heapq.heapreplace(best, score)
             if not node.words:
                 continue
-            for new_words, new_lm10 in reentries_of[key]:
+            for new_words, new_lm_term, new_wip_term in reentries_of[key]:
                 # one word through two pronunciations: the keys pool, so all are added
                 held = roots if new_words in shared else into.get(new_words, ())
                 for k in held:
@@ -294,39 +312,40 @@ def decode_phoneme(
                     new_key = (new_words, roots[k])
                     entry = beam.get(new_key)
                     if entry is None:
-                        beam[new_key] = [NEG_INF, mass, new_lm10]
+                        beam[new_key] = [NEG_INF, mass, new_lm_term, new_wip_term, 0.0]
                     else:
                         entry[1] = _lae(entry[1], mass)
                 if held is roots:
                     continue
-                lm_term, wip_term = lam10 * new_lm10, wip * len(new_words)
                 for k in by_y:   # the rest lead to keys that only this state reaches
                     if k in held:
                         continue
                     mass = (pb if k == last else total) + y[k]
-                    score = mass + lm_term + wip_term
+                    score = mass + new_lm_term + new_wip_term
                     if score < best[0]:
                         if k == last:   # scored from pb; later children may score higher
                             continue
                         break
-                    beam[(new_words, roots[k])] = [NEG_INF, mass, new_lm10]
+                    beam[(new_words, roots[k])] = [NEG_INF, mass, new_lm_term, new_wip_term, 0.0]
                     if score > best[0]:
                         heapq.heapreplace(best, score)
 
         scored = []
-        for key, (pb, pnb, lm10) in beam.items():
+        for key, entry in beam.items():
+            pb, pnb, lm_term, wip_term, _ = entry
             # most entries are fresh extensions with no blank mass yet
-            ac = pnb if pb == NEG_INF else _lae(pb, pnb)
+            ac = entry[4] = pnb if pb == NEG_INF else _lae(pb, pnb)
             # negated, so a plain sort ranks by score, then word sequence, then node
-            scored.append((-(ac + lam10 * lm10 + wip * len(key[0])), key[0], key[1].idx,
-                           key, (pb, pnb, lm10, ac)))
+            scored.append((-(ac + lm_term + wip_term), key[0], key[1].idx, key, entry))
         scored.sort()
-        states = {s[3]: s[4] for s in scored[:beam_size]}
+        del scored[beam_size:]
+        states = scored
 
     finals: dict = {}   # word sequence -> [acoustic log-sum, LM log10]
-    for (words, node), (_, _, lm10, ac) in states.items():
+    for _, words, _, (_, node), (_, _, _, _, ac) in states:
         if ac == NEG_INF:
             continue
+        lm10 = lm10_of[words]
         ends = [(words, lm10 + _lm10(lm, (BOS,) + words, EOS))] if node is root else []
         for w in node.words:
             full = words + (w,)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -72,6 +72,13 @@ class G2PTable:
     onset_entries: dict[str, tuple[str, ...]]
     rime_entries: dict[str, tuple[str, ...]]
     tone_map: dict[tuple[str, str], str]
+    # each view's longest key, derived in __post_init__
+    _onset_len: int = field(init=False, repr=False, compare=False)
+    _rime_len: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_onset_len", _longest_key(self.onset_entries))
+        object.__setattr__(self, "_rime_len", _longest_key(self.rime_entries))
 
     def tone_digit(self, syllable: Syllable) -> str:
         cls = CHECKED if syllable.checked else OPEN
@@ -180,13 +187,21 @@ def default_g2p_table() -> G2PTable:
     return load_g2p_table(Path(__file__).parent / "data" / "iu_mien_g2p.tsv")
 
 
+def _longest_key(entries: dict[str, tuple[str, ...]]) -> int:
+    return max((len(k) for k in entries), default=0)
+
+
 def longest_match(s: str, entries: dict[str, tuple[str, ...]]) -> list[str]:
     """Greedy left-to-right maximal munch of ``s`` over the entry keys.
 
     At each position the longest matching key is consumed; no backtracking.
     Raises G2PError (with the stuck offset) if no key matches.
     """
-    max_len = max((len(k) for k in entries), default=0)
+    return _munch(s, entries, _longest_key(entries))
+
+
+def _munch(s: str, entries: dict[str, tuple[str, ...]], max_len: int) -> list[str]:
+    """``longest_match`` given the length of the longest key in ``entries``."""
     out: list[str] = []
     i = 0
     while i < len(s):
@@ -211,11 +226,12 @@ def g2p(word: str, table: G2PTable, inv: InventoryConfig) -> LexiconEntry:
     parse = parse_word(word, inv)
     pron: list[str] = []
     for syl in parse.syllables:
-        for text, view in ((syl.initial, table.onset_entries), (syl.rime, table.rime_entries)):
+        for text, view, max_len in ((syl.initial, table.onset_entries, table._onset_len),
+                                    (syl.rime, table.rime_entries, table._rime_len)):
             if not text:
                 continue
             try:
-                pron.extend(longest_match(text, view))
+                pron.extend(_munch(text, view, max_len))
             except G2PError as e:
                 raise G2PError(
                     f"word {word!r}, syllable {syl.surface!r}: {e}",
@@ -237,7 +253,9 @@ def build_lexicon(
     """One entry per unique translatable word, plus a failure report.
 
     Words are deduplicated internally, order preserved.  Untranslatable or
-    unparseable words are reported, never silently skipped.
+    unparseable words are reported, never silently skipped.  A reported
+    error keeps no traceback or chained error: their frames would hold the
+    failure list, a reference cycle that only the garbage collector frees.
     """
     entries: list[LexiconEntry] = []
     failures: list[tuple[str, Exception]] = []
@@ -249,6 +267,7 @@ def build_lexicon(
         try:
             entries.append(g2p(word, table, inv))
         except (G2PError, ParseError) as e:
+            e.__traceback__ = e.__context__ = None
             failures.append((word, e))
     return entries, failures
 

@@ -68,6 +68,7 @@ class InventoryConfig:
     # lookup structures derived in __post_init__
     _initial_set: frozenset[str] = field(default=frozenset(), repr=False, compare=False)
     _initial_lens: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    _syllable_len: int = field(default=0, repr=False, compare=False)
     _final_set: frozenset[str] = field(default=frozenset(), repr=False, compare=False)
     _rime_slots: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -75,6 +76,9 @@ class InventoryConfig:
         object.__setattr__(self, "_initial_set", frozenset(self.initials))
         object.__setattr__(self, "_initial_lens",
                            tuple(sorted({len(g) for g in self.initials}, reverse=True)))
+        # the longest written syllable: longest initial + longest final + a tone letter
+        object.__setattr__(self, "_syllable_len", max(map(len, self.initials), default=0)
+                           + max(map(len, self.finals), default=0) + 1)
         object.__setattr__(self, "_final_set", frozenset(self.finals))
         slots = {}
         for rime in self.finals:
@@ -255,40 +259,53 @@ def parse_word(w: str, inv: InventoryConfig) -> WordParse:
     """Segment a word into syllables, leftmost-longest with backtracking.
 
     Every character must be consumed; on failure the error carries the
-    position of the first unparseable suffix.
+    position of the first unparseable suffix: the furthest position the
+    search reached whose suffix has no parse.
+
+    The search is depth first with an explicit stack, so its depth is not
+    bounded by the interpreter's recursion limit.  From each position it
+    tries syllable ends longest first, but no candidate longer than the
+    inventory's longest syllable, and each position is settled once.
     """
     _check_lowercase(w, "word")
     n = len(w)
+    longest = inv._syllable_len
     best_fail = 0
-    memo: dict[int, Optional[tuple[Syllable, ...]]] = {n: ()}
-
-    def parse_from(i: int) -> Optional[tuple[Syllable, ...]]:
-        nonlocal best_fail
-        if i in memo:
-            return memo[i]
-        for j in range(n, i, -1):
+    parsed: dict[int, Optional[tuple[Syllable, int]]] = {n: None}  # position -> (syllable, end)
+    failed: set[int] = set()
+    stack = [(0, min(n, longest))]   # (position, the next syllable end to try from it)
+    while stack:
+        i, j = stack.pop()
+        while j > i:
             syl = _match_syllable(w[i:j], inv)
-            if syl is None:
-                continue
-            rest = parse_from(j)
-            if rest is not None:
-                memo[i] = (syl,) + rest
-                return memo[i]
-        best_fail = max(best_fail, i)
-        memo[i] = None
-        return None
-
-    syllables = parse_from(0)
-    if syllables is None:
+            if syl is not None and j not in failed:
+                if j in parsed:
+                    parsed[i] = (syl, j)
+                else:   # settle the rest first, then try this end again
+                    stack.append((i, j))
+                    stack.append((j, min(n, j + longest)))
+                break
+            j -= 1
+        else:
+            failed.add(i)
+            best_fail = max(best_fail, i)
+    if 0 in failed:
         raise ParseError(f"word {w!r} unparseable at position {best_fail}", w, best_fail)
-    return WordParse(w, syllables)
+    syllables = []
+    i = 0
+    while i < n:
+        syl, i = parsed[i]
+        syllables.append(syl)
+    return WordParse(w, tuple(syllables))
 
 
 def report_coverage(tokens: Iterable[str], inv: InventoryConfig):
     """Parse a token stream; returns (parses, failures).
 
     Nothing is dropped silently: each distinct token lands either in the
-    parse map or in the failure list (token, ParseError).
+    parse map or in the failure list (token, ParseError).  A kept error has
+    no traceback: its frames would hold the list, a reference cycle that
+    only the garbage collector frees.
     """
     parses: dict[str, WordParse] = {}
     failures: list[tuple[str, ParseError]] = []
@@ -300,5 +317,6 @@ def report_coverage(tokens: Iterable[str], inv: InventoryConfig):
         try:
             parses[tok] = parse_word(tok, inv)
         except ParseError as e:
+            e.__traceback__ = None
             failures.append((tok, e))
     return parses, failures

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mienasr import BLANK_ID
+from mienasr import BLANK_ID, ctc
 from mienasr.ctc import (NEG_INF, EmissionMatrix, collapse, ctc_loss, greedy_decode,
                          min_frames, normalize_rows, read_emissions,
                          write_emissions)
@@ -322,6 +322,53 @@ class TestEmissionMatrix:
             EmissionMatrix(logits=np.zeros((0, 3)))
         with pytest.raises(ValueError):
             EmissionMatrix(logits=np.log(np.ones((2, 1))))
+
+
+@st.composite
+def row_case(draw):
+    """A T x V matrix with a finite cell in every row: Gaussian at several
+    scales, with -inf cells, with rows of one finite cell, or float32-rounded."""
+    T, V = draw(st.integers(1, 60)), draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = draw(st.sampled_from([0.01, 1.0, 30.0, 1e4])) * rng.normal(size=(T, V))
+    kind = draw(st.sampled_from(["gaussian", "holes", "single", "float32"]))
+    if kind == "holes":
+        x[rng.random((T, V)) < draw(st.sampled_from([0.1, 0.5, 0.95]))] = -np.inf
+        x[np.arange(T), rng.integers(0, V, size=T)] = rng.normal(size=T)
+    elif kind == "single":   # some rows keep one finite cell
+        lone = rng.random(T) < 0.5
+        keep = rng.integers(0, V, size=T)
+        x[lone] = -np.inf
+        x[np.flatnonzero(lone), keep[lone]] = rng.normal(size=int(lone.sum()))
+    elif kind == "float32":
+        x = normalize_rows(x).astype(np.float32).astype(np.float64)
+    return x
+
+
+class TestRowReductionMatchesAxis1:
+    """Reducing the transposed copy gives the bits of a plain axis-1 reduction."""
+
+    @settings(max_examples=1000)
+    @given(row_case())
+    def test_normalize_rows_bit_for_bit(self, x):
+        want = x - np.logaddexp.reduce(x, axis=1, keepdims=True)
+        assert normalize_rows(x).tobytes() == want.tobytes()
+
+    @settings(max_examples=500)
+    @given(row_case(), st.sampled_from([0.0, 5e-6, 1e-5, 1.5e-5, 1e-3]))
+    def test_emission_check_bit_for_bit(self, x, shift):
+        x = normalize_rows(x)
+        x[0] += shift
+        lse = np.logaddexp.reduce(x, axis=1)
+        assert ctc._row_logsumexp(x).tobytes() == lse.tobytes()
+        try:
+            EmissionMatrix(logits=x)
+        except ValueError as e:
+            assert "not normalized" in str(e)
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (not np.max(np.abs(lse)) > 1e-5)
 
 
 class TestEmissionFiles:

@@ -2,6 +2,7 @@ import dataclasses
 import heapq
 import json
 import math
+import random
 from itertools import product
 from operator import attrgetter
 from pathlib import Path
@@ -710,3 +711,62 @@ class TestBeamFloor:
         got = decode_phoneme(em, tree, lm, cfg)
         assert repr(got) == repr(ref_decode_phoneme(em, tree, lm, cfg))
         assert [h.words for h in got] == [("x", "ab")]
+
+
+# -- lexicon-sized cases: a full beam whose cut drops a dozen entries a frame --
+
+@pytest.fixture(scope="module")
+def packaged_trie(inv, g2p_table):
+    """About 1,000 words of one or two packaged syllables, their trie, and
+    a 3-gram LM over random sentences of them."""
+    from mienasr.lexicon import build_lexicon, derive_phoneme_vocab
+    rng = random.Random(2024)
+    words = set()
+    while len(words) < 1000:
+        words.add("".join(rng.choice(("",) + inv.initials) + rng.choice(inv.finals)
+                          + rng.choice(("",) + inv.tone_letters)
+                          for _ in range(rng.randint(1, 2))))
+    entries, _ = build_lexicon(sorted(words), g2p_table, inv)
+    vocab = derive_phoneme_vocab(entries)
+    known = [e.word for e in entries]
+    common = known[:60]   # a skewed corpus, so the LM ranks some words well above others
+    corpus = [" ".join(rng.choice(common if rng.random() < 0.7 else known)
+                       for _ in range(rng.randint(1, 4))) for _ in range(400)]
+    return entries, build_prefix_tree(entries, vocab), lm_train(corpus, order=3)
+
+
+def peaky_rows(rng, path, V, T):
+    """``path`` with blanks spread between its tokens over ``T`` frames,
+    each frame a noisy peak on its token, normalized."""
+    gaps = 1 + rng.multinomial(T - 2 * len(path) - 1, np.full(len(path) + 1, 1 / (len(path) + 1)))
+    frames = [BLANK_ID] * int(gaps[0])
+    for tok, gap in zip(path, gaps[1:]):
+        frames += [tok] + [BLANK_ID] * int(gap)
+    raw = rng.normal(0.0, 1.5, size=(T, V))
+    raw[np.arange(T), frames] += 6.0
+    return normalize_rows(raw)
+
+
+class TestLexiconSized:
+    """At beam 32 over a 1,000-word trie, most frames fill the beam and the
+    cut drops about a dozen entries, as on the benchmark's phoneme workload;
+    the few-word property cases seldom fill theirs."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("use_lm", [False, True])
+    def test_matches_reference(self, packaged_trie, seed, use_lm):
+        entries, tree, lm = packaged_trie
+        rng = np.random.default_rng(seed)
+        path = []
+        while len(path) < 12:   # whole words, at most 29 tokens so that 60 frames hold them
+            pron = [tree.vocab.index(tok) for tok in entries[int(rng.integers(len(entries)))].pron]
+            if len(path) + len(pron) <= 29:
+                path += pron
+        T = int(rng.integers(max(40, 2 * len(path) + 1), 61))
+        em = EmissionMatrix(logits=peaky_rows(rng, path, len(tree.vocab), T))
+        cfg = DecodeConfig(beam_size=32, lm_weight=(0.5, 1.0, 2.0)[seed % 3],
+                           word_insertion_penalty=(-0.5, 0.0, 1.0)[seed % 3])
+        lm = lm if use_lm else None
+        got = decode_phoneme(em, tree, lm, cfg)
+        assert got
+        assert repr(got) == repr(ref_decode_phoneme(em, tree, lm, cfg))

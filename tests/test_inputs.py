@@ -220,6 +220,34 @@ class TestNoUnusedImports:
         assert unused == []
 
 
+# -- no recursion whose depth the input sets ---------------------------------
+
+# lm._backoff recurses once per history word it drops, so it is at most the
+# LM order deep, whatever the input; no other function may call itself.
+BOUNDED_RECURSION = {"lm.py: _backoff"}
+
+
+def _calls_itself(fn):
+    for node in ast.walk(fn):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(func, ast.Name) and func.id == fn.name
+                or isinstance(func, ast.Attribute) and func.attr == fn.name
+                and isinstance(func.value, ast.Name) and func.value.id in ("self", "cls")):
+            return True
+    return False
+
+
+class TestNoSelfRecursion:
+    def test_no_function_calls_itself(self):
+        recursive = set()
+        for p in sorted(SRC.glob("*.py")):
+            tree = ast.parse(p.read_text(encoding="utf-8"))
+            recursive |= {f"{p.name}: {fn.name}" for fn in ast.walk(tree)
+                          if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and _calls_itself(fn)}
+        assert sorted(recursive - BOUNDED_RECURSION) == []
+
+
 # -- fuzz gate ----------------------------------------------------------------
 
 def mutate(data: bytes, rng: random.Random) -> tuple[bytes, str]:

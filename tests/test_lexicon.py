@@ -3,13 +3,14 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mienasr import BLANK_TOKEN
-from mienasr.lexicon import (G2PError, G2PTable, TableError, build_lexicon,
-                             derive_phoneme_vocab, g2p, load_g2p_table,
+from mienasr.lexicon import (G2PError, G2PTable, LexiconEntry, TableError, build_lexicon,
+                             default_g2p_table, derive_phoneme_vocab, g2p, load_g2p_table,
                              longest_match, read_lexicon, read_vocab, strip_token,
                              write_lexicon)
-from mienasr.orthography import parse_word
+from mienasr.orthography import ParseError, default_inventory, parse_word
 
 
 def full_coverage_words(inv):
@@ -96,6 +97,110 @@ class TestLongestMatchOracle:
                     assert got == [keys[k][0] for k in want]
 
 
+def reference_longest_match(s, entries):
+    """``longest_match`` as it was before each view kept its longest key,
+    kept verbatim: it measures every key on every call."""
+    max_len = max((len(k) for k in entries), default=0)
+    out = []
+    i = 0
+    while i < len(s):
+        for cut in range(min(max_len, len(s) - i), 0, -1):
+            tokens = entries.get(s[i:i + cut])
+            if tokens is not None:
+                out.extend(tokens)
+                i += cut
+                break
+        else:
+            raise G2PError(f"no table entry matches {s[i:]!r}", offset=i)
+    return out
+
+
+def reference_g2p(word, table, inv):
+    """``g2p`` over ``reference_longest_match``, kept verbatim."""
+    parse = parse_word(word, inv)
+    pron = []
+    for syl in parse.syllables:
+        for text, view in ((syl.initial, table.onset_entries), (syl.rime, table.rime_entries)):
+            if not text:
+                continue
+            try:
+                pron.extend(reference_longest_match(text, view))
+            except G2PError as e:
+                raise G2PError(
+                    f"word {word!r}, syllable {syl.surface!r}: {e}",
+                    word=word, syllable=syl.surface, offset=e.offset,
+                ) from None
+        try:
+            pron.append(table.tone_digit(syl))
+        except KeyError:
+            raise G2PError(
+                f"word {word!r}: no tone entry for mark {syl.tone_mark or 'none'!r}",
+                word=word, syllable=syl.surface,
+            ) from None
+    return LexiconEntry(word=word, pron=tuple(pron))
+
+
+_INV = default_inventory()
+_GRAPHEMES = sorted(set(_INV.initials) | set(_INV.finals) | _INV.medials | _INV.mains
+                    | _INV.codas | set("abcdefghijklmnopqrstuvwxyz"))
+
+
+def _outcome(convert, word, table):
+    try:
+        return convert(word, table, _INV)
+    except (G2PError, ParseError) as e:
+        return (type(e).__name__, str(e), getattr(e, "offset", None), getattr(e, "syllable", None))
+
+
+@st.composite
+def g2p_case(draw):
+    """The packaged table with keys dropped and random graphemes (some long)
+    added, and a word of packaged syllables that it may not cover."""
+    base = default_g2p_table()
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    keep = draw(st.sampled_from([0.0, 0.7, 0.95, 1.0]))
+    extra = st.dictionaries(st.sampled_from(_GRAPHEMES), st.tuples(st.sampled_from("PQRS")),
+                            max_size=6)
+    onset, rime, tones = ({k: v for k, v in d.items() if rng.random() < keep}
+                          for d in (base.onset_entries, base.rime_entries, base.tone_map))
+    table = G2PTable(onset_entries=onset | draw(extra), rime_entries=rime | draw(extra),
+                     tone_map=tones)
+    syllable = st.tuples(st.sampled_from(("",) + _INV.initials), st.sampled_from(_INV.finals),
+                         st.sampled_from(("",) + _INV.tone_letters)).map("".join)
+    word = "".join(draw(st.lists(syllable, min_size=1, max_size=4)))
+    return table, word
+
+
+class TestLongestKeyPerView:
+    """A table's views keep their longest key, and ``g2p`` gives the same
+    entries and errors as measuring every key on every call."""
+
+    @settings(max_examples=800)
+    @given(g2p_case())
+    def test_g2p_matches_reference(self, case):
+        table, word = case
+        assert _outcome(g2p, word, table) == _outcome(reference_g2p, word, table)
+
+    @settings(max_examples=300)
+    @given(g2p_case(), st.text(alphabet="abcghnqu", max_size=12))
+    def test_longest_match_matches_reference(self, case, s):
+        table, _ = case
+        for view in (table.onset_entries, table.rime_entries):
+            try:
+                want = reference_longest_match(s, view)
+            except G2PError as e:
+                with pytest.raises(G2PError) as ei:
+                    longest_match(s, view)
+                assert (str(ei.value), ei.value.offset) == (str(e), e.offset)
+            else:
+                assert longest_match(s, view) == want
+
+    def test_packaged_table_on_every_grapheme(self, inv, g2p_table):
+        words = full_coverage_words(inv)
+        assert [g2p(w, g2p_table, inv) for w in words] == \
+            [reference_g2p(w, g2p_table, inv) for w in words]
+
+
 class TestBuildLexicon:
     def test_one_entry_per_unique_word(self, inv, g2p_table):
         entries, failures = build_lexicon(["mienh", "dorn", "mienh"], g2p_table, inv)
@@ -104,6 +209,21 @@ class TestBuildLexicon:
 
     def test_empty_input(self, inv, g2p_table):
         assert build_lexicon([], g2p_table, inv) == ([], [])
+
+    def test_long_unparseable_token_is_a_failure(self, inv, g2p_table):
+        entries, failures = build_lexicon(["mienh", "q" * 3000], g2p_table, inv)
+        assert [e.word for e in entries] == ["mienh"]
+        [(word, err)] = failures
+        assert word == "q" * 3000
+        assert isinstance(err, ParseError) and err.position == 0
+
+    def test_failures_hold_no_frames(self, inv, g2p_table):
+        """A kept error's traceback would hold the frames that hold the list."""
+        table = G2PTable(onset_entries={"b": ("p",)}, rime_entries={"a": ("ɐ",)},
+                         tone_map=g2p_table.tone_map)
+        _, failures = build_lexicon(["ba", "na", "qq"], table, inv)
+        assert [(w, type(e)) for w, e in failures] == [("na", G2PError), ("qq", ParseError)]
+        assert all(e.__traceback__ is None and e.__context__ is None for _, e in failures)
 
     def test_failure_accounting(self, inv, g2p_table):
         words = ["mienh", "xyzzy", "dorn"]

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import string
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -86,11 +87,28 @@ class TestParseWord:
         b = parse_word("ginghgungv", inv)
         assert a == b
 
+    def test_long_word_parses_in_bounded_depth(self, inv):
+        """3,000 letters would need a frame per syllable under recursion."""
+        start = time.perf_counter()
+        p = parse_word("a" * 3000, inv)
+        assert time.perf_counter() - start < 1.0
+        assert [s.surface for s in p.syllables] == ["aa"] * 1500
+
+    def test_longest_syllable_is_derived(self, inv, tiny_inv):
+        assert inv._syllable_len == max(map(len, inv.initials)) + max(map(len, inv.finals)) + 1
+        assert tiny_inv._syllable_len == 2 + 4 + 1
+
     def test_coverage_report_drops_nothing(self, inv):
         tokens = ["mienh", "zzzz", "dorn", "qqq", "mienh"]
         parses, failures = report_coverage(tokens, inv)
         assert set(parses) | {w for w, _ in failures} == set(tokens)
         assert {w for w, _ in failures} == {"zzzz", "qqq"}
+
+    def test_coverage_failures_hold_no_frames(self, inv):
+        """A kept error's traceback would hold the frames that hold the list."""
+        _, failures = report_coverage(["mienh", "zzzz", "q" * 50], inv)
+        assert [w for w, _ in failures] == ["zzzz", "q" * 50]
+        assert all(e.__traceback__ is None and e.__context__ is None for _, e in failures)
 
 
 def oracle_syllable(s, inv):
@@ -219,6 +237,65 @@ class TestOnsetLookup:
         with mock.patch.object(orthography, "_match_syllable", reference_match_syllable):
             want = _word_outcome(w, inv)
         assert got == want
+
+
+def reference_parse_word(w, inv):
+    """``parse_word`` as it was before the explicit stack, kept verbatim: one
+    recursive call per syllable, every end from the word's end down."""
+    orthography._check_lowercase(w, "word")
+    n = len(w)
+    best_fail = 0
+    memo = {n: ()}
+
+    def parse_from(i):
+        nonlocal best_fail
+        if i in memo:
+            return memo[i]
+        for j in range(n, i, -1):
+            syl = orthography._match_syllable(w[i:j], inv)
+            if syl is None:
+                continue
+            rest = parse_from(j)
+            if rest is not None:
+                memo[i] = (syl,) + rest
+                return memo[i]
+        best_fail = max(best_fail, i)
+        memo[i] = None
+        return None
+
+    syllables = parse_from(0)
+    if syllables is None:
+        raise ParseError(f"word {w!r} unparseable at position {best_fail}", w, best_fail)
+    return orthography.WordParse(w, syllables)
+
+
+def _outcome(parse, w, inv):
+    try:
+        return parse(w, inv)
+    except ParseError as e:
+        return ("error", str(e), e.position, e.remainder)
+
+
+def _long_spelling(inv):
+    """Words of up to 14 pieces: syllables, graphemes and stray letters."""
+    syllable = st.tuples(st.sampled_from(("",) + inv.initials), st.sampled_from(inv.finals),
+                         st.sampled_from(("",) + inv.tone_letters)).map("".join)
+    pieces = st.one_of(syllable, syllable, st.sampled_from(sorted(
+        set(inv.finals) | inv.codas | set(inv.tone_letters) | set(string.ascii_lowercase))))
+    return st.tuples(st.just(inv), st.lists(pieces, min_size=1, max_size=14).map("".join))
+
+
+class TestIterativeParse:
+    """The explicit-stack parse gives the same syllables, or the same error
+    message, position and remainder, as the recursion it replaced."""
+
+    @settings(max_examples=1500)
+    @given(st.sampled_from([default_inventory(), _AMBIGUOUS_INV]).flatmap(
+        lambda inv: st.one_of(_spelling(inv), _long_spelling(inv))))
+    @example((_AMBIGUOUS_INV, "hmangc"))
+    def test_matches_recursive_reference(self, case):
+        inv, w = case
+        assert _outcome(parse_word, w, inv) == _outcome(reference_parse_word, w, inv)
 
 
 class TestInventoryLoading:
