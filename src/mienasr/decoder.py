@@ -8,7 +8,7 @@ that keeps blank-ending and non-blank-ending probability mass separately
 per prefix.  The search space is the same as the offline composition but
 the machinery stays small enough to check against brute-force enumeration.
 
-A state is keyed by ``(words, node)``: the committed word sequence and the
+A state is a pair ``(words, node)``: the committed word sequence and the
 trie node reached since.  Expansion follows trie arcs only, so no word
 outside the lexicon can appear; at a word-final node a state also commits
 each of its words, applies the LM score and re-enters the trie at the root.
@@ -23,17 +23,37 @@ the highest score (acoustic log-sum plus weighted LM and insertion terms).
 Among states with equal scores the lexicographically smaller word sequence
 goes first, then the smaller trie node index.  The cut is one sort of plain
 tuples (negated score, word sequence, node index, key, entry), with no key
-function; the bounded expansion below leaves few entries to sort.  The
-sorted list, truncated to the beam, is the next frame's states.  Each key's
-entry is one list: blank mass, non-blank mass, LM term ``lm_weight * ln 10
-* lm10``, insertion term ``word_insertion_penalty * len(words)``, and the
-acoustic log-sum that the cut writes.  The two terms depend only on the
-word sequence, so they are computed once, when the key is created (a
-word-final key's re-entry list holds them per word sequence), and carried.
-Carrying them is exact: a product of the same two floats has the same bits
-wherever it is formed, and the floor, the expansion and the cut all sum a
-score in one order, ``(acoustic + LM term) + insertion term``.  Completed
-hypotheses are ordered by score, then word sequence.
+function; the bounded expansion below leaves few entries to sort.  The word
+sequence and node index settle every tie, so the key is never compared.
+The sorted list, truncated to the beam, is the next frame's states.
+
+A state's key is the int ``base + node.idx``, where ``base`` is the word
+sequence's first-seen id in the decode times ``node_count + 1``: distinct
+states get distinct keys, and no tuple is built or hashed per arc.  Each
+key's entry is one list: blank mass, non-blank mass, LM term ``lm_weight *
+ln 10 * lm10``, insertion term ``word_insertion_penalty * len(words)``, the
+acoustic log-sum that the cut writes, the word sequence and the trie node.
+The two terms depend only on the word sequence, so they are computed once,
+when the key is created (a word-final key's re-entry list holds them and
+the base per word sequence), and carried.  Carrying them is exact: a
+product of the same two floats has the same bits wherever it is formed,
+and the floor, the expansion and the cut all sum a score in one order,
+``(acoustic + LM term) + insertion term``.  Trie arcs are read from
+``TrieNode.arcs``, each node's children as ``(phone, child index, child)``
+tuples compiled once with the tree.  Completed hypotheses are ordered by
+score, then word sequence.
+
+Inlined log-add: a state's self-loop, an arc into a key already in the
+beam and the cut's sum of blank and non-blank mass are the frame loop's
+log-adds per state and per arc, and each inlines ``_lae`` in its branch
+order: equal operands add ``ln 2``; otherwise the larger operand absorbs
+``log1p(exp(smaller - larger))``.  This has ``_lae``'s bits because IEEE
+subtraction is antisymmetric, ``a - b == -(b - a)``, and ``a - b > 0``
+exactly when ``a > b``.  Log-adding into ``-inf`` returns the other operand
+directly, at those sites and at re-entry pooling: ``_lae`` gives ``x +
+0.0``, which is ``x`` since no mass is ``-0.0`` (every mass is a sum
+starting from the root's ``0.0``).  Re-entry pooling and the final merge,
+which run per word-final state, call ``_lae``.
 
 Bounded expansion: the search skips a one-token extension that cannot
 survive this frame's beam cut.  It keeps a min-heap of ``beam_size`` lower
@@ -126,10 +146,13 @@ class Hypothesis:
 
 
 class TrieNode:
-    __slots__ = ("children", "words", "phone", "idx")
+    __slots__ = ("children", "arcs", "words", "phone", "idx")
 
     def __init__(self, phone: Optional[int], idx: int):
         self.children: dict[int, TrieNode] = {}
+        # ``children`` as (phone, child index, child), in insertion order;
+        # build_prefix_tree fills it once the tree is complete
+        self.arcs: tuple[tuple[int, int, TrieNode], ...] = ()
         self.words: tuple[str, ...] = ()
         self.phone = phone   # phoneme id on the incoming arc, None at root
         self.idx = idx
@@ -150,7 +173,7 @@ def build_prefix_tree(lexicon: Sequence[LexiconEntry], vocab: PhonemeVocab) -> P
     outside the vocab.
     """
     root = TrieNode(None, 0)
-    count = 0
+    nodes = [root]
     for entry in lexicon:
         if not entry.pron:
             raise ValueError(f"word {entry.word!r} has an empty pronunciation")
@@ -164,13 +187,15 @@ def build_prefix_tree(lexicon: Sequence[LexiconEntry], vocab: PhonemeVocab) -> P
                 raise ValueError(f"word {entry.word!r} pronunciation contains the blank")
             nxt = node.children.get(pid)
             if nxt is None:
-                count += 1
-                nxt = TrieNode(pid, count)
+                nxt = TrieNode(pid, len(nodes))
+                nodes.append(nxt)
                 node.children[pid] = nxt
             node = nxt
         if entry.word not in node.words:
             node.words = tuple(sorted(node.words + (entry.word,)))
-    return PrefixTree(root=root, vocab=vocab, node_count=count)
+    for node in nodes:
+        node.arcs = tuple([(k, child.idx, child) for k, child in node.children.items()])
+    return PrefixTree(root=root, vocab=vocab, node_count=len(nodes) - 1)
 
 
 def spell_lm_words(bpe: BpeModel, lm: ArpaModel) -> PrefixTree:
@@ -219,13 +244,18 @@ def decode_phoneme(
     Returns all completed hypotheses in the final beam, best first.  The LM
     scores each committed word given the preceding words (with <s> context)
     plus the final </s> event; homophones at one trie node spawn parallel
-    hypotheses.  A state is the key ``(words, node)`` and its entry
-    ``[blank mass, non-blank mass, LM term, insertion term, acoustic
-    log-sum]``; the cut writes the log-sum of the two masses into the entry
-    and the next frame reads it.  The terms are ``lam * ln 10 * lm10`` and
-    ``wip * len(words)``, computed once per key: a product of the same two
-    operands has the same bits wherever it is formed, and every score sums
-    them in one order, ``(acoustic + LM term) + insertion term``.
+    hypotheses.  A state ``(words, node)`` is keyed by the int ``base +
+    node.idx``, where ``base`` is the word sequence's first-seen id times
+    ``lex.node_count + 1``, and its entry is ``[blank mass, non-blank mass,
+    LM term, insertion term, acoustic log-sum, words, node]``; the cut
+    writes the log-sum of the two masses into the entry and the next frame
+    reads it.  The terms are ``lam * ln 10 * lm10`` and ``wip * len(words)``,
+    computed once per word sequence: a product of the same two operands has
+    the same bits wherever it is formed, and every score sums them in one
+    order, ``(acoustic + LM term) + insertion term``.  Trie arcs are read
+    from ``TrieNode.arcs``.  The self-loop, an arc into a key already in the
+    beam and the cut inline ``_lae`` in its branch order; ``a - b`` is
+    exactly ``-(b - a)``, so ``log1p(exp(smaller - larger))`` has its bits.
     """
     if em.vocab_size != len(lex.vocab):
         raise ValueError(
@@ -239,13 +269,15 @@ def decode_phoneme(
     beam_size = cfg.beam_size
     lam, wip = cfg.lm_weight, cfg.word_insertion_penalty
     lam10 = lam * LN10
+    stride = lex.node_count + 1
+    base_of = {(): 0}         # word sequence -> its first-seen id times stride
     lm10_of = {(): 0.0}       # word sequence -> its LM log10
-    reentries_of: dict = {}   # word-final key -> [(word sequence it re-enters with, its terms)]
+    reentries_of: dict = {}   # word-final key -> [(words it re-enters with, base, terms)]
 
     # the cut's sorted list of (negated score, words, node index, key, entry), where
-    # entry = [blank mass, non-blank mass, LM term, insertion term, acoustic log-sum];
-    # the empty word sequence has zero terms
-    states = [(0.0, (), root.idx, ((), root), [0.0, NEG_INF, 0.0, 0.0, 0.0])]
+    # entry = [blank mass, non-blank mass, LM term, insertion term, acoustic log-sum,
+    # words, node]; the empty word sequence has base 0 and zero terms
+    states = [(0.0, (), root.idx, root.idx, [0.0, NEG_INF, 0.0, 0.0, 0.0, (), root])]
     for y in em.logits.tolist():
         blank = y[BLANK_ID]
         # A state's key only gains mass past its blank extension, so the
@@ -253,68 +285,87 @@ def decode_phoneme(
         beam: dict = {}
         floor = []
         finals = []
-        for _, _, _, key, (_, _, lm_term, wip_term, total) in states:
+        for _, words, _, key, (_, _, lm_term, wip_term, total, _, node) in states:
             mass = total + blank
-            beam[key] = [mass, NEG_INF, lm_term, wip_term, 0.0]
+            beam[key] = [mass, NEG_INF, lm_term, wip_term, 0.0, words, node]
             floor.append(mass + lm_term + wip_term)
-            if key[1].words:
-                finals.append(key)
+            if node.words:
+                finals.append((key, words, node))
         # ascending, so already a min-heap; -inf pads it so it never bounds too early
         best = [NEG_INF] * (beam_size - len(floor)) + sorted(floor)
 
         if finals:
             by_y = sorted(roots, key=y.__getitem__, reverse=True)
-            into: dict = {}   # word sequence -> the root children where a state holds it
-            for _, words, _, (_, node), _ in states:
+            into: dict = {}   # word sequence base -> the root children where a state holds it
+            for _, _, _, key, entry in states:
+                node = entry[6]
                 if node in root_nodes:
-                    into.setdefault(words, []).append(node.phone)
+                    into.setdefault(key - node.idx, []).append(node.phone)
             seen, shared = set(), set()
-            for key in finals:
+            for key, words, node in finals:
                 if key not in reentries_of:
-                    words, node = key
                     reentries_of[key] = reentries = []
                     for w in node.words:
                         new_words = words + (w,)
-                        if new_words not in lm10_of:
+                        if new_words not in base_of:
+                            base_of[new_words] = len(base_of) * stride
                             lm10_of[new_words] = lm10_of[words] + _lm10(lm, (BOS,) + words, w)
-                        reentries.append((new_words, lam10 * lm10_of[new_words],
-                                          wip * len(new_words)))
-                for new_words, _, _ in reentries_of[key]:
-                    (shared if new_words in seen else seen).add(new_words)
+                        reentries.append((new_words, base_of[new_words],
+                                          lam10 * lm10_of[new_words], wip * len(new_words)))
+                for _, new_base, _, _ in reentries_of[key]:
+                    (shared if new_base in seen else seen).add(new_base)
 
-        for _, words, _, key, (pb, pnb, lm_term, wip_term, total) in states:
-            node = key[1]
+        for _, words, _, key, (pb, pnb, lm_term, wip_term, total, _, node) in states:
             last = node.phone
             if last is not None:
                 entry = beam[key]
                 mass = pnb + y[last]
                 # log-adding into -inf gives the other term back (masses are never -0.0)
-                entry[1] = mass if entry[1] == NEG_INF else _lae(entry[1], mass)
-            for k, child in node.children.items():
+                old = entry[1]
+                if old == NEG_INF:
+                    entry[1] = mass
+                elif old == mass:
+                    entry[1] = old + LN2
+                elif old > mass:
+                    entry[1] = old + log1p(exp(mass - old))
+                else:
+                    entry[1] = mass + log1p(exp(old - mass))
+            base = key - node.idx
+            for k, idx, child in node.arcs:
                 mass = (pb if k == last else total) + y[k]
-                new_key = (words, child)
+                new_key = base + idx
                 entry = beam.get(new_key)
                 if entry is not None:   # a state pools every arc into it
-                    entry[1] = _lae(entry[1], mass)
+                    old = entry[1]
+                    if old == NEG_INF:
+                        entry[1] = mass
+                    elif old == mass:
+                        entry[1] = old + LN2
+                    elif old > mass:
+                        entry[1] = old + log1p(exp(mass - old))
+                    else:
+                        entry[1] = mass + log1p(exp(old - mass))
                     continue
                 score = mass + lm_term + wip_term   # the sum the cut reads, in its order
                 if not score < best[0]:
-                    beam[new_key] = [NEG_INF, mass, lm_term, wip_term, 0.0]
+                    beam[new_key] = [NEG_INF, mass, lm_term, wip_term, 0.0, words, child]
                     if score > best[0]:
                         heapq.heapreplace(best, score)
             if not node.words:
                 continue
-            for new_words, new_lm_term, new_wip_term in reentries_of[key]:
+            for new_words, new_base, new_lm_term, new_wip_term in reentries_of[key]:
                 # one word through two pronunciations: the keys pool, so all are added
-                held = roots if new_words in shared else into.get(new_words, ())
+                held = roots if new_base in shared else into.get(new_base, ())
                 for k in held:
                     mass = (pb if k == last else total) + y[k]
-                    new_key = (new_words, roots[k])
+                    child = roots[k]
+                    new_key = new_base + child.idx
                     entry = beam.get(new_key)
                     if entry is None:
-                        beam[new_key] = [NEG_INF, mass, new_lm_term, new_wip_term, 0.0]
+                        beam[new_key] = [NEG_INF, mass, new_lm_term, new_wip_term, 0.0,
+                                         new_words, child]
                     else:
-                        entry[1] = _lae(entry[1], mass)
+                        entry[1] = mass if entry[1] == NEG_INF else _lae(entry[1], mass)
                 if held is roots:
                     continue
                 for k in by_y:   # the rest lead to keys that only this state reaches
@@ -326,23 +377,35 @@ def decode_phoneme(
                         if k == last:   # scored from pb; later children may score higher
                             continue
                         break
-                    beam[(new_words, roots[k])] = [NEG_INF, mass, new_lm_term, new_wip_term, 0.0]
+                    child = roots[k]
+                    beam[new_base + child.idx] = [NEG_INF, mass, new_lm_term, new_wip_term,
+                                                  0.0, new_words, child]
                     if score > best[0]:
                         heapq.heapreplace(best, score)
 
         scored = []
         for key, entry in beam.items():
-            pb, pnb, lm_term, wip_term, _ = entry
+            pb, pnb, lm_term, wip_term, _, words, node = entry
             # most entries are fresh extensions with no blank mass yet
-            ac = entry[4] = pnb if pb == NEG_INF else _lae(pb, pnb)
+            if pb == NEG_INF:
+                ac = pnb
+            elif pnb == NEG_INF:
+                ac = pb
+            elif pb == pnb:
+                ac = pb + LN2
+            elif pb > pnb:
+                ac = pb + log1p(exp(pnb - pb))
+            else:
+                ac = pnb + log1p(exp(pb - pnb))
+            entry[4] = ac
             # negated, so a plain sort ranks by score, then word sequence, then node
-            scored.append((-(ac + lm_term + wip_term), key[0], key[1].idx, key, entry))
+            scored.append((-(ac + lm_term + wip_term), words, node.idx, key, entry))
         scored.sort()
         del scored[beam_size:]
         states = scored
 
     finals: dict = {}   # word sequence -> [acoustic log-sum, LM log10]
-    for _, words, _, (_, node), (_, _, _, _, ac) in states:
+    for _, words, _, _, (_, _, _, _, ac, _, node) in states:
         if ac == NEG_INF:
             continue
         lm10 = lm10_of[words]

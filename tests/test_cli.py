@@ -189,6 +189,37 @@ class TestSplitScore:
         assert code == 1 and "missing" in err
 
 
+class TestParserReuse:
+    """One parser serves every call in a process, and commands are looked up when run."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_second_call_keeps_no_option_of_the_first(self, capsys, monkeypatch, tmp_path):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("\n".join(f"u{i}" for i in range(12)) + "\n")
+        seeds, real = [], cli.cmd_split
+        monkeypatch.setattr(cli, "cmd_split", lambda args: seeds.append(args.seed) or real(args))
+        for name, extra in (("five", ["--seed", "5"]), ("default", []), ("zero", ["--seed", "0"])):
+            code, _, err = run(capsys, "split", "--ids", ids, "--folds", "6", "--runs", "1",
+                               "--output-dir", tmp_path / name, *extra)
+            assert code == 0, err
+        assert seeds == [5, 0, 0]
+        folds = {name: [(tmp_path / name / f"fold{k}.txt").read_text() for k in range(6)]
+                 for name in ("five", "default", "zero")}
+        assert folds["default"] == folds["zero"] != folds["five"]
+
+    @pytest.mark.parametrize("argv,fn", [
+        (["score", "--ref", "r.txt", "--hyp", "h.txt"], "cmd_score"),
+        (["bpe-decode", "--model", "m.json", "--ids", "1 2"], "cmd_bpe_decode"),
+    ])
+    def test_main_runs_the_module_attribute(self, monkeypatch, argv, fn):
+        calls = []
+        monkeypatch.setattr(cli, fn, lambda args: calls.append(args.command) or 7)
+        assert main(argv) == 7
+        assert calls == [argv[0]]
+
+
 class TestDecodeCli:
     def test_phoneme_decode_round_trip(self, capsys, toy, tmp_path):
         root, cfg = toy

@@ -468,6 +468,15 @@ class TestEmissionFiles:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
             read_emissions(path)
 
+    def test_row_that_loses_precision_names_file(self, tmp_path):
+        """[1e20, 1e20, 0] renormalizes to [0, 0, -1e20], whose log-sum is
+        ln 2: only the normalization check after the renormalization rejects it."""
+        path = tmp_path / "x.txt"
+        path.write_text("1 3\n1e20 1e20 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: emission rows are not normalized log-probabilities")):
+            read_emissions(path)
+
     def test_neither_binary_nor_utf8_names_file(self, tmp_path):
         path = tmp_path / "x.em"
         path.write_bytes(b"\xff\xfe\x00")

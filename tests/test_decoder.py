@@ -134,6 +134,21 @@ class TestBuildPrefixTree:
         with pytest.raises(KeyError):
             build_prefix_tree([LexiconEntry("w", ("zz",))], vocab_of(3))
 
+    def test_arcs_list_children(self, packaged_trie):
+        """Every node's arcs are its children as (phone, index, child), in
+        insertion order, on the ~1,000-word trie and on a spelled LM trie."""
+        _, tree, lm = packaged_trie
+        words = sorted(set(lm.vocab) - {BOS, EOS, UNK})
+        spelled_tree = spell_lm_words(bpe_train(words, vocab_size=80), lm)
+        for t in (tree, spelled_tree):
+            stack, visited = [t.root], 0
+            while stack:
+                node = stack.pop()
+                visited += 1
+                assert node.arcs == tuple((k, c.idx, c) for k, c in node.children.items())
+                stack.extend(node.children.values())
+            assert visited == t.node_count + 1
+
 
 class TestDecodePhoneme:
     def toy_tree(self):
@@ -711,6 +726,18 @@ class TestBeamFloor:
         got = decode_phoneme(em, tree, lm, cfg)
         assert repr(got) == repr(ref_decode_phoneme(em, tree, lm, cfg))
         assert [h.words for h in got] == [("x", "ab")]
+
+    def test_ties_break_on_words_not_on_first_seen_order(self):
+        """"b" is listed first, so ("b",) is met before ("a",) in frame 1.
+        In frame 2 the root, ("a",) at p1 and ("b",) at p2 tie below the two
+        one-phone states, and the beam of 4 keeps the smaller word sequence."""
+        tree = build_prefix_tree([LexiconEntry("b", ("p1",)), LexiconEntry("a", ("p2",))],
+                                 vocab_of(3))
+        em = EmissionMatrix(logits=np.full((2, 3), -math.log(3)))
+        cfg = DecodeConfig(beam_size=4)
+        got = decode_phoneme(em, tree, None, cfg)
+        assert repr(got) == repr(ref_decode_phoneme(em, tree, None, cfg))
+        assert [h.words for h in got] == [("a",), ("b",), (), ("a", "b")]
 
 
 # -- lexicon-sized cases: a full beam whose cut drops a dozen entries a frame --
