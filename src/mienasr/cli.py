@@ -8,7 +8,6 @@ print a stage-attributed diagnostic on stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import functools
 import re
 import sys
 from pathlib import Path
@@ -223,27 +222,22 @@ def cmd_experiment(args):
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``mienasr`` argument parser.
-
-    It is built once per process; ``main`` looks up ``cmd_<command>`` in
-    this module when it runs a command.
-    """
     p = argparse.ArgumentParser(prog="mienasr", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_):
+    def add(name, fn, help_):
         sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(fn=fn)
         sp._negative_number_matcher = _NEGATIVE_NUMBER
         return sp
 
-    sp = add("parse", "syllabify IMUC words")
+    sp = add("parse", cmd_parse, "syllabify IMUC words")
     sp.add_argument("words", nargs="*", help="words to parse")
     sp.add_argument("--input", help="file with one word per line")
     sp.add_argument("--inventory")
 
-    sp = add("lexicon", "build the pronunciation lexicon")
+    sp = add("lexicon", cmd_lexicon, "build the pronunciation lexicon")
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--corpus", help="utt TAB text file")
     source.add_argument("--words", help="one word per line")
@@ -252,40 +246,40 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", required=True)
     sp.add_argument("--allow-failures", action="store_true")
 
-    sp = add("vocab", "derive the phoneme vocabulary")
+    sp = add("vocab", cmd_vocab, "derive the phoneme vocabulary")
     sp.add_argument("--lexicon", required=True)
     sp.add_argument("--strip-diacritics", action="store_true")
     sp.add_argument("--output", required=True)
 
-    sp = add("bpe-train", "train the subword tokenizer")
+    sp = add("bpe-train", cmd_bpe_train, "train the subword tokenizer")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--vocab-size", type=int, default=500)
     sp.add_argument("--output", required=True)
 
-    sp = add("bpe-encode", "encode text to token ids")
+    sp = add("bpe-encode", cmd_bpe_encode, "encode text to token ids")
     sp.add_argument("--model", required=True)
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--text", help="one line of text")
     source.add_argument("--input", help="text lines or utt TAB text file")
 
-    sp = add("bpe-decode", "decode token ids to text")
+    sp = add("bpe-decode", cmd_bpe_decode, "decode token ids to text")
     sp.add_argument("--model", required=True)
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--ids", help="one line of space-separated ids")
     source.add_argument("--input", help="one id sequence per line")
 
-    sp = add("lm-train", "train an ARPA n-gram model")
+    sp = add("lm-train", cmd_lm_train, "train an ARPA n-gram model")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--order", type=int, default=4)
     sp.add_argument("--smoothing", default="kneser_ney",
                     choices=["kneser_ney", "absolute", "mle"])
     sp.add_argument("--output", required=True)
 
-    sp = add("lm-ppl", "perplexity of text under a model")
+    sp = add("lm-ppl", cmd_lm_ppl, "perplexity of text under a model")
     sp.add_argument("--model", required=True)
     sp.add_argument("--text", required=True)
 
-    sp = add("decode", "beam-search decode emission files")
+    sp = add("decode", cmd_decode, "beam-search decode emission files")
     sp.description = ("Beam-search decode emission files.  Subword mode without --lm gives "
                       "the greedy 1-best: --beam, --lm-weight, --wip and --nbest-size do "
                       "not apply to it.")
@@ -303,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nbest")
     sp.add_argument("--nbest-size", dest="nbest_size", type=_positive_int, default=10)
 
-    sp = add("transfer-init", "initialize a target head matrix")
+    sp = add("transfer-init", cmd_transfer_init, "initialize a target head matrix")
     sp.add_argument("--src", required=True)
     sp.add_argument("--tgt-vocab", dest="tgt_vocab", required=True)
     sp.add_argument("--seed", type=int, default=0)
@@ -311,19 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--normalize", action="store_true")
     sp.add_argument("--output", required=True)
 
-    sp = add("split", "write cross-validation fold manifests")
+    sp = add("split", cmd_split, "write cross-validation fold manifests")
     sp.add_argument("--ids", required=True, help="id list or utt TAB text file")
     sp.add_argument("--folds", type=int, default=10)
     sp.add_argument("--runs", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output-dir", dest="output_dir", required=True)
 
-    sp = add("score", "WER/PER against references")
+    sp = add("score", cmd_score, "WER/PER against references")
     sp.add_argument("--metric", choices=["wer", "per"], default="wer")
     sp.add_argument("--ref", required=True)
     sp.add_argument("--hyp", required=True)
 
-    sp = add("experiment", "run the full pipeline from a config")
+    sp = add("experiment", cmd_experiment, "run the full pipeline from a config")
     sp.add_argument("--config", required=True)
     return p
 
@@ -331,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        return args.fn(args)
     except Exception as e:  # uniform stage-attributed diagnostics
         print(f"mienasr: {args.command}: error: {e}", file=sys.stderr)
         return 1

@@ -43,17 +43,11 @@ and the floor, the expansion and the cut all sum a score in one order,
 tuples compiled once with the tree.  Completed hypotheses are ordered by
 score, then word sequence.
 
-Inlined log-add: a state's self-loop, an arc into a key already in the
-beam and the cut's sum of blank and non-blank mass are the frame loop's
-log-adds per state and per arc, and each inlines ``_lae`` in its branch
-order: equal operands add ``ln 2``; otherwise the larger operand absorbs
-``log1p(exp(smaller - larger))``.  This has ``_lae``'s bits because IEEE
-subtraction is antisymmetric, ``a - b == -(b - a)``, and ``a - b > 0``
-exactly when ``a > b``.  Log-adding into ``-inf`` returns the other operand
-directly, at those sites and at re-entry pooling: ``_lae`` gives ``x +
-0.0``, which is ``x`` since no mass is ``-0.0`` (every mass is a sum
-starting from the root's ``0.0``).  Re-entry pooling and the final merge,
-which run per word-final state, call ``_lae``.
+Log-adding into ``-inf`` returns the other operand without calling
+``_lae``, in the self-loop, at every site that pools into a key and where
+the cut sums a fresh extension's blank and non-blank mass.  ``_lae`` would
+give ``x + 0.0``, which is ``x`` since no mass is ``-0.0`` (every mass is a
+sum starting from the root's ``0.0``).
 
 Bounded expansion: the search skips a one-token extension that cannot
 survive this frame's beam cut.  It keeps a min-heap of ``beam_size`` lower
@@ -253,9 +247,7 @@ def decode_phoneme(
     computed once per word sequence: a product of the same two operands has
     the same bits wherever it is formed, and every score sums them in one
     order, ``(acoustic + LM term) + insertion term``.  Trie arcs are read
-    from ``TrieNode.arcs``.  The self-loop, an arc into a key already in the
-    beam and the cut inline ``_lae`` in its branch order; ``a - b`` is
-    exactly ``-(b - a)``, so ``log1p(exp(smaller - larger))`` has its bits.
+    from ``TrieNode.arcs``.
     """
     if em.vocab_size != len(lex.vocab):
         raise ValueError(
@@ -285,22 +277,20 @@ def decode_phoneme(
         beam: dict = {}
         floor = []
         finals = []
+        into: dict = {}   # word sequence base -> the root children where a state holds it
         for _, words, _, key, (_, _, lm_term, wip_term, total, _, node) in states:
             mass = total + blank
             beam[key] = [mass, NEG_INF, lm_term, wip_term, 0.0, words, node]
             floor.append(mass + lm_term + wip_term)
             if node.words:
                 finals.append((key, words, node))
+            if node in root_nodes:
+                into.setdefault(key - node.idx, []).append(node.phone)
         # ascending, so already a min-heap; -inf pads it so it never bounds too early
         best = [NEG_INF] * (beam_size - len(floor)) + sorted(floor)
 
         if finals:
             by_y = sorted(roots, key=y.__getitem__, reverse=True)
-            into: dict = {}   # word sequence base -> the root children where a state holds it
-            for _, _, _, key, entry in states:
-                node = entry[6]
-                if node in root_nodes:
-                    into.setdefault(key - node.idx, []).append(node.phone)
             seen, shared = set(), set()
             for key, words, node in finals:
                 if key not in reentries_of:
@@ -321,30 +311,14 @@ def decode_phoneme(
                 entry = beam[key]
                 mass = pnb + y[last]
                 # log-adding into -inf gives the other term back (masses are never -0.0)
-                old = entry[1]
-                if old == NEG_INF:
-                    entry[1] = mass
-                elif old == mass:
-                    entry[1] = old + LN2
-                elif old > mass:
-                    entry[1] = old + log1p(exp(mass - old))
-                else:
-                    entry[1] = mass + log1p(exp(old - mass))
+                entry[1] = mass if entry[1] == NEG_INF else _lae(entry[1], mass)
             base = key - node.idx
             for k, idx, child in node.arcs:
                 mass = (pb if k == last else total) + y[k]
                 new_key = base + idx
                 entry = beam.get(new_key)
                 if entry is not None:   # a state pools every arc into it
-                    old = entry[1]
-                    if old == NEG_INF:
-                        entry[1] = mass
-                    elif old == mass:
-                        entry[1] = old + LN2
-                    elif old > mass:
-                        entry[1] = old + log1p(exp(mass - old))
-                    else:
-                        entry[1] = mass + log1p(exp(old - mass))
+                    entry[1] = mass if entry[1] == NEG_INF else _lae(entry[1], mass)
                     continue
                 score = mass + lm_term + wip_term   # the sum the cut reads, in its order
                 if not score < best[0]:
@@ -387,17 +361,7 @@ def decode_phoneme(
         for key, entry in beam.items():
             pb, pnb, lm_term, wip_term, _, words, node = entry
             # most entries are fresh extensions with no blank mass yet
-            if pb == NEG_INF:
-                ac = pnb
-            elif pnb == NEG_INF:
-                ac = pb
-            elif pb == pnb:
-                ac = pb + LN2
-            elif pb > pnb:
-                ac = pb + log1p(exp(pnb - pb))
-            else:
-                ac = pnb + log1p(exp(pb - pnb))
-            entry[4] = ac
+            ac = entry[4] = pnb if pb == NEG_INF else _lae(pb, pnb)
             # negated, so a plain sort ranks by score, then word sequence, then node
             scored.append((-(ac + lm_term + wip_term), words, node.idx, key, entry))
         scored.sort()

@@ -189,11 +189,8 @@ class TestSplitScore:
         assert code == 1 and "missing" in err
 
 
-class TestParserReuse:
-    """One parser serves every call in a process, and commands are looked up when run."""
-
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
+class TestRepeatedCalls:
+    """Calls in one process share no parsed option, and a rebound command is what runs."""
 
     def test_second_call_keeps_no_option_of_the_first(self, capsys, monkeypatch, tmp_path):
         ids = tmp_path / "ids.txt"
