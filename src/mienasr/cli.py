@@ -144,10 +144,8 @@ def cmd_decode(args):
         if not args.lexicon or not args.vocab:
             raise ValueError("phoneme mode needs --lexicon and --vocab")
         entries, vocab = read_lexicon(args.lexicon), read_vocab(args.vocab)
-        try:
+        with located(args.lexicon):   # a pronunciation token that --vocab lacks
             lex = build_prefix_tree(entries, vocab)
-        except KeyError as e:   # a pronunciation token that --vocab lacks
-            raise ValueError(f"{args.lexicon}: {e.args[0]}") from None
     else:
         if not args.bpe_model:
             raise ValueError("subword mode needs --bpe-model")

@@ -163,7 +163,7 @@ def build_prefix_tree(lexicon: Sequence[LexiconEntry], vocab: PhonemeVocab) -> P
     """Compile lexicon pronunciations into a shared-prefix tree.
 
     Duplicate pronunciations merge into one path carrying several word-final
-    labels.  Raises KeyError, naming the word, if a pronunciation token is
+    labels.  Raises ValueError, naming the word, if a pronunciation token is
     outside the vocab.
     """
     root = TrieNode(None, 0)
@@ -176,7 +176,7 @@ def build_prefix_tree(lexicon: Sequence[LexiconEntry], vocab: PhonemeVocab) -> P
             try:
                 pid = vocab.index(tok)
             except KeyError as e:
-                raise KeyError(f"word {entry.word!r}: {e.args[0]}") from None
+                raise ValueError(f"word {entry.word!r}: {e.args[0]}") from None
             if pid == BLANK_ID:
                 raise ValueError(f"word {entry.word!r} pronunciation contains the blank")
             nxt = node.children.get(pid)

@@ -13,7 +13,6 @@ making reruns byte-identical.
 from __future__ import annotations
 
 import configparser
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -22,12 +21,11 @@ from typing import Optional, get_type_hints
 
 from . import lm as lm_mod
 from .ctc import read_emissions
-from .decoder import DecodeConfig, PrefixTree, build_prefix_tree, decode, spell_lm_words
+from .decoder import DecodeConfig, build_prefix_tree, decode, spell_lm_words
 from .evaluate import aggregate, error_rate, make_cv_plan, pool
 from .inputs import located, read_utf8
-from .lexicon import (LexiconEntry, build_lexicon, default_g2p_table,
-                      derive_phoneme_vocab, g2p, load_g2p_table, write_lexicon,
-                      write_vocab)
+from .lexicon import (build_lexicon, default_g2p_table, derive_phoneme_vocab, g2p,
+                      load_g2p_table, write_lexicon, write_vocab)
 from .orthography import default_inventory, load_inventory
 from .tokenizer import bpe_train, save_bpe
 
@@ -66,12 +64,14 @@ class PipelineConfig:
     folds: int = 10
     runs: int = 3
     seed: int = 0
-    workers: int = 1
+    workers: int = 1   # decoding is serial; kept only for configs that say 1
 
     def validate(self) -> DecodeConfig:
         """Check the settings and input paths; return the decoder settings."""
         if self.mode not in ("phoneme", "subword"):
             raise PipelineError("config", f"unknown mode {self.mode!r}")
+        if self.workers != 1:
+            raise PipelineError("config", f"workers must be 1, got {self.workers}")
         with _stage("config"):
             decode_cfg = DecodeConfig(beam_size=self.beam_size, lm_weight=self.lm_weight,
                                       word_insertion_penalty=self.word_insertion_penalty)
@@ -209,19 +209,19 @@ def write_lines(path, lines) -> None:
 def run_experiment(cfg: PipelineConfig) -> ExperimentReport:
     """Execute the whole chain per cross-validation run, writing artifacts.
 
-    Any stage failure raises PipelineError with the stage name; partial
-    outputs written so far are preserved in ``output_dir``.
+    Fails only with a PipelineError naming the stage; each step runs, with
+    the artifacts it writes, inside one stage.  Partial outputs written so
+    far are preserved in ``output_dir``.
     """
     decode_cfg = cfg.validate()
     with _stage("corpus"):
         utts = read_corpus(cfg.corpus)
     texts = dict(utts)
-    missing = [u for u, _ in utts if not emission_path(cfg.emissions_dir, u).exists()]
-    if missing:
-        raise PipelineError("config", f"missing emission files for: {missing[:5]}"
-                            + ("..." if len(missing) > 5 else ""))
-
     with _stage("config"):
+        missing = [u for u, _ in utts if not emission_path(cfg.emissions_dir, u).exists()]
+        if missing:
+            raise ValueError(f"missing emission files for: {missing[:5]}"
+                             + ("..." if len(missing) > 5 else ""))
         inv = load_inventory(cfg.inventory) if cfg.inventory else default_inventory()
         table = load_g2p_table(cfg.g2p_table) if cfg.g2p_table else default_g2p_table()
     with _stage("split"):
@@ -231,69 +231,63 @@ def run_experiment(cfg: PipelineConfig) -> ExperimentReport:
     with _stage("config", "output_dir: "):
         out_root.mkdir(parents=True, exist_ok=True)
 
-    model_id = f"{cfg.mode}-ctc"
-    report = ExperimentReport(model_id=model_id)
+    report = ExperimentReport(model_id=f"{cfg.mode}-ctc")
     for r in range(cfg.runs):
         report.runs.append(
-            _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_root / f"run{r}")
-        )
-    (out_root / "report.txt").write_text(report.to_text(), encoding="utf-8")
+            _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_root / f"run{r}"))
+    with _stage("score"):
+        (out_root / "report.txt").write_text(report.to_text(), encoding="utf-8")
     return report
 
 
 def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_ids = plan.train_ids(r)
-    dev_ids = plan.dev_ids(r)
-    test_ids = plan.test_ids(r)
-    write_lines(out_dir / "manifest.train", train_ids)
-    write_lines(out_dir / "manifest.dev", dev_ids)
-    write_lines(out_dir / "manifest.test", test_ids)
+    run = f"run {r}: "
+    with _stage("split", run):
+        out_dir.mkdir(exist_ok=True)
+        train_ids, test_ids = plan.train_ids(r), plan.test_ids(r)
+        write_lines(out_dir / "manifest.train", train_ids)
+        write_lines(out_dir / "manifest.dev", plan.dev_ids(r))
+        write_lines(out_dir / "manifest.test", test_ids)
 
     train_texts = [texts[u] for u in train_ids]
-
-    lex_tree: Optional[PrefixTree] = None
-    bpe = None
-    entries: list[LexiconEntry] = []
+    lex_tree = bpe = None
+    pron_of: dict[str, tuple[str, ...]] = {}
     if cfg.mode == "phoneme":
-        words = [w for t in train_texts for w in t.split()]
-        entries, failures = build_lexicon(words, table, inv)
-        if not entries:
-            raise PipelineError("lexicon", f"run {r}: no translatable training words")
-        write_lexicon(entries, out_dir / "lexicon.tsv")
-        (out_dir / "lexicon.failures").write_text(
-            "\n".join(f"{w}\t{e}" for w, e in failures) + ("\n" if failures else ""),
-            encoding="utf-8")
-        vocab = derive_phoneme_vocab(entries)
-        write_vocab(vocab, out_dir / "phonemes.txt")
-        lex_tree = build_prefix_tree(entries, vocab)
+        with _stage("lexicon", run):
+            entries, failures = build_lexicon([w for t in train_texts for w in t.split()],
+                                              table, inv)
+            if not entries:
+                raise ValueError("no translatable training words")
+            write_lexicon(entries, out_dir / "lexicon.tsv")
+            (out_dir / "lexicon.failures").write_text(
+                "\n".join(f"{w}\t{e}" for w, e in failures) + ("\n" if failures else ""),
+                encoding="utf-8")
+            vocab = derive_phoneme_vocab(entries)
+            write_vocab(vocab, out_dir / "phonemes.txt")
+            lex_tree = build_prefix_tree(entries, vocab)
+        pron_of = {e.word: e.pron for e in entries}
     else:
-        with _stage("bpe", f"run {r}: "):
+        with _stage("bpe", run):
             bpe = bpe_train(train_texts, cfg.bpe_vocab_size)
-        save_bpe(bpe, out_dir / "bpe.model")
+            save_bpe(bpe, out_dir / "bpe.model")
 
-    with _stage("lm", f"run {r}: "):
+    with _stage("lm", run):
         ngram = lm_mod.lm_train(train_texts, order=cfg.lm_order, smoothing=cfg.lm_smoothing)
-    lm_mod.arpa_write(ngram, out_dir / "lm.arpa")
-    if bpe is not None:   # the LM's words are the training words, which the BPE model spells
-        lex_tree = spell_lm_words(bpe, ngram)
+        lm_mod.arpa_write(ngram, out_dir / "lm.arpa")
+        if bpe is not None:   # the LM's words are the training words, which the BPE model spells
+            lex_tree = spell_lm_words(bpe, ngram)
 
-    def decode_one(utt):
-        path = emission_path(cfg.emissions_dir, utt)
-        em = read_emissions(path)
-        with located(path):   # a width mismatch is the emission file's fault
-            with_lm = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=ngram)
-            without = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=None)
-        return utt, best_words(with_lm), best_words(without)
-
-    with _stage("decode", f"run {r}: "):
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-                decoded = list(ex.map(decode_one, test_ids))
-        else:
-            decoded = [decode_one(u) for u in test_ids]
-
-    pron_of: dict[str, tuple[str, ...]] = {e.word: e.pron for e in entries}
+    with _stage("decode", run):
+        decoded = []
+        for utt in test_ids:
+            path = emission_path(cfg.emissions_dir, utt)
+            em = read_emissions(path)
+            with located(path):   # a width mismatch is the emission file's fault
+                with_lm = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=ngram)
+                without = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=None)
+            decoded.append((utt, best_words(with_lm), best_words(without)))
+        write_lines(out_dir / "hyp_with_lm.txt", [tagged_line(u, w) for u, w, _ in decoded])
+        write_lines(out_dir / "hyp_without_lm.txt", [tagged_line(u, w) for u, _, w in decoded])
 
     def phones(words_seq) -> list[str]:
         out = []
@@ -304,29 +298,28 @@ def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunR
             out.extend(pron)
         return out
 
-    wer_with, wer_wo, per_with, per_wo = [], [], [], []
-    for utt, w_with, w_wo in decoded:
-        ref_words = texts[utt].split()
-        wer_with.append(error_rate(ref_words, list(w_with)))
-        wer_wo.append(error_rate(ref_words, list(w_wo)))
-        if cfg.mode == "phoneme":
-            with _stage("score", f"run {r}: utterance {utt}: "):
-                ref_phones = phones(ref_words)
-            per_with.append(error_rate(ref_phones, phones(w_with)))
-            per_wo.append(error_rate(ref_phones, phones(w_wo)))
-    write_lines(out_dir / "hyp_with_lm.txt", [tagged_line(u, w) for u, w, _ in decoded])
-    write_lines(out_dir / "hyp_without_lm.txt", [tagged_line(u, w) for u, _, w in decoded])
-
-    result = RunResult(
-        run=r,
-        wer_no_lm=pool(wer_wo).rate,
-        wer_with_lm=pool(wer_with).rate,
-        per_no_lm=pool(per_wo).rate if per_wo else None,
-        per_with_lm=pool(per_with).rate if per_with else None,
-    )
-    scores = [f"WER\tno-lm\t{result.wer_no_lm:.6f}", f"WER\twith-lm\t{result.wer_with_lm:.6f}"]
-    if result.per_no_lm is not None:
-        scores += [f"PER\tno-lm\t{result.per_no_lm:.6f}",
-                   f"PER\twith-lm\t{result.per_with_lm:.6f}"]
-    write_lines(out_dir / "scores.txt", scores)
+    with _stage("score", run):
+        wer_with, wer_wo, per_with, per_wo = [], [], [], []
+        for utt, w_with, w_wo in decoded:
+            ref_words = texts[utt].split()
+            wer_with.append(error_rate(ref_words, list(w_with)))
+            wer_wo.append(error_rate(ref_words, list(w_wo)))
+            if cfg.mode == "phoneme":
+                with located(f"utterance {utt}"):
+                    ref_phones = phones(ref_words)
+                per_with.append(error_rate(ref_phones, phones(w_with)))
+                per_wo.append(error_rate(ref_phones, phones(w_wo)))
+        result = RunResult(
+            run=r,
+            wer_no_lm=pool(wer_wo).rate,
+            wer_with_lm=pool(wer_with).rate,
+            per_no_lm=pool(per_wo).rate if per_wo else None,
+            per_with_lm=pool(per_with).rate if per_with else None,
+        )
+        scores = [f"WER\tno-lm\t{result.wer_no_lm:.6f}",
+                  f"WER\twith-lm\t{result.wer_with_lm:.6f}"]
+        if result.per_no_lm is not None:
+            scores += [f"PER\tno-lm\t{result.per_no_lm:.6f}",
+                       f"PER\twith-lm\t{result.per_with_lm:.6f}"]
+        write_lines(out_dir / "scores.txt", scores)
     return result

@@ -64,17 +64,20 @@ class ArpaModel:
         return w if w in self._vocab_set else UNK
 
     def validate(self) -> None:
-        """Structural checks: probs <= 0, finite bows, no dangling history."""
+        """Structural checks: finite probs <= 0, finite bows, no dangling
+        history, and a <unk> unigram for OOV words to map to."""
         for n in range(1, self.order + 1):
             for gram, (logp, bow) in self.tables[n].items():
                 if len(gram) != n:
                     raise ArpaError(f"{gram} filed under order {n}")
-                if not logp <= 1e-12:
-                    raise ArpaError(f"positive or NaN log10 probability for {gram}")
+                if not (math.isfinite(logp) and logp <= 1e-12):
+                    raise ArpaError(f"positive or non-finite log10 probability for {gram}")
                 if bow is not None and not math.isfinite(bow):
                     raise ArpaError(f"non-finite back-off for {gram}")
                 if n > 1 and gram[:-1] not in self.tables[n - 1]:
                     raise ArpaError(f"dangling history {gram[:-1]} for {gram}")
+        if (UNK,) not in self.tables[1]:
+            raise ArpaError(f"no {UNK} unigram")
 
 
 def _count_ngrams(sentences: Sequence[list[str]], order: int):
@@ -245,7 +248,8 @@ def sentence_logprob(model: ArpaModel, sentence: str) -> tuple[float, int]:
 
 
 def perplexity(model: ArpaModel, text: Iterable[str]) -> float:
-    """10^(-average log10 prob per token), end markers included."""
+    """10^(-average log10 prob per token), end markers included; ``inf``
+    when that overflows a float."""
     total = 0.0
     count = 0
     for sentence in text:
@@ -254,7 +258,10 @@ def perplexity(model: ArpaModel, text: Iterable[str]) -> float:
         count += n
     if count == 0:
         raise ValueError("cannot compute perplexity of empty text")
-    return 10.0 ** (-total / count)
+    try:
+        return 10.0 ** (-total / count)
+    except OverflowError:
+        return math.inf
 
 
 def uniform_model(words: Sequence[str]) -> ArpaModel:

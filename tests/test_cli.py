@@ -135,6 +135,16 @@ class TestLm:
         assert code == 0
         assert float(out.strip()) > 1.0
 
+    def test_ppl_of_a_model_without_unk_names_the_model(self, capsys, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("u1\ta b\n")
+        arpa = tmp_path / "m.arpa"
+        arpa.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-0.5\ta\n-0.5\tb\n"
+                        "-0.5\t</s>\n\n\\end\\\n", encoding="utf-8")
+        code, _, err = run(capsys, "lm-ppl", "--model", arpa, "--text", corpus)
+        assert code == 1
+        assert f"{arpa}: " in err and "<unk>" in err
+
 
 class TestSplitScore:
     def test_split_manifests(self, capsys, tmp_path):

@@ -131,7 +131,7 @@ class TestBuildPrefixTree:
         assert tree.node_count < total_tokens
 
     def test_token_outside_vocab_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="word 'w'"):
             build_prefix_tree([LexiconEntry("w", ("zz",))], vocab_of(3))
 
     def test_arcs_list_children(self, packaged_trie):

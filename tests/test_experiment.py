@@ -188,6 +188,31 @@ class TestStageErrors:
             run_experiment(load_config(cfg_path))
         assert info.value.stage == "score"
 
+    @pytest.mark.parametrize("workers", [0, 3])
+    def test_workers_other_than_one_rejected(self, tmp_path, workers):
+        cfg = load_config(write_toy_experiment(tmp_path / "toy"))
+        cfg.workers = workers
+        with pytest.raises(PipelineError, match=re.escape(f"workers must be 1, got {workers}")) as info:
+            run_experiment(cfg)
+        assert info.value.stage == "config"
+
+    def test_run_dir_naming_a_file_is_a_split_error(self, tmp_path):
+        cfg = load_config(write_toy_experiment(tmp_path / "toy"))
+        cfg.output_dir.mkdir()
+        (cfg.output_dir / "run0").write_text("kept\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape("[split] run 0: ")) as info:
+            run_experiment(cfg)
+        assert info.value.stage == "split"
+        assert isinstance(info.value.__cause__, FileExistsError)
+
+    def test_lm_arpa_naming_a_directory_is_an_lm_error(self, tmp_path):
+        cfg = load_config(write_toy_experiment(tmp_path / "toy"))
+        (cfg.output_dir / "run0" / "lm.arpa").mkdir(parents=True)
+        with pytest.raises(PipelineError, match=re.escape("[lm] run 0: ")) as info:
+            run_experiment(cfg)
+        assert info.value.stage == "lm"
+        assert isinstance(info.value.__cause__, IsADirectoryError)
+
     def test_output_dir_naming_a_file(self, tmp_path):
         cfg = load_config(write_toy_experiment(tmp_path / "toy"))
         cfg.output_dir.write_text("kept\n", encoding="utf-8")
@@ -228,17 +253,6 @@ class TestToyExperiment:
         cfg.output_dir = tmp_path / "out2"
         run_experiment(cfg)
         assert tree_digest(cfg.output_dir) == first
-
-    def test_workers_do_not_change_results(self, toy, tmp_path):
-        _, cfg_path = toy
-        cfg = load_config(cfg_path)
-        cfg.output_dir = tmp_path / "seq"
-        run_experiment(cfg)
-        seq = tree_digest(cfg.output_dir)
-        cfg.workers = 3
-        cfg.output_dir = tmp_path / "par"
-        run_experiment(cfg)
-        assert tree_digest(cfg.output_dir) == seq
 
     def test_report_layout(self, toy, tmp_path):
         _, cfg_path = toy

@@ -168,6 +168,12 @@ class TestPerplexity:
         assert lp == pytest.approx(3 * math.log10(1 / 4))
         assert perplexity(m, ["a b"]) == pytest.approx(4.0)
 
+    def test_overflow_is_infinite(self, tmp_path):
+        path = tmp_path / "tiny.arpa"
+        path.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-1e308\tx\n-1.0\t</s>\n"
+                        "-1.0\t<unk>\n\n\\end\\\n", encoding="utf-8")
+        assert perplexity(arpa_read(path), ["x"]) == math.inf
+
     def test_empty_text_rejected(self):
         m = lm_train(TOY3, order=1)
         with pytest.raises(ValueError):
@@ -223,8 +229,8 @@ class TestArpaRoundTrip:
             arpa_read(path)
 
 
-GOOD_ARPA = ["\\data\\", "ngram 1=2", "", "\\1-grams:", "-0.3\ta", "-0.5\tb",
-             "", "\\end\\"]
+GOOD_ARPA = ["\\data\\", "ngram 1=3", "", "\\1-grams:", "-0.3\ta", "-0.5\tb",
+             "-1.0\t<unk>", "", "\\end\\"]
 
 
 class TestArpaReadErrors:
@@ -250,6 +256,24 @@ class TestArpaReadErrors:
         lines[4] = "nan\ta"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ArpaError, match=re.escape(f"{path}: ")):
+            arpa_read(path)
+
+    def test_minus_inf_log_prob_rejected(self, tmp_path):
+        """With lm_weight 0, a -inf word score would make the decoder's total
+        score 0 * -inf = NaN."""
+        path = tmp_path / "inf.arpa"
+        lines = list(GOOD_ARPA)
+        lines[4] = "-inf\ta"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ArpaError, match=re.escape(f"{path}: ") + ".*non-finite"):
+            arpa_read(path)
+
+    def test_missing_unk_rejected(self, tmp_path):
+        path = tmp_path / "nounk.arpa"
+        lines = [line for line in GOOD_ARPA if "<unk>" not in line]
+        lines[1] = "ngram 1=2"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ArpaError, match=re.escape(f"{path}: ") + ".*<unk>"):
             arpa_read(path)
 
 
