@@ -12,32 +12,22 @@ import re
 import sys
 from pathlib import Path
 
-from . import ctc as ctc_mod
 from . import lm as lm_mod
 from . import transfer as transfer_mod
-from .decoder import DecodeConfig, build_prefix_tree, decode, spell_lm_words
+from .decoder import DecodeConfig, build_prefix_tree, spell_lm_words
 from .evaluate import error_rate, make_cv_plan, pool
-from .experiment import (best_words, emission_path, load_config, normalize_text,
+from .experiment import (best_words, decode_utterances, load_config, normalize_text,
                          read_corpus, read_tagged, run_experiment, tagged_line,
                          write_lines)
 from .inputs import located, read_utf8
-from .lexicon import (build_lexicon, default_g2p_table, derive_phoneme_vocab,
-                      load_g2p_table, read_lexicon, read_vocab, write_lexicon,
-                      write_vocab)
-from .orthography import default_inventory, load_inventory, parse_word
+from .lexicon import (build_lexicon, derive_phoneme_vocab, load_g2p_table, read_lexicon,
+                      read_vocab, write_lexicon, write_vocab)
+from .orthography import load_inventory, parse_word
 from .tokenizer import bpe_decode, bpe_encode, bpe_train, load_bpe, save_bpe
 
 
 # argparse takes "-1e-05" for an option: read negative numbers in exponent form, inf and nan too
 _NEGATIVE_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
-
-
-def _inventory(args):
-    return load_inventory(args.inventory) if args.inventory else default_inventory()
-
-
-def _g2p_table(args):
-    return load_g2p_table(args.g2p_table) if args.g2p_table else default_g2p_table()
 
 
 def _positive_int(text):
@@ -59,7 +49,7 @@ def _read_transcripts(path):
 
 
 def cmd_parse(args):
-    inv = _inventory(args)
+    inv = load_inventory(args.inventory)
     if not args.words and not args.input:
         raise ValueError("provide words as arguments or a file via --input")
     words = args.words or _read_lines(args.input)
@@ -75,7 +65,7 @@ def cmd_parse(args):
 
 
 def cmd_lexicon(args):
-    inv, table = _inventory(args), _g2p_table(args)
+    inv, table = load_inventory(args.inventory), load_g2p_table(args.g2p_table)
     words = [w for text in _read_transcripts(args.corpus or args.words) for w in text.split()]
     entries, failures = build_lexicon(words, table, inv)
     write_lexicon(entries, args.output)
@@ -156,17 +146,11 @@ def cmd_decode(args):
             lex = spell_lm_words(bpe, ngram)
 
     out_lines, nbest_lines = [], []
-    for utt in _read_lines(args.ids):
-        path = emission_path(args.emissions, utt)
-        em = ctc_mod.read_emissions(path)
-        with located(path):   # a width mismatch is the emission file's fault
-            hyps = decode(em, cfg, lex=lex, bpe=bpe, lm=ngram)
+    for utt, (hyps,) in decode_utterances(args.emissions, _read_lines(args.ids), cfg, (ngram,),
+                                          lex=lex, bpe=bpe):
         out_lines.append(tagged_line(utt, best_words(hyps)))
-        for rank, h in enumerate(hyps[:args.nbest_size]):
-            nbest_lines.append(
-                f"{utt}\t{rank}\t{h.score:.6f}\t{h.score_ac:.6f}"
-                f"\t{h.score_lm:.6f}\t{' '.join(h.words)}"
-            )
+        nbest_lines += [f"{utt}\t{rank}\t{h.score:.6f}\t{h.score_ac:.6f}\t{h.score_lm:.6f}"
+                        f"\t{' '.join(h.words)}" for rank, h in enumerate(hyps[:args.nbest_size])]
     write_lines(args.output, out_lines)
     if args.nbest:
         write_lines(args.nbest, nbest_lines)

@@ -118,9 +118,9 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        # the beam cut needs totally ordered scores, so no NaN may arise
-        if not 0 <= self.lm_weight < math.inf:
-            raise ValueError("lm_weight must be finite and >= 0")
+        # no NaN may reach the beam cut, so the search's lm_weight * ln 10 must be finite
+        if not 0 <= self.lm_weight * LN10 < math.inf:
+            raise ValueError("lm_weight must be finite and >= 0, and so must lm_weight * ln 10")
         if not math.isfinite(self.word_insertion_penalty):
             raise ValueError("word_insertion_penalty must be finite")
 

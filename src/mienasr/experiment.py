@@ -24,9 +24,9 @@ from .ctc import read_emissions
 from .decoder import DecodeConfig, build_prefix_tree, decode, spell_lm_words
 from .evaluate import aggregate, error_rate, make_cv_plan, pool
 from .inputs import located, read_utf8
-from .lexicon import (build_lexicon, default_g2p_table, derive_phoneme_vocab, g2p,
-                      load_g2p_table, write_lexicon, write_vocab)
-from .orthography import default_inventory, load_inventory
+from .lexicon import (build_lexicon, derive_phoneme_vocab, g2p, load_g2p_table,
+                      write_lexicon, write_vocab)
+from .orthography import load_inventory
 from .tokenizer import bpe_train, save_bpe
 
 
@@ -146,12 +146,9 @@ class ExperimentReport:
             if r.per_no_lm is not None:
                 lines.append(f"{r.run}\tPER\t{r.per_no_lm:.4f}\t{r.per_with_lm:.4f}")
         lines.append(f"avg\tWER\t{self.wer_no_lm:.4f}\t{self.wer_with_lm:.4f}")
-        pers = [r.per_no_lm for r in self.runs]
-        if all(p is not None for p in pers):
-            lines.append(
-                f"avg\tPER\t{aggregate(pers):.4f}"
-                f"\t{aggregate([r.per_with_lm for r in self.runs]):.4f}"
-            )
+        if all(r.per_no_lm is not None for r in self.runs):
+            lines.append(f"avg\tPER\t{aggregate([r.per_no_lm for r in self.runs]):.4f}"
+                         f"\t{aggregate([r.per_with_lm for r in self.runs]):.4f}")
         return "\n".join(lines) + "\n"
 
 
@@ -206,6 +203,17 @@ def write_lines(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def decode_utterances(emissions_dir, ids, cfg: DecodeConfig, lms, *, lex=None, bpe=None):
+    """Yield ``(utt, n-best lists)`` for each id, one list per LM in ``lms``
+    (None for no LM); a width mismatch is the emission file's fault."""
+    for utt in ids:
+        path = emission_path(emissions_dir, utt)
+        em = read_emissions(path)
+        with located(path):
+            nbests = [decode(em, cfg, lex=lex, bpe=bpe, lm=lm) for lm in lms]
+        yield utt, nbests
+
+
 def run_experiment(cfg: PipelineConfig) -> ExperimentReport:
     """Execute the whole chain per cross-validation run, writing artifacts.
 
@@ -222,8 +230,7 @@ def run_experiment(cfg: PipelineConfig) -> ExperimentReport:
         if missing:
             raise ValueError(f"missing emission files for: {missing[:5]}"
                              + ("..." if len(missing) > 5 else ""))
-        inv = load_inventory(cfg.inventory) if cfg.inventory else default_inventory()
-        table = load_g2p_table(cfg.g2p_table) if cfg.g2p_table else default_g2p_table()
+        inv, table = load_inventory(cfg.inventory), load_g2p_table(cfg.g2p_table)
     with _stage("split"):
         plan = make_cv_plan([u for u, _ in utts], cfg.folds, cfg.runs, cfg.seed)
 
@@ -251,7 +258,7 @@ def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunR
 
     train_texts = [texts[u] for u in train_ids]
     lex_tree = bpe = None
-    pron_of: dict[str, tuple[str, ...]] = {}
+    units = {"WER": list}   # metric -> the units a word sequence is scored in
     if cfg.mode == "phoneme":
         with _stage("lexicon", run):
             entries, failures = build_lexicon([w for t in train_texts for w in t.split()],
@@ -266,6 +273,8 @@ def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunR
             write_vocab(vocab, out_dir / "phonemes.txt")
             lex_tree = build_prefix_tree(entries, vocab)
         pron_of = {e.word: e.pron for e in entries}
+        units["PER"] = lambda words: [   # g2p converts a reference word outside the lexicon
+            p for w in words for p in (pron_of[w] if w in pron_of else g2p(w, table, inv).pron)]
     else:
         with _stage("bpe", run):
             bpe = bpe_train(train_texts, cfg.bpe_vocab_size)
@@ -278,48 +287,24 @@ def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunR
             lex_tree = spell_lm_words(bpe, ngram)
 
     with _stage("decode", run):
-        decoded = []
-        for utt in test_ids:
-            path = emission_path(cfg.emissions_dir, utt)
-            em = read_emissions(path)
-            with located(path):   # a width mismatch is the emission file's fault
-                with_lm = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=ngram)
-                without = decode(em, decode_cfg, lex=lex_tree, bpe=bpe, lm=None)
-            decoded.append((utt, best_words(with_lm), best_words(without)))
-        write_lines(out_dir / "hyp_with_lm.txt", [tagged_line(u, w) for u, w, _ in decoded])
-        write_lines(out_dir / "hyp_without_lm.txt", [tagged_line(u, w) for u, _, w in decoded])
-
-    def phones(words_seq) -> list[str]:
-        out = []
-        for w in words_seq:
-            pron = pron_of.get(w)
-            if pron is None:
-                pron = g2p(w, table, inv).pron
-            out.extend(pron)
-        return out
+        decoded = [(utt, [best_words(hyps) for hyps in nbests]) for utt, nbests in
+                   decode_utterances(cfg.emissions_dir, test_ids, decode_cfg, (ngram, None),
+                                     lex=lex_tree, bpe=bpe)]
+        for k, name in enumerate(("hyp_with_lm.txt", "hyp_without_lm.txt")):
+            write_lines(out_dir / name, [tagged_line(utt, words[k]) for utt, words in decoded])
 
     with _stage("score", run):
-        wer_with, wer_wo, per_with, per_wo = [], [], [], []
-        for utt, w_with, w_wo in decoded:
-            ref_words = texts[utt].split()
-            wer_with.append(error_rate(ref_words, list(w_with)))
-            wer_wo.append(error_rate(ref_words, list(w_wo)))
-            if cfg.mode == "phoneme":
+        rates = {}
+        for metric, unit in units.items():
+            reports = ([], [])   # with the LM, without it: the decode order above
+            for utt, hyps in decoded:
                 with located(f"utterance {utt}"):
-                    ref_phones = phones(ref_words)
-                per_with.append(error_rate(ref_phones, phones(w_with)))
-                per_wo.append(error_rate(ref_phones, phones(w_wo)))
-        result = RunResult(
-            run=r,
-            wer_no_lm=pool(wer_wo).rate,
-            wer_with_lm=pool(wer_with).rate,
-            per_no_lm=pool(per_wo).rate if per_wo else None,
-            per_with_lm=pool(per_with).rate if per_with else None,
-        )
-        scores = [f"WER\tno-lm\t{result.wer_no_lm:.6f}",
-                  f"WER\twith-lm\t{result.wer_with_lm:.6f}"]
-        if result.per_no_lm is not None:
-            scores += [f"PER\tno-lm\t{result.per_no_lm:.6f}",
-                       f"PER\twith-lm\t{result.per_with_lm:.6f}"]
-        write_lines(out_dir / "scores.txt", scores)
-    return result
+                    ref = unit(texts[utt].split())
+                    for report, words in zip(reports, hyps):
+                        report.append(error_rate(ref, unit(words)))
+            rates[metric, "with-lm"], rates[metric, "no-lm"] = (pool(rep).rate for rep in reports)
+        write_lines(out_dir / "scores.txt", [f"{metric}\t{lm}\t{rates[metric, lm]:.6f}"
+                                             for metric in units for lm in ("no-lm", "with-lm")])
+    return RunResult(run=r, wer_no_lm=rates["WER", "no-lm"], wer_with_lm=rates["WER", "with-lm"],
+                     per_no_lm=rates.get(("PER", "no-lm")),
+                     per_with_lm=rates.get(("PER", "with-lm")))

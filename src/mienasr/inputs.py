@@ -32,3 +32,21 @@ def read_utf8(path, fault: str = "not UTF-8 text") -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ValueError(f"{fault}: byte {e.object[e.start]:#04x} at offset {e.start}") from None
+
+
+def convert_distinct(tokens, convert, errors):
+    """``(token -> result, failures)`` over the distinct tokens, first seen first.
+
+    A token whose conversion raises one of ``errors`` is reported as
+    ``(token, error)``, never dropped.  A kept error has no traceback or
+    chained error: their frames would hold the failure list, a reference
+    cycle that only the garbage collector frees.
+    """
+    results, failures = {}, []
+    for token in dict.fromkeys(tokens):
+        try:
+            results[token] = convert(token)
+        except errors as e:
+            e.__traceback__ = e.__context__ = None
+            failures.append((token, e))
+    return results, failures

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import BLANK_TOKEN
-from .inputs import located, read_utf8
+from .inputs import convert_distinct, located, read_utf8
 from .orthography import InventoryConfig, ParseError, Syllable, parse_word
 
 logger = logging.getLogger(__name__)
@@ -114,14 +114,15 @@ class PhonemeVocab:
             raise KeyError(f"token {token!r} not in phoneme vocabulary") from None
 
 
-def load_g2p_table(path) -> G2PTable:
-    """Load a grapheme->IPA table file.
+def load_g2p_table(path=None) -> G2PTable:
+    """Load a grapheme->IPA table file; no path loads the packaged table.
 
     Format: UTF-8 TSV ``grapheme TAB ipa-tokens`` (tokens space-separated),
     ``#`` comments, then a ``[tones]`` section of ``tone-mark TAB digit``
     lines where the mark "none" denotes the unmarked tone and marks may carry
     a ``@checked`` qualifier.
     """
+    path = path or Path(__file__).parent / "data" / "iu_mien_g2p.tsv"
     with located(path, TableError) as at:
         onset: dict[str, tuple[str, ...]] = {}
         rime: dict[str, tuple[str, ...]] = {}
@@ -184,7 +185,8 @@ def load_g2p_table(path) -> G2PTable:
 
 
 def default_g2p_table() -> G2PTable:
-    return load_g2p_table(Path(__file__).parent / "data" / "iu_mien_g2p.tsv")
+    """The Iu Mien G2P table shipped with the package."""
+    return load_g2p_table()
 
 
 def _longest_key(entries: dict[str, tuple[str, ...]]) -> int:
@@ -253,23 +255,11 @@ def build_lexicon(
     """One entry per unique translatable word, plus a failure report.
 
     Words are deduplicated internally, order preserved.  Untranslatable or
-    unparseable words are reported, never silently skipped.  A reported
-    error keeps no traceback or chained error: their frames would hold the
-    failure list, a reference cycle that only the garbage collector frees.
+    unparseable words are reported, never silently skipped.
     """
-    entries: list[LexiconEntry] = []
-    failures: list[tuple[str, Exception]] = []
-    seen = set()
-    for word in words:
-        if word in seen:
-            continue
-        seen.add(word)
-        try:
-            entries.append(g2p(word, table, inv))
-        except (G2PError, ParseError) as e:
-            e.__traceback__ = e.__context__ = None
-            failures.append((word, e))
-    return entries, failures
+    entries, failures = convert_distinct(words, lambda w: g2p(w, table, inv),
+                                         (G2PError, ParseError))
+    return list(entries.values()), failures
 
 
 def strip_token(token: str) -> str:
@@ -331,8 +321,13 @@ def write_vocab(vocab: PhonemeVocab, path) -> None:
 
 
 def read_vocab(path) -> PhonemeVocab:
-    with located(path):
-        tokens = [ln for ln in read_utf8(path).splitlines() if ln]
+    """One token per line, blank first; only trailing lines may be empty."""
+    with located(path) as at:
+        tokens = read_utf8(path).rstrip("\n").splitlines()
+        for at.line, token in enumerate(tokens, 1):
+            if token.split() != [token]:   # pronunciations split on whitespace
+                raise ValueError(f"token {token!r} is empty or holds whitespace")
+        at.line = None
         if not tokens:
             raise ValueError("empty vocabulary file")
         return PhonemeVocab(tokens=tuple(tokens))

@@ -38,6 +38,9 @@ LOG10_ZERO = -99.0
 
 _FALLBACK_DISCOUNT = 0.75
 
+# log10 values whose power of ten is a finite positive float, with a margin
+_LOG10_MIN, _LOG10_MAX = -323.3, 308.25
+
 
 class ArpaError(ValueError):
     """Malformed ARPA file or inconsistent model tables."""
@@ -64,16 +67,18 @@ class ArpaModel:
         return w if w in self._vocab_set else UNK
 
     def validate(self) -> None:
-        """Structural checks: finite probs <= 0, finite bows, no dangling
-        history, and a <unk> unigram for OOV words to map to."""
+        """Structural checks: probs <= 0, each value's power of ten a finite
+        positive float (so every score and back-off sum is finite), no
+        dangling history, and a <unk> unigram for OOV words to map to."""
         for n in range(1, self.order + 1):
             for gram, (logp, bow) in self.tables[n].items():
                 if len(gram) != n:
                     raise ArpaError(f"{gram} filed under order {n}")
-                if not (math.isfinite(logp) and logp <= 1e-12):
-                    raise ArpaError(f"positive or non-finite log10 probability for {gram}")
-                if bow is not None and not math.isfinite(bow):
-                    raise ArpaError(f"non-finite back-off for {gram}")
+                if not _LOG10_MIN < logp <= 1e-12:
+                    raise ArpaError(f"positive, non-finite or out-of-range log10 probability "
+                                    f"{logp!r} for {gram}")
+                if bow is not None and not _LOG10_MIN < bow < _LOG10_MAX:
+                    raise ArpaError(f"non-finite or out-of-range back-off {bow!r} for {gram}")
                 if n > 1 and gram[:-1] not in self.tables[n - 1]:
                     raise ArpaError(f"dangling history {gram[:-1]} for {gram}")
         if (UNK,) not in self.tables[1]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .inputs import located, read_utf8
+from .inputs import convert_distinct, located, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -139,8 +139,8 @@ def _split_rime(rime, medials, mains, codas):
     return None
 
 
-def load_inventory(path) -> InventoryConfig:
-    """Load and validate a grapheme inventory file.
+def load_inventory(path=None) -> InventoryConfig:
+    """Load and validate a grapheme inventory file; no path loads the packaged one.
 
     Format: UTF-8 text with sections ``[initials]``, ``[medials]``,
     ``[mains]``, ``[codas]``, ``[finals]``, ``[tones]``, one grapheme per
@@ -150,6 +150,7 @@ def load_inventory(path) -> InventoryConfig:
     Raises InventoryError for malformed files, duplicate graphemes, or
     graphemes containing characters outside a-z.
     """
+    path = path or Path(__file__).parent / "data" / "iu_mien_inventory.txt"
     with located(path, InventoryError) as at:
         sections: dict[str, list[str]] = {name: [] for name in _SECTIONS}
         expected: dict[str, int] = {}
@@ -205,7 +206,7 @@ def load_inventory(path) -> InventoryConfig:
 
 def default_inventory() -> InventoryConfig:
     """The Iu Mien inventory shipped with the package."""
-    return load_inventory(Path(__file__).parent / "data" / "iu_mien_inventory.txt")
+    return load_inventory()
 
 
 def _check_lowercase(s: str, what: str):
@@ -303,20 +304,6 @@ def report_coverage(tokens: Iterable[str], inv: InventoryConfig):
     """Parse a token stream; returns (parses, failures).
 
     Nothing is dropped silently: each distinct token lands either in the
-    parse map or in the failure list (token, ParseError).  A kept error has
-    no traceback: its frames would hold the list, a reference cycle that
-    only the garbage collector frees.
+    parse map or in the failure list (token, ParseError).
     """
-    parses: dict[str, WordParse] = {}
-    failures: list[tuple[str, ParseError]] = []
-    seen = set()
-    for tok in tokens:
-        if tok in seen:
-            continue
-        seen.add(tok)
-        try:
-            parses[tok] = parse_word(tok, inv)
-        except ParseError as e:
-            e.__traceback__ = None
-            failures.append((tok, e))
-    return parses, failures
+    return convert_distinct(tokens, lambda t: parse_word(t, inv), ParseError)

@@ -66,22 +66,18 @@ def match_tokens(
     """Map target tokens to source row indices.
 
     Exact string match by default; with ``normalize`` both sides are
-    diacritic-stripped first (first stripped source occurrence wins).
+    diacritic-stripped first.  The first source occurrence of a key wins.
     Tone digits and the blank are excluded.
     """
-    if normalize:
-        index = {}
-        for i, lab in enumerate(src_labels):
-            index.setdefault(strip_token(lab), i)
-        keyed = lambda tok: strip_token(tok)
-    else:
-        index = {lab: i for i, lab in enumerate(src_labels)}
-        keyed = lambda tok: tok
+    key = strip_token if normalize else str
+    index = {}
+    for i, lab in enumerate(src_labels):
+        index.setdefault(key(lab), i)
     matches = {}
     for tok in tgt_vocab.tokens[1:]:
         if tok.isdigit():
             continue
-        hit = index.get(keyed(tok))
+        hit = index.get(key(tok))
         if hit is not None:
             matches[tok] = hit
     return matches

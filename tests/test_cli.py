@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mienasr import cli
+from mienasr import cli, experiment
 from mienasr.cli import main
 from mienasr.ctc import normalize_rows, write_emissions
 from mienasr.experiment import load_config, run_experiment, write_lines
@@ -305,13 +305,13 @@ class TestDecodeCli:
         run(capsys, "vocab", "--lexicon", lex, "--output", vocab)
         ids = tmp_path / "ids.txt"
         ids.write_text("u1\n")
-        seen, real = [], cli.decode
+        seen, real = [], experiment.decode
 
         def spy(em, cfg, **kw):
             seen.append(cfg.word_insertion_penalty)
             return real(em, cfg, **kw)
 
-        monkeypatch.setattr(cli, "decode", spy)
+        monkeypatch.setattr(experiment, "decode", spy)
         code, _, err = run(capsys, "decode", "--mode", "phoneme", "--emissions", root / "emissions",
                            "--ids", ids, "--lexicon", lex, "--vocab", vocab,
                            "--output", tmp_path / "o.txt", "--wip", spelling)

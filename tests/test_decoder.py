@@ -365,6 +365,22 @@ class TestDispatcher:
         with pytest.raises(ValueError, match=field):
             DecodeConfig(**{field: value})
 
+    @pytest.mark.parametrize("lm_weight", [1e308, 1.7976931348623157e308])
+    def test_lm_weight_whose_natural_log_scale_overflows_rejected(self, lm_weight):
+        """lm_weight * ln 10 = inf times an LM log10 of 0.0 would be a NaN score."""
+        with pytest.raises(ValueError, match="lm_weight"):
+            DecodeConfig(lm_weight=lm_weight)
+
+    def test_largest_accepted_lm_weight_scores_without_nan(self):
+        lm_weight = 1e307
+        assert math.isfinite(lm_weight * LN10)
+        model = lm_train(["a", "a", "a"], order=2, smoothing="mle")   # P(a | <s>) = 1
+        assert lm_score(model, (BOS,), "a") == 0.0
+        tree = build_prefix_tree([LexiconEntry("a", ("p1",))], vocab_of(2))
+        em = EmissionMatrix(logits=peaked_emissions([1], 2))
+        hyps = decode_phoneme(em, tree, model, DecodeConfig(lm_weight=lm_weight))
+        assert all(not math.isnan(h.score) for h in hyps)
+
 
 GOLDEN_NBEST = Path(__file__).parent / "data" / "decoder_golden_nbest.json"
 MERGE_LOGITS = np.log(np.array([[0.1, 0.05, 0.5, 0.05, 0.3],

@@ -220,6 +220,29 @@ class TestNoUnusedImports:
         assert unused == []
 
 
+# -- no module defines a private name it never uses ----------------------------
+
+class TestNoUnusedPrivateNames:
+    def test_every_private_top_level_name_is_used(self):
+        unused = []
+        for p in sorted(SRC.glob("*.py")):
+            tree = ast.parse(p.read_text(encoding="utf-8"))
+            defined = {}   # private top-level function, class or constant -> line
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined[node.name] = node.lineno
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined.update((t.id, node.lineno) for t in targets
+                                   if isinstance(t, ast.Name))
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unused += [f"{p.name}:{line}: {name}" for name, line in defined.items()
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in used]
+        assert unused == []
+
+
 # -- no recursion whose depth the input sets ---------------------------------
 
 # lm._backoff recurses once per history word it drops, so it is at most the

@@ -330,6 +330,23 @@ class TestLexiconFiles:
         with pytest.raises(ValueError, match=re.escape(f"{path}: empty vocabulary")):
             read_vocab(path)
 
+    @pytest.mark.parametrize("text, line", [
+        (f"{BLANK_TOKEN}\na\n  \nb c\n", 3),   # a blank token
+        (f"{BLANK_TOKEN}\na\nb c\n", 3),        # two tokens on one line
+        (f"{BLANK_TOKEN}\n a\n", 2),             # a token with a leading space
+        (f"{BLANK_TOKEN}\n\na\n", 2),           # an empty line would shift a's id
+    ])
+    def test_malformed_vocab_line_names_line(self, tmp_path, text, line):
+        path = tmp_path / "phonemes.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "):
+            read_vocab(path)
+
+    def test_vocab_trailing_empty_lines_ignored(self, tmp_path):
+        path = tmp_path / "phonemes.txt"
+        path.write_text(f"{BLANK_TOKEN}\na\n\n\n", encoding="utf-8")
+        assert read_vocab(path).tokens == (BLANK_TOKEN, "a")
+
     def test_duplicate_vocab_token_names_path_and_token(self, tmp_path):
         path = tmp_path / "phonemes.txt"
         path.write_text(f"{BLANK_TOKEN}\na\nb\na\n", encoding="utf-8")

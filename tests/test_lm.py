@@ -1,8 +1,9 @@
+import itertools
 import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mienasr.lm import (BOS, EOS, UNK, ArpaError, arpa_read, arpa_write,
                         lm_score, lm_train, normalization_mass, perplexity,
@@ -170,7 +171,8 @@ class TestPerplexity:
 
     def test_overflow_is_infinite(self, tmp_path):
         path = tmp_path / "tiny.arpa"
-        path.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-1e308\tx\n-1.0\t</s>\n"
+        # -323 is near the least log10 whose power of ten is a positive float
+        path.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-323\tx\n-323\t</s>\n"
                         "-1.0\t<unk>\n\n\\end\\\n", encoding="utf-8")
         assert perplexity(arpa_read(path), ["x"]) == math.inf
 
@@ -275,6 +277,86 @@ class TestArpaReadErrors:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ArpaError, match=re.escape(f"{path}: ") + ".*<unk>"):
             arpa_read(path)
+
+    @pytest.mark.parametrize("slot, value", [(3, "1e308"), (6, "1e308"), (2, "-1e308"),
+                                             (5, "-400"), (3, "309")],
+                             ids=["unigram-back-off", "bigram-back-off", "unigram-log-prob",
+                                  "bigram-log-prob", "just-over-range"])
+    def test_power_of_ten_out_of_range_rejected(self, tmp_path, slot, value):
+        """Back-offs of 1e308 once made lm_score inf; a log prob of -400 is 10**-400 = 0."""
+        values = list(PROBE_VALUES)
+        values[slot] = value
+        path = tmp_path / "range.arpa"
+        path.write_text(PROBE_ARPA.format(*values), encoding="utf-8")
+        with pytest.raises(ArpaError, match=re.escape(f"{path}: ") + ".*out-of-range"):
+            arpa_read(path)
+
+    def test_log_zero_and_range_ends_load(self, tmp_path):
+        values = list(PROBE_VALUES)
+        values[0], values[2], values[3], values[6] = "-99", "-323", "308", "-323"
+        path = tmp_path / "ends.arpa"
+        path.write_text(PROBE_ARPA.format(*values), encoding="utf-8")
+        m = arpa_read(path)
+        assert math.isfinite(lm_score(m, (BOS, "a"), EOS))
+
+    def test_train_validates_range(self):
+        m = lm_train(TOY3, order=2)
+        gram = next(iter(m.tables[2]))
+        m.tables[2][gram] = (-400.0, None)
+        with pytest.raises(ArpaError, match="out-of-range"):
+            m.validate()
+
+
+# an order-3 model whose eleven log10 values are slots: <s>, </s>, a (prob, back-off),
+# <unk>, "<s> a" (prob, back-off), "a a", "a </s>", "<s> a a", "a a </s>"
+PROBE_ARPA = """\\data\\
+ngram 1=4
+ngram 2=3
+ngram 3=2
+
+\\1-grams:
+{0}\t<s>\t-0.3
+{1}\t</s>
+{2}\ta\t{3}
+{4}\t<unk>
+
+\\2-grams:
+{5}\t<s> a\t{6}
+{7}\ta a\t-0.1
+{8}\ta </s>
+
+\\3-grams:
+{9}\t<s> a a
+{10}\ta a </s>
+
+\\end\\
+"""
+PROBE_VALUES = ("-99", "-0.5", "-0.3", "-0.2", "-1.0", "-0.2", "-0.1", "-0.3", "-0.4",
+                "-0.1", "-0.2")
+EXTREMES = ["-99", "0", "308", "309", "1e308", "-323", "-324", "-1e308", "nan", "inf", "-inf"]
+
+
+class TestLoadedModelScores:
+    """A model that loads gives finite scores: no value the reader accepts
+    may make a back-off sum or a power of ten leave the floats."""
+
+    @settings(max_examples=150)
+    @given(st.lists(st.one_of(st.sampled_from(EXTREMES),
+                              st.floats(-1e4, 1e4).map(repr), st.floats().map(repr)),
+                    min_size=len(PROBE_VALUES), max_size=len(PROBE_VALUES)))
+    @example([v if k not in (3, 6) else "1e308" for k, v in enumerate(PROBE_VALUES)])
+    def test_every_loaded_mutant_scores_finitely(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("arpa") / "m.arpa"
+        path.write_text(PROBE_ARPA.format(*values), encoding="utf-8")
+        try:
+            m = arpa_read(path)
+        except ArpaError:
+            return
+        words = list(m.vocab) + ["oov"]
+        for n in range(m.order):
+            for history in itertools.product(words, repeat=n):
+                for w in words:
+                    assert math.isfinite(lm_score(m, history, w)), (history, w)
 
 
 EXTERNAL_STYLE_ARPA = """\
