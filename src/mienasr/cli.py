@@ -17,9 +17,8 @@ from . import transfer as transfer_mod
 from .decoder import DecodeConfig, build_prefix_tree, spell_lm_words
 from .evaluate import error_rate, make_cv_plan, pool
 from .experiment import (best_words, decode_utterances, load_config, normalize_text,
-                         read_corpus, read_tagged, run_experiment, tagged_line,
-                         write_lines)
-from .inputs import located, read_utf8
+                         read_corpus, read_tagged, run_experiment, tagged_line)
+from .inputs import located, read_utf8, write_lines
 from .lexicon import (build_lexicon, derive_phoneme_vocab, load_g2p_table, read_lexicon,
                       read_vocab, write_lexicon, write_vocab)
 from .orthography import load_inventory, parse_word
@@ -40,6 +39,11 @@ def _positive_int(text):
 def _read_lines(path):
     with located(path):
         return [ln for ln in read_utf8(path).splitlines() if ln.strip()]
+
+
+def _read_ids(path):
+    """Utterance ids: each line's first TAB field, stripped, so "utt TAB text" files serve."""
+    return [ln.split("\t", 1)[0].strip() for ln in _read_lines(path)]
 
 
 def _read_transcripts(path):
@@ -146,7 +150,7 @@ def cmd_decode(args):
             lex = spell_lm_words(bpe, ngram)
 
     out_lines, nbest_lines = [], []
-    for utt, (hyps,) in decode_utterances(args.emissions, _read_lines(args.ids), cfg, (ngram,),
+    for utt, (hyps,) in decode_utterances(args.emissions, _read_ids(args.ids), cfg, (ngram,),
                                           lex=lex, bpe=bpe):
         out_lines.append(tagged_line(utt, best_words(hyps)))
         nbest_lines += [f"{utt}\t{rank}\t{h.score:.6f}\t{h.score_ac:.6f}\t{h.score_lm:.6f}"
@@ -170,8 +174,7 @@ def cmd_transfer_init(args):
 
 
 def cmd_split(args):
-    ids = [ln.split("\t", 1)[0].strip() for ln in _read_lines(args.ids)]
-    plan = make_cv_plan(ids, n_folds=args.folds, n_runs=args.runs, seed=args.seed)
+    plan = make_cv_plan(_read_ids(args.ids), n_folds=args.folds, n_runs=args.runs, seed=args.seed)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for k, fold in enumerate(plan.folds):
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "not apply to it.")
     sp.add_argument("--mode", choices=["subword", "phoneme"], required=True)
     sp.add_argument("--emissions", required=True, help="directory of <utt>.em files")
-    sp.add_argument("--ids", required=True, help="utterance id list")
+    sp.add_argument("--ids", required=True, help="id list or utt TAB text file")
     sp.add_argument("--lexicon")
     sp.add_argument("--vocab")
     sp.add_argument("--bpe-model", dest="bpe_model")

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import BLANK_ID
-from .inputs import located, read_utf8
+from .inputs import located, read_utf8, write_lines
 
 _MAGIC = b"EMISMAT1"
 NEG_INF = -np.inf
@@ -198,16 +198,13 @@ def write_emissions(path, logits: np.ndarray, binary: bool = True) -> None:
     """
     logits = np.asarray(logits, dtype=np.float64)
     T, V = logits.shape
-    path = Path(path)
     if binary:
         with open(path, "wb") as f:
             f.write(_MAGIC)
             f.write(struct.pack("<II", T, V))
             f.write(logits.astype("<f4").tobytes(order="C"))
     else:
-        lines = [f"{T} {V}"]
-        lines += [" ".join(f"{x:.8e}" for x in row) for row in logits]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, [f"{T} {V}"] + [" ".join(f"{x:.8e}" for x in row) for row in logits])
 
 
 def read_emissions(path) -> EmissionMatrix:

@@ -32,16 +32,22 @@ sequence's first-seen id in the decode times ``node_count + 1``: distinct
 states get distinct keys, and no tuple is built or hashed per arc.  Each
 key's entry is one list: blank mass, non-blank mass, LM term ``lm_weight *
 ln 10 * lm10``, insertion term ``word_insertion_penalty * len(words)``, the
-acoustic log-sum that the cut writes, the word sequence and the trie node.
-The two terms depend only on the word sequence, so they are computed once,
-when the key is created (a word-final key's re-entry list holds them and
-the base per word sequence), and carried.  Carrying them is exact: a
+acoustic log-sum that the cut writes and the next frame reads, the word
+sequence and the trie node.  Each word sequence has one record, ``(base,
+lm10)``, made when a state first re-enters with it.  The terms depend only
+on the word sequence, so a word-final key's re-entry list forms them once
+from the records, and entries carry them.  Carrying them is exact: a
 product of the same two floats has the same bits wherever it is formed,
 and the floor, the expansion and the cut all sum a score in one order,
 ``(acoustic + LM term) + insertion term``.  Trie arcs are read from
 ``TrieNode.arcs``, each node's children as ``(phone, child index, child)``
-tuples compiled once with the tree.  Completed hypotheses are ordered by
-score, then word sequence.
+tuples compiled once with the tree.  A completed hypothesis adds ``</s>``
+to its record's lm10; completed hypotheses are ordered by score, then word
+sequence.  The LM term is at most 0 and may be ``-inf``, so an insertion
+term must stay finite: ``+inf`` would meet it as NaN.  Every word takes at
+least one frame, so ``word_insertion_penalty`` times the frame count bounds
+every insertion term; the search raises ValueError up front, before any
+hypothesis forms, when that bound is not finite.
 
 Log-adding into ``-inf`` returns the other operand without calling
 ``_lae``, in the self-loop, at every site that pools into a key and where
@@ -213,6 +219,12 @@ def _lm10(model: Optional[ArpaModel], history: tuple[str, ...], word: str) -> fl
     return lm_score(model, history, word)
 
 
+def _check_insertion_bound(wip: float, frames: int) -> None:
+    # every word takes at least one frame, so no hypothesis holds more than `frames` words
+    if not -math.inf < wip * frames < math.inf:
+        raise ValueError(f"word_insertion_penalty {wip} times {frames} frames is not finite")
+
+
 def _lae(x: float, y: float) -> float:
     """``log(exp(x) + exp(y))`` on Python floats, bit-identical to ``np.logaddexp``.
 
@@ -238,21 +250,14 @@ def decode_phoneme(
     Returns all completed hypotheses in the final beam, best first.  The LM
     scores each committed word given the preceding words (with <s> context)
     plus the final </s> event; homophones at one trie node spawn parallel
-    hypotheses.  A state ``(words, node)`` is keyed by the int ``base +
-    node.idx``, where ``base`` is the word sequence's first-seen id times
-    ``lex.node_count + 1``, and its entry is ``[blank mass, non-blank mass,
-    LM term, insertion term, acoustic log-sum, words, node]``; the cut
-    writes the log-sum of the two masses into the entry and the next frame
-    reads it.  The terms are ``lam * ln 10 * lm10`` and ``wip * len(words)``,
-    computed once per word sequence: a product of the same two operands has
-    the same bits wherever it is formed, and every score sums them in one
-    order, ``(acoustic + LM term) + insertion term``.  Trie arcs are read
-    from ``TrieNode.arcs``.
+    hypotheses.  States, keys and entries are laid out as the module
+    docstring describes.
     """
     if em.vocab_size != len(lex.vocab):
         raise ValueError(
             f"emission vocab size {em.vocab_size} != lexicon phoneme vocab {len(lex.vocab)}"
         )
+    _check_insertion_bound(cfg.word_insertion_penalty, em.logits.shape[0])
     root = lex.root
     roots = root.children     # phone -> root child
     if not roots:
@@ -262,13 +267,10 @@ def decode_phoneme(
     lam, wip = cfg.lm_weight, cfg.word_insertion_penalty
     lam10 = lam * LN10
     stride = lex.node_count + 1
-    base_of = {(): 0}         # word sequence -> its first-seen id times stride
-    lm10_of = {(): 0.0}       # word sequence -> its LM log10
+    records = {(): (0, 0.0)}  # word sequence -> (base, LM log10)
     reentries_of: dict = {}   # word-final key -> [(words it re-enters with, base, terms)]
 
-    # the cut's sorted list of (negated score, words, node index, key, entry), where
-    # entry = [blank mass, non-blank mass, LM term, insertion term, acoustic log-sum,
-    # words, node]; the empty word sequence has base 0 and zero terms
+    # the cut's sorted list of (negated score, words, node index, key, entry)
     states = [(0.0, (), root.idx, root.idx, [0.0, NEG_INF, 0.0, 0.0, 0.0, (), root])]
     for y in em.logits.tolist():
         blank = y[BLANK_ID]
@@ -297,11 +299,11 @@ def decode_phoneme(
                     reentries_of[key] = reentries = []
                     for w in node.words:
                         new_words = words + (w,)
-                        if new_words not in base_of:
-                            base_of[new_words] = len(base_of) * stride
-                            lm10_of[new_words] = lm10_of[words] + _lm10(lm, (BOS,) + words, w)
-                        reentries.append((new_words, base_of[new_words],
-                                          lam10 * lm10_of[new_words], wip * len(new_words)))
+                        if new_words not in records:
+                            records[new_words] = (len(records) * stride,
+                                                  records[words][1] + _lm10(lm, (BOS,) + words, w))
+                        base, lm10 = records[new_words]
+                        reentries.append((new_words, base, lam10 * lm10, wip * len(new_words)))
                 for _, new_base, _, _ in reentries_of[key]:
                     (shared if new_base in seen else seen).add(new_base)
 
@@ -368,26 +370,18 @@ def decode_phoneme(
         del scored[beam_size:]
         states = scored
 
-    finals: dict = {}   # word sequence -> [acoustic log-sum, LM log10]
+    finals: dict = {}   # word sequence -> acoustic log-sum
     for _, words, _, _, (_, _, _, _, ac, _, node) in states:
-        if ac == NEG_INF:
-            continue
-        lm10 = lm10_of[words]
-        ends = [(words, lm10 + _lm10(lm, (BOS,) + words, EOS))] if node is root else []
-        for w in node.words:
-            full = words + (w,)
-            ends.append((full, lm10 + _lm10(lm, (BOS,) + words, w)
-                         + _lm10(lm, (BOS,) + full, EOS)))
-        for full, full_lm10 in ends:
-            entry = finals.get(full)
-            if entry is None:
-                finals[full] = [ac, full_lm10]
-            else:
-                entry[0] = _lae(entry[0], ac)
+        if ac != NEG_INF:
+            for full in ([words] if node is root else []) + [words + (w,) for w in node.words]:
+                finals[full] = _lae(finals[full], ac) if full in finals else ac
 
     hyps = []
-    for words, (ac, lm10) in finals.items():
-        score_lm = LN10 * lm10
+    for words, ac in finals.items():
+        # a sequence that no state re-entered with is its prefix's record plus one word
+        lm10 = (records[words][1] if words in records
+                else records[words[:-1]][1] + _lm10(lm, (BOS,) + words[:-1], words[-1]))
+        score_lm = LN10 * (lm10 + _lm10(lm, (BOS,) + words, EOS))
         hyps.append(Hypothesis(words=words, score_ac=ac, score_lm=score_lm,
                                score=ac + lam * score_lm + wip * len(words)))
     hyps.sort(key=lambda h: (-h.score, h.words))
@@ -407,6 +401,7 @@ def decode(em: EmissionMatrix, cfg: DecodeConfig, *, lex: Optional[PrefixTree] =
         if em.vocab_size != len(bpe.vocab):
             raise ValueError(f"emission vocab size {em.vocab_size} != BPE vocab {len(bpe.vocab)}")
         if lm is None:
+            _check_insertion_bound(cfg.word_insertion_penalty, em.logits.shape[0])
             words = tuple(bpe_decode(greedy_decode(em), bpe).split())
             ac = float(em.logits.max(axis=1).sum())
             return [Hypothesis(words=words, score_ac=ac, score_lm=0.0,

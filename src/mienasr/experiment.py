@@ -23,7 +23,7 @@ from . import lm as lm_mod
 from .ctc import read_emissions
 from .decoder import DecodeConfig, build_prefix_tree, decode, spell_lm_words
 from .evaluate import aggregate, error_rate, make_cv_plan, pool
-from .inputs import located, read_utf8
+from .inputs import located, read_utf8, write_lines
 from .lexicon import (build_lexicon, derive_phoneme_vocab, g2p, load_g2p_table,
                       write_lexicon, write_vocab)
 from .orthography import load_inventory
@@ -119,10 +119,7 @@ def load_config(path) -> PipelineConfig:
 @dataclass
 class RunResult:
     run: int
-    wer_no_lm: float
-    wer_with_lm: float
-    per_no_lm: Optional[float] = None
-    per_with_lm: Optional[float] = None
+    rates: dict[tuple[str, str], float]   # (metric, "no-lm" or "with-lm") -> rate, as in scores.txt
 
 
 @dataclass
@@ -130,25 +127,25 @@ class ExperimentReport:
     model_id: str
     runs: list[RunResult] = field(default_factory=list)
 
+    def rate(self, metric: str, lm: str) -> float:
+        """One rate averaged over the runs."""
+        return aggregate([r.rates[metric, lm] for r in self.runs])
+
     @property
     def wer_no_lm(self) -> float:
-        return aggregate([r.wer_no_lm for r in self.runs])
+        return self.rate("WER", "no-lm")
 
     @property
     def wer_with_lm(self) -> float:
-        return aggregate([r.wer_with_lm for r in self.runs])
+        return self.rate("WER", "with-lm")
 
     def to_text(self) -> str:
-        lines = [f"model\t{self.model_id}",
-                 "run\tmetric\ttest-wo-lm\ttest-with-lm"]
-        for r in self.runs:
-            lines.append(f"{r.run}\tWER\t{r.wer_no_lm:.4f}\t{r.wer_with_lm:.4f}")
-            if r.per_no_lm is not None:
-                lines.append(f"{r.run}\tPER\t{r.per_no_lm:.4f}\t{r.per_with_lm:.4f}")
-        lines.append(f"avg\tWER\t{self.wer_no_lm:.4f}\t{self.wer_with_lm:.4f}")
-        if all(r.per_no_lm is not None for r in self.runs):
-            lines.append(f"avg\tPER\t{aggregate([r.per_no_lm for r in self.runs]):.4f}"
-                         f"\t{aggregate([r.per_with_lm for r in self.runs]):.4f}")
+        metrics = dict.fromkeys(m for r in self.runs for m, _ in r.rates)   # WER, then PER
+        rows = [(r.run, m, r.rates[m, "no-lm"], r.rates[m, "with-lm"])
+                for r in self.runs for m in metrics]
+        rows += [("avg", m, self.rate(m, "no-lm"), self.rate(m, "with-lm")) for m in metrics]
+        lines = [f"model\t{self.model_id}", "run\tmetric\ttest-wo-lm\ttest-with-lm"]
+        lines += [f"{run}\t{m}\t{no_lm:.4f}\t{with_lm:.4f}" for run, m, no_lm, with_lm in rows]
         return "\n".join(lines) + "\n"
 
 
@@ -196,11 +193,6 @@ def best_words(hyps) -> tuple[str, ...]:
 def tagged_line(utt: str, words) -> str:
     """An "utt-id TAB words" line, as in corpus, reference and hypothesis files."""
     return f"{utt}\t{' '.join(words)}"
-
-
-def write_lines(path, lines) -> None:
-    """Write id manifests, hypothesis files and scores: one item per line."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def decode_utterances(emissions_dir, ids, cfg: DecodeConfig, lms, *, lex=None, bpe=None):
@@ -305,6 +297,4 @@ def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunR
             rates[metric, "with-lm"], rates[metric, "no-lm"] = (pool(rep).rate for rep in reports)
         write_lines(out_dir / "scores.txt", [f"{metric}\t{lm}\t{rates[metric, lm]:.6f}"
                                              for metric in units for lm in ("no-lm", "with-lm")])
-    return RunResult(run=r, wer_no_lm=rates["WER", "no-lm"], wer_with_lm=rates["WER", "with-lm"],
-                     per_no_lm=rates.get(("PER", "no-lm")),
-                     per_with_lm=rates.get(("PER", "with-lm")))
+    return RunResult(run=r, rates=rates)

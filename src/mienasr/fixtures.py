@@ -18,7 +18,8 @@ import numpy as np
 from . import BLANK_ID, BLANK_TOKEN
 from .ctc import write_emissions
 from .decoder import build_prefix_tree
-from .experiment import tagged_line, write_lines
+from .experiment import tagged_line
+from .inputs import write_lines
 from .lexicon import LexiconEntry, PhonemeVocab, default_g2p_table, derive_phoneme_vocab, g2p
 from .lm import lm_train
 from .orthography import default_inventory

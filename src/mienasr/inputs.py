@@ -1,4 +1,5 @@
-"""How an input file becomes text, and how a fault in it is reported.
+"""How an input file becomes text, how a fault in it is reported, and how
+an artifact's lines are written.
 
 Every reader decodes its file with ``read_utf8`` inside a ``located`` block.
 A ValueError raised in the block, an undecodable byte included, leaves it as
@@ -32,6 +33,11 @@ def read_utf8(path, fault: str = "not UTF-8 text") -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ValueError(f"{fault}: byte {e.object[e.start]:#04x} at offset {e.start}") from None
+
+
+def write_lines(path, lines) -> None:
+    """Write an artifact as UTF-8 text, one item per line, newline-terminated."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def convert_distinct(tokens, convert, errors):

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import BLANK_TOKEN
-from .inputs import convert_distinct, located, read_utf8
+from .inputs import convert_distinct, located, read_utf8, write_lines
 from .orthography import InventoryConfig, ParseError, Syllable, parse_word
 
 logger = logging.getLogger(__name__)
@@ -98,6 +98,8 @@ class PhonemeVocab:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
+        if not self.tokens:
+            raise ValueError("a vocabulary needs the blank token at index 0")
         if self.tokens[0] != BLANK_TOKEN:
             raise ValueError(f"index 0 must be the blank token, got {self.tokens[0]!r}")
         if len(set(self.tokens)) != len(self.tokens):
@@ -170,12 +172,10 @@ def load_g2p_table(path=None) -> G2PTable:
 
         if not tone_base:
             raise TableError("missing [tones] section")
-        tone_map = {}
-        for mark, digit in tone_base.items():
-            tone_map[(mark, OPEN)] = digit
-            tone_map[(mark, CHECKED)] = tone_checked.get(mark, digit)
-        for mark, digit in tone_checked.items():
-            tone_map.setdefault((mark, OPEN), digit)
+        # a mark@checked line overrides, or alone supplies, the mark's checked digit
+        tone_map = {(mark, cls): digit
+                    for mark, digit in tone_base.items() for cls in (OPEN, CHECKED)}
+        tone_map.update(((mark, CHECKED), digit) for mark, digit in tone_checked.items())
 
         base_tokens = {t for toks in list(onset.values()) + list(rime.values()) for t in toks}
         clash = base_tokens & set(tone_map.values())
@@ -295,8 +295,7 @@ def derive_phoneme_vocab(
 
 def write_lexicon(entries: Sequence[LexiconEntry], path) -> None:
     """Two-column TSV: word TAB space-separated phoneme tokens."""
-    lines = [f"{e.word}\t{' '.join(e.pron)}" for e in entries]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, [f"{e.word}\t{' '.join(e.pron)}" for e in entries])
 
 
 def read_lexicon(path) -> list[LexiconEntry]:
@@ -311,13 +310,16 @@ def read_lexicon(path) -> list[LexiconEntry]:
             word = word.strip()
             if len(word.split()) != 1:   # decoded, "" or "a b" would not read back as one word
                 raise TableError(f"lexicon word {word!r} is empty or holds whitespace")
-            entries.append(LexiconEntry(word=word, pron=tuple(pron.split())))
+            pron = tuple(pron.split())
+            if not pron or BLANK_TOKEN in pron:   # no trie path could spell the word
+                raise TableError(f"word {word!r} has an empty pronunciation or one with the blank")
+            entries.append(LexiconEntry(word=word, pron=pron))
     return entries
 
 
 def write_vocab(vocab: PhonemeVocab, path) -> None:
     """One token per line, blank first (line number = token id)."""
-    Path(path).write_text("\n".join(vocab.tokens) + "\n", encoding="utf-8")
+    write_lines(path, vocab.tokens)
 
 
 def read_vocab(path) -> PhonemeVocab:

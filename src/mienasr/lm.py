@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .inputs import located, read_utf8
+from .inputs import located, read_utf8, write_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -51,20 +51,19 @@ class ArpaModel:
     """Per-order tables mapping n-gram tuples to (log10 prob, log10 bow).
 
     ``tables[n]`` covers the n-grams; the back-off weight is None when the
-    gram never acts as a history.  ``vocab`` includes the sentence markers
-    and <unk>.
+    gram never acts as a history.
     """
 
     order: int
     tables: tuple[dict, ...]  # index 0 unused, 1..order live
-    vocab: tuple[str, ...]
-    _vocab_set: frozenset = field(default=frozenset(), repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_vocab_set", frozenset(self.vocab))
+    @cached_property
+    def vocab(self) -> tuple[str, ...]:
+        """The unigram words, sorted: the sentence markers and <unk> among them."""
+        return tuple(sorted(g[0] for g in self.tables[1]))
 
     def map_word(self, w: str) -> str:
-        return w if w in self._vocab_set else UNK
+        return w if (w,) in self.tables[1] else UNK
 
     def validate(self) -> None:
         """Structural checks: probs <= 0, each value's power of ten a finite
@@ -164,7 +163,7 @@ def lm_train(corpus: Iterable[str], order: int = 4, smoothing: str = "kneser_ney
         counts[1][(UNK,)] = counts[1].get((UNK,), 0) + 1  # the reserved <unk> count
         rule = _fixed_discounts(0.0)
     tables = _discounted_tables(counts, order, vocab, rule)
-    model = ArpaModel(order=order, tables=tuple(tables), vocab=tuple(vocab))
+    model = ArpaModel(order=order, tables=tuple(tables))
     model.validate()
     return model
 
@@ -280,7 +279,7 @@ def uniform_model(words: Sequence[str]) -> ArpaModel:
     logp = math.log10(1.0 / len(words))
     table = {(w,): (logp, None) for w in words}
     table[(BOS,)] = (LOG10_ZERO, None)
-    return ArpaModel(order=1, tables=(None, table), vocab=tuple(sorted(set(words) | {BOS})))
+    return ArpaModel(order=1, tables=(None, table))
 
 
 def normalization_mass(model: ArpaModel, history: Sequence[str]) -> float:
@@ -308,8 +307,7 @@ def arpa_write(model: ArpaModel, path) -> None:
             if bow is not None:
                 entry += f"\t{_fmt(bow)}"
             lines.append(entry)
-    lines += ["", "\\end\\", ""]
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    write_lines(path, lines + ["", "\\end\\"])
 
 
 def _fmt(x: float) -> str:
@@ -380,7 +378,6 @@ def arpa_read(path) -> ArpaModel:
         for n, want in declared.items():
             if len(tables[n]) != want:
                 raise ArpaError(f"declared {want} {n}-grams, found {len(tables[n])}")
-        vocab = tuple(sorted(g[0] for g in tables[1]))
-        model = ArpaModel(order=order, tables=tuple(tables), vocab=vocab)
+        model = ArpaModel(order=order, tables=tuple(tables))
         model.validate()
     return model

@@ -34,11 +34,10 @@ import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import BLANK_TOKEN, UNK_TOKEN
-from .inputs import located, read_utf8
+from .inputs import located, read_utf8, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -219,8 +218,7 @@ def save_bpe(model: BpeModel, path) -> None:
     lines = [_FILE_HEADER, "[merges]"]
     lines += [f"{a}\t{b}" for a, b in model.merges]
     lines.append("[vocab]")
-    lines += list(model.vocab)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines + list(model.vocab))
 
 
 def load_bpe(path) -> BpeModel:

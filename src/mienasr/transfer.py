@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import BLANK_TOKEN
-from .inputs import located, read_utf8
+from .inputs import located, read_utf8, write_lines
 from .lexicon import PhonemeVocab, strip_token
 
 
@@ -97,8 +96,6 @@ def transfer_init(
     order from one seeded stream, so equal seeds reproduce them exactly.
     The source must contain a blank row for the target blank to copy.
     """
-    if len(tgt_vocab) == 0:
-        raise ValueError("empty target vocabulary")
     d = src.dim
     if scale is None:
         scale = 1.0 / np.sqrt(d)
@@ -138,7 +135,7 @@ def write_matrix(mat: EmbeddingMatrix, path) -> None:
     lines = [f"{mat.rows.shape[0]} {mat.dim}"]
     for label, row in zip(mat.row_labels, mat.rows):
         lines.append(label + " " + " ".join(f"{x:.17g}" for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def read_matrix(path) -> EmbeddingMatrix:

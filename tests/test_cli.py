@@ -42,6 +42,11 @@ class TestParse:
         assert code == 1
         assert "error" in err
 
+    def test_no_words_and_no_input_errors(self, capsys):
+        code, out, err = run(capsys, "parse")
+        assert code == 1 and not out
+        assert "provide words as arguments or a file via --input" in err
+
 
 class TestLexiconVocab:
     def test_build_and_derive(self, capsys, tmp_path):
@@ -265,6 +270,14 @@ class TestDecodeCli:
         assert code == 0, err
         assert out.read_text() == "u3\tdorn maaih mienh\n"
 
+    def test_missing_bpe_model_flag_errors(self, capsys, toy, tmp_path):
+        root, _ = toy
+        code, _, err = run(capsys, "decode", "--mode", "subword", "--emissions", root / "emissions",
+                           "--ids", tmp_path / "ids.txt", "--output", tmp_path / "o.txt")
+        assert code == 1
+        assert "subword mode needs --bpe-model" in err
+        assert not (tmp_path / "o.txt").exists()
+
     def test_missing_lexicon_flag_errors(self, capsys, toy, tmp_path):
         root, _ = toy
         ids = tmp_path / "ids.txt"
@@ -317,6 +330,40 @@ class TestDecodeCli:
                            "--output", tmp_path / "o.txt", "--wip", spelling)
         assert code == 0, err
         assert seen == [-1e-05]
+
+    def staged_lexicon(self, capsys, root, tmp_path):
+        lex, vocab = tmp_path / "lex.tsv", tmp_path / "ph.txt"
+        run(capsys, "lexicon", "--corpus", root / "corpus.tsv", "--output", lex)
+        run(capsys, "vocab", "--lexicon", lex, "--output", vocab)
+        return lex, vocab
+
+    def test_overflowing_insertion_term_exits_1(self, capsys, toy, tmp_path):
+        root, _ = toy
+        lex, vocab = self.staged_lexicon(capsys, root, tmp_path)
+        ids = tmp_path / "ids.txt"
+        ids.write_text("u1\n")
+        code, _, err = run(capsys, "decode", "--mode", "phoneme", "--emissions", root / "emissions",
+                           "--ids", ids, "--lexicon", lex, "--vocab", vocab,
+                           "--output", tmp_path / "o.txt", "--wip", "1e308")
+        assert code == 1
+        assert "word_insertion_penalty" in err
+
+    def test_ids_read_as_split_reads_them(self, capsys, toy, tmp_path):
+        """A trailing space or a TAB and transcript after the id is not part of it."""
+        root, _ = toy
+        lex, vocab = self.staged_lexicon(capsys, root, tmp_path)
+        ids = tmp_path / "ids.txt"
+        ids.write_text("u1 \nu2\tmienh dorn maaih\n")
+        out = tmp_path / "o.txt"
+        code, _, err = run(capsys, "decode", "--mode", "phoneme", "--emissions", root / "emissions",
+                           "--ids", ids, "--lexicon", lex, "--vocab", vocab, "--output", out)
+        assert code == 0, err
+        assert out.read_text() == "u1\tmaaih mienh dorn\nu2\tmienh dorn maaih\n"
+        code, _, err = run(capsys, "split", "--ids", ids, "--folds", "2", "--runs", "1",
+                           "--output-dir", tmp_path / "split")
+        assert code == 0, err
+        assert sorted((tmp_path / "split" / f"fold{k}.txt").read_text() for k in (0, 1)) \
+            == ["u1\n", "u2\n"]
 
     def test_negative_lm_weight_in_exponent_form_reaches_config_check(self, capsys, toy,
                                                                        tmp_path):

@@ -382,6 +382,47 @@ class TestDispatcher:
         assert all(not math.isnan(h.score) for h in hyps)
 
 
+def two_word_case():
+    """An MLE bigram LM on "a b", lexicon a/b, emissions peaking on "b a"."""
+    model = lm_train(["a b"], order=2, smoothing="mle")
+    tree = build_prefix_tree([LexiconEntry("a", ("p1",)), LexiconEntry("b", ("p2",))],
+                             vocab_of(3))
+    return EmissionMatrix(logits=peaked_emissions([2, 1], 3)), tree, model
+
+
+class TestInsertionTermOverflow:
+    """``wip`` times the frame count past the float range is an error, never an inf or NaN score."""
+
+    @pytest.mark.parametrize("lm_weight", [1.0, 1e306])
+    def test_overflowing_insertion_term_names_the_setting(self, lm_weight):
+        em, tree, model = two_word_case()
+        cfg = DecodeConfig(lm_weight=lm_weight, word_insertion_penalty=1e308)
+        with pytest.raises(ValueError, match="word_insertion_penalty"):
+            decode_phoneme(em, tree, model, cfg)
+
+    def test_greedy_subword_insertion_term(self, bpe):
+        ids = bpe_encode("ab ab", bpe)
+        em = EmissionMatrix(logits=peaked_emissions(ids, len(bpe.vocab)))
+        assert decode(em, DecodeConfig(word_insertion_penalty=1e307), bpe=bpe)[0].score < math.inf
+        with pytest.raises(ValueError, match="word_insertion_penalty"):
+            decode(em, DecodeConfig(word_insertion_penalty=1e308), bpe=bpe)
+
+    @pytest.mark.parametrize("beam_size", [1, 16])
+    def test_bound_holds_before_any_word_forms(self, beam_size):
+        """All-blank frames complete no word, and the search still raises: the
+        bound is the utterance's, not the beam's."""
+        _, tree, model = two_word_case()
+        em = EmissionMatrix(logits=np.vstack([peaked_emissions([], 3)] * 2))   # two blank frames
+        cfg = DecodeConfig(beam_size=beam_size, word_insertion_penalty=1e308)
+        with pytest.raises(ValueError, match="word_insertion_penalty 1e\\+308 times 2 frames"):
+            decode_phoneme(em, tree, model, cfg)
+
+    def test_largest_finite_term_decodes(self):
+        em, tree, model = two_word_case()
+        hyps = decode_phoneme(em, tree, model, DecodeConfig(word_insertion_penalty=5e307))
+        assert hyps and all(math.isfinite(h.score) for h in hyps)
+
+
 GOLDEN_NBEST = Path(__file__).parent / "data" / "decoder_golden_nbest.json"
 MERGE_LOGITS = np.log(np.array([[0.1, 0.05, 0.5, 0.05, 0.3],
                                 [0.2, 0.05, 0.05, 0.1, 0.6],
@@ -813,3 +854,38 @@ class TestLexiconSized:
         got = decode_phoneme(em, tree, lm, cfg)
         assert got
         assert repr(got) == repr(ref_decode_phoneme(em, tree, lm, cfg))
+
+
+class TestFinalLmSum:
+    """A final that no state re-entered with sums its LM log10 as the search does:
+    the prefix's, then its last word's, then </s>."""
+
+    def test_last_frame_word_is_scored_before_end_marker(self):
+        tree = build_prefix_tree([LexiconEntry("a", ("p1",)), LexiconEntry("b", ("p2",))],
+                                 vocab_of(3))
+        model = lm_train(["b a b a"], order=2)
+        a, b, end = (lm_score(model, (BOS,), "a"), lm_score(model, (BOS, "a"), "b"),
+                     lm_score(model, (BOS, "a", "b"), EOS))
+        assert (a + b) + end != (a + end) + b   # so the order shows in the bits
+        # "b" ends in the last frame, so no state re-enters the trie with ("a", "b")
+        logits = np.log(np.array([[0.05, 0.9, 0.05], [0.05, 0.05, 0.9]]))
+        hyps = decode_phoneme(EmissionMatrix(logits=logits), tree, model, DecodeConfig())
+        (hyp,) = [h for h in hyps if h.words == ("a", "b")]
+        assert hyp.score_lm == LN10 * ((a + b) + end)
+
+
+class TestPrefixTreeErrors:
+    def test_empty_pronunciation_names_word(self):
+        with pytest.raises(ValueError, match="word 'w' has an empty pronunciation"):
+            build_prefix_tree([LexiconEntry("w", ())], vocab_of(3))
+
+    def test_blank_in_pronunciation_names_word(self):
+        with pytest.raises(ValueError, match="word 'w' pronunciation contains the blank"):
+            build_prefix_tree([LexiconEntry("w", ("p1", BLANK_TOKEN))], vocab_of(3))
+
+
+class TestPeakedEmissions:
+    def test_repeated_id_gets_a_blank_between(self):
+        logits = peaked_emissions([1, 1], 3)
+        assert logits.argmax(axis=1).tolist() == [1, BLANK_ID, 1, BLANK_ID]
+        assert greedy_decode(EmissionMatrix(logits=logits)) == [1, 1]

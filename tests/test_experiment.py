@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from mienasr.ctc import write_emissions
-from mienasr.experiment import (PipelineConfig, PipelineError, load_config, read_corpus,
-                                run_experiment)
+from mienasr.experiment import (ExperimentReport, PipelineConfig, PipelineError, RunResult,
+                                load_config, read_corpus, run_experiment)
 from mienasr.fixtures import TOY_UTTS, TOY_WORDS, peaked_emissions, write_toy_experiment
 from mienasr.lexicon import default_g2p_table, derive_phoneme_vocab, g2p
 from mienasr.orthography import default_inventory
@@ -188,6 +188,14 @@ class TestStageErrors:
             run_experiment(load_config(cfg_path))
         assert info.value.stage == "score"
 
+    def test_no_translatable_training_word_is_a_lexicon_error(self, tmp_path):
+        cfg_path = write_toy_experiment(tmp_path / "toy")
+        corpus = tmp_path / "toy" / "corpus.tsv"
+        corpus.write_text("".join(f"{u}\tqxqx\n" for u, _ in TOY_UTTS), encoding="utf-8")
+        with pytest.raises(PipelineError, match="run 0: no translatable training words") as info:
+            run_experiment(load_config(cfg_path))
+        assert info.value.stage == "lexicon"
+
     @pytest.mark.parametrize("workers", [0, 3])
     def test_workers_other_than_one_rejected(self, tmp_path, workers):
         cfg = load_config(write_toy_experiment(tmp_path / "toy"))
@@ -230,7 +238,7 @@ class TestToyExperiment:
         report = run_experiment(cfg)
         assert report.wer_no_lm == 0.0
         assert report.wer_with_lm == 0.0
-        assert report.runs[0].per_with_lm == 0.0
+        assert report.runs[0].rates["PER", "with-lm"] == 0.0
 
     def test_artifacts_written(self, toy, tmp_path):
         _, cfg_path = toy
@@ -276,11 +284,19 @@ class TestToyExperiment:
         cfg.output_dir = tmp_path / "out"
         report = run_experiment(cfg)
         assert report.wer_no_lm == 1.0 and report.wer_with_lm == 1.0
-        assert report.runs[0].per_with_lm == 1.0
+        assert report.runs[0].rates["PER", "with-lm"] == 1.0
         for name in ("hyp_with_lm.txt", "hyp_without_lm.txt"):
             line = (cfg.output_dir / "run0" / name).read_text(encoding="utf-8")
             assert line.endswith("\t\n") and line.count("\n") == 1
 
+
+    def test_overflowing_insertion_term_is_a_decode_error(self, tmp_path):
+        cfg = load_config(write_toy_experiment(tmp_path / "toy"))
+        cfg.word_insertion_penalty = 1e308
+        cfg.output_dir = tmp_path / "out"
+        with pytest.raises(PipelineError, match="word_insertion_penalty") as info:
+            run_experiment(cfg)
+        assert info.value.stage == "decode"
 
     def test_truncated_emission_header_is_a_decode_error(self, tmp_path):
         cfg_path = write_toy_experiment(tmp_path / "toy")
@@ -313,7 +329,7 @@ class TestSubwordExperiment:
         cfg.output_dir = tmp_path / "out1"
         report = run_experiment(cfg)
         assert report.wer_no_lm == 0.0 and report.wer_with_lm == 0.0
-        assert report.runs[0].per_no_lm is None  # PER is a phoneme-mode metric
+        assert ("PER", "no-lm") not in report.runs[0].rates  # PER is a phoneme-mode metric
         first = tree_digest(cfg.output_dir)
         cfg.output_dir = tmp_path / "out2"
         run_experiment(cfg)
@@ -357,3 +373,39 @@ class TestCorpusReader:
         p.write_text("u1\tMienh  DORN\n")
         assert read_corpus(p) == [("u1", "mienh dorn")]
 
+
+    def test_blank_lines_only_is_no_utterances(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("\n  \n")
+        with pytest.raises(PipelineError, match=re.escape(f"{p}: no utterances")):
+            read_corpus(p)
+
+
+class TestFixtureModes:
+    def test_unknown_mode_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown fixture mode 'grapheme'"):
+            write_toy_experiment(tmp_path / "toy", mode="grapheme")
+
+
+class TestReportText:
+    """report.txt rows come from each run's rates table, in scores.txt's metric order."""
+
+    def test_rows_and_averages(self):
+        runs = [RunResult(0, {("WER", "with-lm"): 0.25, ("WER", "no-lm"): 0.5,
+                              ("PER", "with-lm"): 0.125, ("PER", "no-lm"): 0.375}),
+                RunResult(1, {("WER", "with-lm"): 0.75, ("WER", "no-lm"): 1.0,
+                              ("PER", "with-lm"): 0.0, ("PER", "no-lm"): 0.5})]
+        report = ExperimentReport("phoneme-ctc", runs)
+        assert report.to_text() == (
+            "model\tphoneme-ctc\nrun\tmetric\ttest-wo-lm\ttest-with-lm\n"
+            "0\tWER\t0.5000\t0.2500\n0\tPER\t0.3750\t0.1250\n"
+            "1\tWER\t1.0000\t0.7500\n1\tPER\t0.5000\t0.0000\n"
+            "avg\tWER\t0.7500\t0.5000\navg\tPER\t0.4375\t0.0625\n")
+        assert (report.wer_no_lm, report.wer_with_lm) == (0.75, 0.5)
+        assert report.rate("PER", "no-lm") == 0.4375
+
+    def test_wer_only_runs(self):
+        report = ExperimentReport("subword-ctc", [RunResult(0, {("WER", "with-lm"): 0.5,
+                                                                ("WER", "no-lm"): 0.25})])
+        assert report.to_text().splitlines()[2:] == ["0\tWER\t0.2500\t0.5000",
+                                                     "avg\tWER\t0.2500\t0.5000"]

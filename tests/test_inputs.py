@@ -374,7 +374,8 @@ class TestRoundTrips:
         assert back.row_labels == mat.row_labels and np.array_equal(back.rows, mat.rows)
 
     @settings(max_examples=40)
-    @given(st.lists(st.tuples(TOKENS, st.lists(TOKENS, max_size=5).map(tuple)), max_size=6))
+    @given(st.lists(st.tuples(TOKENS, st.lists(TOKENS.filter(lambda t: t != BLANK_TOKEN),
+                                               min_size=1, max_size=5).map(tuple)), max_size=6))
     def test_lexicon(self, tmp_path_factory, pairs):
         path = tmp_path_factory.mktemp("lex") / "lexicon.tsv"
         entries = [LexiconEntry(word, pron) for word, pron in pairs]

@@ -1,15 +1,17 @@
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mienasr
 from mienasr import BLANK_TOKEN
-from mienasr.lexicon import (G2PError, G2PTable, LexiconEntry, TableError, build_lexicon,
-                             default_g2p_table, derive_phoneme_vocab, g2p, load_g2p_table,
-                             longest_match, read_lexicon, read_vocab, strip_token,
-                             write_lexicon)
+from mienasr.lexicon import (G2PError, G2PTable, LexiconEntry, PhonemeVocab, TableError,
+                             build_lexicon, default_g2p_table, derive_phoneme_vocab, g2p,
+                             load_g2p_table, longest_match, read_lexicon, read_vocab,
+                             strip_token, write_lexicon)
 from mienasr.orthography import ParseError, default_inventory, parse_word
 
 
@@ -283,6 +285,10 @@ class TestPhonemeVocab:
         with pytest.raises(ValueError):
             derive_phoneme_vocab([])
 
+    def test_no_tokens_is_a_value_error(self):
+        with pytest.raises(ValueError, match="blank"):
+            PhonemeVocab(())
+
 
 class TestStripToken:
     def test_examples(self):
@@ -352,3 +358,49 @@ class TestLexiconFiles:
         path.write_text(f"{BLANK_TOKEN}\na\nb\na\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: duplicate token 'a'")):
             read_vocab(path)
+
+    @pytest.mark.parametrize("line", ["mienh\t", "mienh\t  ", f"mienh\tm {BLANK_TOKEN} 1"])
+    def test_pronunciation_without_phones_names_line(self, tmp_path, line):
+        """A lexicon that loads builds a trie: no empty pronunciation, no blank in one."""
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"dorn\tt o n 3\n{line}\n", encoding="utf-8")
+        with pytest.raises(TableError, match=rf"^{re.escape(str(path))}:2: .*'mienh'"):
+            read_lexicon(path)
+
+
+PACKAGED_G2P = Path(mienasr.__file__).parent / "data" / "iu_mien_g2p.tsv"
+
+
+class TestCheckedOnlyTone:
+    """A tone mark listed only as ``mark@checked`` applies to checked syllables only."""
+
+    def table_without_open_v(self, tmp_path):
+        text = PACKAGED_G2P.read_text(encoding="utf-8").replace("\nv\t3\n", "\nv@checked\t7\n")
+        assert "\nv@checked\t7\n" in text
+        path = tmp_path / "t.tsv"
+        path.write_text(text, encoding="utf-8")
+        return load_g2p_table(path)
+
+    def test_checked_syllable_gets_the_digit(self, inv, tmp_path):
+        table = self.table_without_open_v(tmp_path)
+        assert g2p("baqv", table, inv).pron[-1] == "7"
+
+    def test_open_syllable_has_no_entry(self, inv, tmp_path):
+        table = self.table_without_open_v(tmp_path)
+        with pytest.raises(G2PError, match="no tone entry for mark 'v'"):
+            g2p("baav", table, inv)
+
+
+class TestTableQualifiers:
+    def test_unknown_tone_qualifier_names_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("b\tp\n[tones]\nnone\t1\nv@open\t3\n", encoding="utf-8")
+        with pytest.raises(TableError, match=rf"^{re.escape(str(path))}:4: unknown tone qualifier"):
+            load_g2p_table(path)
+
+    def test_initial_key_only_in_onset_view(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("b\tp\nb@initial\tb\n[tones]\nnone\t1\n", encoding="utf-8")
+        table = load_g2p_table(path)
+        assert table.onset_entries["b"] == ("b",)
+        assert table.rime_entries["b"] == ("p",)

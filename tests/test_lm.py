@@ -148,6 +148,11 @@ class TestPerplexity:
         u = uniform_model(["a", "b", "c", EOS, UNK])
         assert perplexity(u, ["a b", "c a b"]) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("words", [["a", UNK], ["a", EOS]])
+    def test_uniform_model_needs_end_marker_and_unk(self, words):
+        with pytest.raises(ValueError, match="must include"):
+            uniform_model(words)
+
     def test_trained_beats_uniform_on_training_text(self):
         corpus = ["a a b", "a b b a", "a a a b"]
         m = lm_train(corpus, order=1, smoothing="mle")
@@ -434,3 +439,18 @@ class TestHistoryTail:
         mapped = tuple(model.map_word(x) for x in history)
         tail = mapped[max(0, len(history) - order + 1):]
         assert lm_score(model, history, word) == lm_score(model, tail, word)
+
+
+class TestArpaReadStructure:
+    def test_missing_data_header_names_file(self, tmp_path):
+        path = tmp_path / "no-header.arpa"
+        path.write_text("\n".join(GOOD_ARPA[1:]) + "\n", encoding="utf-8")
+        with pytest.raises(ArpaError, match=re.escape(f"{path}: missing \\data\\ header")):
+            arpa_read(path)
+
+    def test_undeclared_section_names_line(self, tmp_path):
+        path = tmp_path / "undeclared.arpa"
+        lines = GOOD_ARPA[:7] + ["", "\\2-grams:", "-0.1\ta b"] + GOOD_ARPA[7:]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ArpaError, match=re.escape(f"{path}:9: undeclared section")):
+            arpa_read(path)

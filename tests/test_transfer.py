@@ -171,3 +171,18 @@ class TestMatrixFile:
         path.write_text(f"2 2\n{BLANK_TOKEN} 0 1\n\na {cell} 2\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: row 1 holds NaN or inf")):
             read_matrix(path)
+
+
+class TestEmbeddingMatrixShape:
+    @pytest.mark.parametrize("rows", [np.zeros(3), np.zeros((2, 0))])
+    def test_not_v_by_d_rejected(self, rows):
+        with pytest.raises(ValueError, match="V x d"):
+            EmbeddingMatrix(rows=rows, row_labels=(BLANK_TOKEN, "a"))
+
+    def test_row_and_label_counts_must_agree(self):
+        with pytest.raises(ValueError, match="row count"):
+            EmbeddingMatrix(rows=np.zeros((3, 2)), row_labels=(BLANK_TOKEN, "a"))
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            EmbeddingMatrix(rows=np.zeros((2, 2)), row_labels=("a", "a"))

@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""Committed mutants: each small fault planted in ``src/`` must fail its named tests.
+
+    python3 tools/mutants.py
+
+A mutant is a file under ``src/mienasr``, an exact snippet that must occur
+there once, its replacement and the test ids expected to fail.  For each
+mutant the runner copies ``src/`` to a temporary directory, applies the
+mutant to the copy and runs the named tests against it with pytest (the
+copy replaces the checkout's ``src`` on pytest's ``pythonpath``).  First the
+union of all named tests runs once against an unmutated copy: a test that
+fails there would count every mutant as killed, so the run stops.
+
+One line per mutant reports it:
+- killed: a named test failed;
+- survived: every named test passed, so no test guards that code any more;
+  a survivor needs a new test, not an edit to an existing one;
+- stale: the snippet is not in the file exactly once, or pytest found no
+  test under a named id; update or drop the mutant.
+
+The exit code is 0 when every mutant is killed, else 1.  The checkout's
+``src/`` is never changed, and one pytest process runs at a time.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str                 # relative to src/mienasr
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]    # pytest ids relative to the checkout
+
+
+MUTANTS = (
+    # -- decoder search --------------------------------------------------------
+    Mutant("cut-sorted-on-score-and-key", "decoder.py",
+           "        scored.sort()\n",
+           "        scored.sort(key=lambda s: (s[0], s[3]))\n",
+           ("tests/test_decoder.py::TestBeamFloor::test_ties_break_on_words_not_on_first_seen_order",)),
+    Mutant("pooling-shortcut-keeps-minus-inf", "decoder.py",
+           "                # log-adding into -inf gives the other term back (masses are never -0.0)\n"
+           "                entry[1] = mass if entry[1] == NEG_INF else _lae(entry[1], mass)\n",
+           "                # log-adding into -inf gives the other term back (masses are never -0.0)\n"
+           "                entry[1] = NEG_INF if entry[1] == NEG_INF else _lae(entry[1], mass)\n",
+           ("tests/test_decoder.py::TestMatchesReference::test_same_nbest_bit_for_bit",
+            "tests/test_decoder.py::TestGoldenNBest")),
+    Mutant("floor-padded-with-best-bound", "decoder.py",
+           "        best = [NEG_INF] * (beam_size - len(floor)) + sorted(floor)\n",
+           "        best = [max(floor)] * (beam_size - len(floor)) + sorted(floor)\n",
+           ("tests/test_decoder.py::TestLexiconSized",)),
+    Mutant("eos-before-the-last-word", "decoder.py",
+           "        lm10 = (records[words][1] if words in records\n"
+           "                else records[words[:-1]][1] + _lm10(lm, (BOS,) + words[:-1], words[-1]))\n"
+           "        score_lm = LN10 * (lm10 + _lm10(lm, (BOS,) + words, EOS))\n",
+           "        eos = _lm10(lm, (BOS,) + words, EOS)\n"
+           "        lm10 = (records[words][1] + eos if words in records else records[words[:-1]][1]\n"
+           "                + eos + _lm10(lm, (BOS,) + words[:-1], words[-1]))\n"
+           "        score_lm = LN10 * lm10\n",
+           ("tests/test_decoder.py::TestFinalLmSum",)),
+    Mutant("insertion-bound-only-nan-checked", "decoder.py",
+           "    if not -math.inf < wip * frames < math.inf:\n",
+           "    if wip * frames != wip * frames:\n",
+           ("tests/test_decoder.py::TestInsertionTermOverflow",)),
+    # -- orthography, scoring, CTC ---------------------------------------------
+    Mutant("syllable-length-without-tone-letter", "orthography.py",
+           "                           + max(map(len, self.finals), default=0) + 1)\n",
+           "                           + max(map(len, self.finals), default=0))\n",
+           ("tests/test_orthography.py::TestIterativeParse",)),
+    Mutant("myers-boundary-bit-dropped", "evaluate.py",
+           "        hp = (hp << 1) | 1                # row 0 rises by one per column\n",
+           "        hp = hp << 1\n",
+           ("tests/test_evaluate.py::TestMatchesReference",)),
+    Mutant("insertion-before-substitution", "evaluate.py",
+           "        if d == diag + cost:\n"
+           "            subs += cost\n"
+           "            i, j, d = i - 1, j - 1, diag\n"
+           "        elif d == left + 1:\n"
+           "            ins += 1\n"
+           "            j, d = j - 1, left\n",
+           "        if d == left + 1:\n"
+           "            ins += 1\n"
+           "            j, d = j - 1, left\n"
+           "        elif d == diag + cost:\n"
+           "            subs += cost\n"
+           "            i, j, d = i - 1, j - 1, diag\n",
+           ("tests/test_evaluate.py::TestMatchesReference",)),
+    Mutant("row-reduction-reversed", "ctc.py",
+           "    return np.logaddexp.reduce(np.ascontiguousarray(a.T), axis=0)\n",
+           "    return np.logaddexp.reduce(np.ascontiguousarray(a.T[::-1]), axis=0)\n",
+           ("tests/test_ctc.py::TestRowReductionMatchesAxis1",)),
+    # -- experiment report, LM vocabulary, artifact lines -----------------------
+    Mutant("report-rows-out-of-order", "experiment.py",
+           "        metrics = dict.fromkeys(m for r in self.runs for m, _ in r.rates)",
+           "        metrics = sorted(dict.fromkeys(m for r in self.runs for m, _ in r.rates))",
+           ("tests/test_experiment.py::TestReportText",)),
+    Mutant("map-word-reads-the-top-order", "lm.py",
+           "        return w if (w,) in self.tables[1] else UNK\n",
+           "        return w if (w,) in self.tables[self.order] else UNK\n",
+           ("tests/test_lm.py::TestHandComputedBackoff",)),
+    Mutant("artifact-without-final-newline", "inputs.py",
+           '    Path(path).write_text("\\n".join(lines) + "\\n", encoding="utf-8")\n',
+           '    Path(path).write_text("\\n".join(lines), encoding="utf-8")\n',
+           ("tests/test_experiment.py::TestToyExperiment::test_empty_decode_scores_as_deletions",
+            "tests/test_lm.py::TestArpaRoundTrip")),
+    # -- lexicon and CLI inputs -------------------------------------------------
+    Mutant("checked-only-tone-keyed-open", "lexicon.py",
+           "        tone_map.update(((mark, CHECKED), digit) for mark, digit in tone_checked.items())\n",
+           "        tone_map.update(((mark, OPEN), digit) for mark, digit in tone_checked.items())\n",
+           ("tests/test_lexicon.py::TestCheckedOnlyTone",)),
+    Mutant("empty-pronunciation-loads", "lexicon.py",
+           "            if not pron or BLANK_TOKEN in pron:",
+           "            if BLANK_TOKEN in pron:",
+           ("tests/test_lexicon.py::TestLexiconFiles::test_pronunciation_without_phones_names_line",)),
+    Mutant("decode-reads-raw-id-lines", "cli.py",
+           "decode_utterances(args.emissions, _read_ids(args.ids),",
+           "decode_utterances(args.emissions, _read_lines(args.ids),",
+           ("tests/test_cli.py::TestDecodeCli::test_ids_read_as_split_reads_them",)),
+)
+
+
+def copy_src(dest: Path) -> Path:
+    src = dest / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def run_tests(src: Path, tests) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "-o", f"pythonpath={src}", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def outcome(proc: subprocess.CompletedProcess) -> str:
+    # pytest exits 0 when all passed, 1 when some failed, 5 when none ran, and 4 on a
+    # usage error: a named id that is not found, or the mutant failing at import
+    if proc.returncode in (0, 1):
+        return ("survived", "killed")[proc.returncode]
+    missing = proc.returncode == 5 or "not found" in proc.stdout + proc.stderr
+    return "stale" if missing else "killed"
+
+
+def run_mutant(m: Mutant) -> tuple[str, str]:
+    with tempfile.TemporaryDirectory(prefix="mienasr-mutant-") as tmp:
+        src = copy_src(Path(tmp))
+        path = src / "mienasr" / m.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(m.snippet) != 1:
+            return "stale", f"snippet found {text.count(m.snippet)} times in {m.file}"
+        path.write_text(text.replace(m.snippet, m.replacement), encoding="utf-8")
+        proc = run_tests(src, m.tests)
+    lines = (proc.stdout + proc.stderr).strip().splitlines()
+    return outcome(proc), lines[-1] if lines else ""
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mienasr-mutant-") as tmp:
+        base = run_tests(copy_src(Path(tmp)), sorted({t for m in MUTANTS for t in m.tests}))
+    if base.returncode != 0:
+        print(f"baseline: the named tests do not pass unmutated (pytest exit "
+              f"{base.returncode})\n{base.stdout[-2000:]}{base.stderr[-2000:]}", file=sys.stderr)
+        return 1
+    tally: dict[str, int] = {}
+    for m in MUTANTS:
+        status, detail = run_mutant(m)
+        tally[status] = tally.get(status, 0) + 1
+        print(f"{status:8} {m.name}  ({m.file}): {detail}", flush=True)
+    print(" ".join(f"{k} {v}" for k, v in sorted(tally.items())), f"of {len(MUTANTS)}")
+    return 0 if tally.get("killed", 0) == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
