@@ -42,14 +42,22 @@ def _read_lines(path):
 
 
 def _read_ids(path):
-    """Utterance ids: each line's first TAB field, stripped, so "utt TAB text" files serve."""
-    return [ln.split("\t", 1)[0].strip() for ln in _read_lines(path)]
+    """Distinct utterance ids: each line's first TAB field, so "utt TAB text" files serve."""
+    line_of = {}   # id -> the line it is first on
+    with located(path) as at:
+        for at.line, ln in enumerate(read_utf8(path).splitlines(), 1):
+            utt = ln.split("\t", 1)[0].strip()
+            if ln.strip() and line_of.setdefault(utt, at.line) != at.line:
+                raise ValueError(f"duplicate utterance id {utt!r}")
+    return list(line_of)
 
 
 def _read_transcripts(path):
-    """Normalized transcripts from either plain lines or "utt TAB text" files."""
-    return [normalize_text(ln.split("\t", 1)[1] if "\t" in ln else ln)
-            for ln in _read_lines(path)]
+    """Normalized transcripts: a file with a TAB on any line is a corpus, else plain lines."""
+    lines = _read_lines(path)
+    if any("\t" in ln for ln in lines):
+        return [text for _, text in read_corpus(path)]
+    return [normalize_text(ln) for ln in lines]
 
 
 def cmd_parse(args):
@@ -81,14 +89,17 @@ def cmd_lexicon(args):
 
 def cmd_vocab(args):
     entries = read_lexicon(args.lexicon)
-    vocab = derive_phoneme_vocab(entries, strip_diacritics=args.strip_diacritics)
+    with located(args.lexicon):
+        vocab = derive_phoneme_vocab(entries, strip_diacritics=args.strip_diacritics)
     write_vocab(vocab, args.output)
     print(f"{len(vocab) - 1} phoneme tokens (+blank) -> {args.output}")
     return 0
 
 
 def cmd_bpe_train(args):
-    model = bpe_train(_read_transcripts(args.corpus), args.vocab_size)
+    texts = _read_transcripts(args.corpus)
+    with located(args.corpus):
+        model = bpe_train(texts, args.vocab_size)
     save_bpe(model, args.output)
     print(f"{len(model.vocab)} tokens, {len(model.merges)} merges -> {args.output}")
     return 0
@@ -116,8 +127,9 @@ def cmd_bpe_decode(args):
 
 
 def cmd_lm_train(args):
-    model = lm_mod.lm_train(_read_transcripts(args.corpus), order=args.order,
-                            smoothing=args.smoothing)
+    texts = _read_transcripts(args.corpus)
+    with located(args.corpus):
+        model = lm_mod.lm_train(texts, order=args.order, smoothing=args.smoothing)
     lm_mod.arpa_write(model, args.output)
     counts = ", ".join(f"{n}-grams: {len(model.tables[n])}" for n in range(1, model.order + 1))
     print(f"{counts} -> {args.output}")
@@ -255,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("lm-train", cmd_lm_train, "train an ARPA n-gram model")
     sp.add_argument("--corpus", required=True)
-    sp.add_argument("--order", type=int, default=4)
+    sp.add_argument("--order", type=_positive_int, default=4)
     sp.add_argument("--smoothing", default="kneser_ney",
                     choices=["kneser_ney", "absolute", "mle"])
     sp.add_argument("--output", required=True)

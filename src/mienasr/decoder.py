@@ -169,22 +169,20 @@ def build_prefix_tree(lexicon: Sequence[LexiconEntry], vocab: PhonemeVocab) -> P
     """Compile lexicon pronunciations into a shared-prefix tree.
 
     Duplicate pronunciations merge into one path carrying several word-final
-    labels.  Raises ValueError, naming the word, if a pronunciation token is
-    outside the vocab.
+    labels.  Raises ValueError on an empty lexicon, and, naming the word, on
+    a pronunciation token outside the vocab.
     """
+    if not lexicon:
+        raise ValueError("empty lexicon")
     root = TrieNode(None, 0)
     nodes = [root]
     for entry in lexicon:
-        if not entry.pron:
-            raise ValueError(f"word {entry.word!r} has an empty pronunciation")
         node = root
         for tok in entry.pron:
             try:
                 pid = vocab.index(tok)
             except KeyError as e:
                 raise ValueError(f"word {entry.word!r}: {e.args[0]}") from None
-            if pid == BLANK_ID:
-                raise ValueError(f"word {entry.word!r} pronunciation contains the blank")
             nxt = node.children.get(pid)
             if nxt is None:
                 nxt = TrieNode(pid, len(nodes))
@@ -260,8 +258,6 @@ def decode_phoneme(
     _check_insertion_bound(cfg.word_insertion_penalty, em.logits.shape[0])
     root = lex.root
     roots = root.children     # phone -> root child
-    if not roots:
-        raise ValueError("empty lexicon")
     root_nodes = frozenset(roots.values())
     beam_size = cfg.beam_size
     lam, wip = cfg.lm_weight, cfg.word_insertion_penalty

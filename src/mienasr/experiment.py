@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import configparser
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -85,8 +85,8 @@ class PipelineConfig:
 def load_config(path) -> PipelineConfig:
     """Read an [experiment] INI section; relative paths resolve against it.
 
-    The keys are ``PipelineConfig``'s fields, each converted by its type;
-    a ``Path`` or ``Optional[Path]`` value must not be empty.
+    The keys are ``PipelineConfig``'s fields, each converted by its type and
+    required if it has no default; a ``Path`` value must not be empty.
     """
     path = Path(path)
     types = get_type_hints(PipelineConfig)
@@ -110,7 +110,8 @@ def load_config(path) -> PipelineConfig:
                     kwargs[key] = path.parent / value   # an absolute value replaces the base
                 else:
                     kwargs[key] = types[key](value)
-        missing = {"corpus", "emissions_dir", "output_dir"} - set(kwargs)
+        missing = {f.name for f in fields(PipelineConfig)
+                   if f.default is MISSING and f.default_factory is MISSING} - set(kwargs)
         if missing:
             raise ValueError(f"missing required keys {sorted(missing)}")
     return PipelineConfig(**kwargs)

@@ -18,7 +18,7 @@ import numpy as np
 from . import BLANK_ID, BLANK_TOKEN
 from .ctc import write_emissions
 from .decoder import build_prefix_tree
-from .experiment import tagged_line
+from .experiment import emission_path, tagged_line
 from .inputs import write_lines
 from .lexicon import LexiconEntry, PhonemeVocab, default_g2p_table, derive_phoneme_vocab, g2p
 from .lm import lm_train
@@ -84,7 +84,7 @@ def write_toy_experiment(root, seed: int = 0, mode: str = "phoneme") -> Path:
 
     write_lines(root / "corpus.tsv", [tagged_line(u, text.split()) for u, text in TOY_UTTS])
     for utt, text in TOY_UTTS:
-        write_emissions(root / "emissions" / f"{utt}.em",
+        write_emissions(emission_path(root / "emissions", utt),
                         peaked_emissions(ids_of(text), width))
 
     write_lines(root / "config.ini", [

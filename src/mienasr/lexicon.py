@@ -87,8 +87,18 @@ class G2PTable:
 
 @dataclass(frozen=True)
 class LexiconEntry:
+    """A word and a pronunciation that one prefix-tree path can spell."""
+
     word: str
     pron: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.word.split() != [self.word]:   # "" or "a b" would not read back as one word
+            raise ValueError(f"lexicon word {self.word!r} is empty or holds whitespace")
+        if not self.pron:
+            raise ValueError(f"word {self.word!r} has an empty pronunciation")
+        if BLANK_TOKEN in self.pron:
+            raise ValueError(f"word {self.word!r} pronunciation contains the blank")
 
 
 @dataclass(frozen=True)
@@ -126,17 +136,16 @@ def load_g2p_table(path=None) -> G2PTable:
     """
     path = path or Path(__file__).parent / "data" / "iu_mien_g2p.tsv"
     with located(path, TableError) as at:
-        onset: dict[str, tuple[str, ...]] = {}
-        rime: dict[str, tuple[str, ...]] = {}
-        tone_base: dict[str, str] = {}
-        tone_checked: dict[str, str] = {}
-        in_tones = False
+        # each section holds one dict per key qualifier; a key listed twice is a fault
+        graphemes: dict[str, dict] = {"": {}, "initial": {}, "final": {}}
+        tones: dict[str, dict] = {"": {}, CHECKED: {}}
+        views = graphemes
         for at.line, raw in enumerate(read_utf8(path).splitlines(), 1):
             line = raw.split("#", 1)[0].rstrip()
             if not line.strip():
                 continue
             if line.strip() == "[tones]":
-                in_tones = True
+                views = tones
                 continue
             if "\t" not in line:
                 raise TableError("expected TAB-separated entry")
@@ -144,38 +153,25 @@ def load_g2p_table(path=None) -> G2PTable:
             key, value = key.strip(), value.strip()
             if not key or not value:
                 raise TableError("empty key or value")
-            if in_tones:
-                mark, _, qual = key.partition("@")
-                mark = "" if mark == "none" else mark
-                if qual not in ("", CHECKED):
-                    raise TableError(f"unknown tone qualifier {qual!r}")
-                target = tone_checked if qual == CHECKED else tone_base
-                if mark in target:
-                    raise TableError(f"duplicate tone entry {key!r}")
-                target[mark] = value
-            else:
-                graph, _, qual = key.partition("@")
-                tokens = tuple(value.split())
-                if qual == "":
-                    views = (onset, rime)
-                elif qual == "initial":
-                    views = (onset,)
-                elif qual == "final":
-                    views = (rime,)
-                else:
-                    raise TableError(f"unknown qualifier {qual!r}")
-                for view in views:
-                    if graph in view and qual == "":
-                        raise TableError(f"duplicate entry {graph!r}")
-                    view[graph] = tokens
+            name, _, qual = key.partition("@")
+            kind = "tone " if views is tones else ""
+            name = "" if views is tones and name == "none" else name   # the unmarked tone
+            if qual not in views:
+                raise TableError(f"unknown {kind}qualifier {qual!r}")
+            if name in views[qual]:
+                raise TableError(f"duplicate {kind}entry {key!r}")
+            views[qual][name] = value if views is tones else tuple(value.split())
         at.line = None
+        # a qualified key shadows the bare key in its own view, whatever the line order
+        onset = {**graphemes[""], **graphemes["initial"]}
+        rime = {**graphemes[""], **graphemes["final"]}
 
-        if not tone_base:
+        if not tones[""]:
             raise TableError("missing [tones] section")
         # a mark@checked line overrides, or alone supplies, the mark's checked digit
         tone_map = {(mark, cls): digit
-                    for mark, digit in tone_base.items() for cls in (OPEN, CHECKED)}
-        tone_map.update(((mark, CHECKED), digit) for mark, digit in tone_checked.items())
+                    for mark, digit in tones[""].items() for cls in (OPEN, CHECKED)}
+        tone_map.update(((mark, CHECKED), digit) for mark, digit in tones[CHECKED].items())
 
         base_tokens = {t for toks in list(onset.values()) + list(rime.values()) for t in toks}
         clash = base_tokens & set(tone_map.values())
@@ -307,13 +303,7 @@ def read_lexicon(path) -> list[LexiconEntry]:
             if "\t" not in line:
                 raise TableError("expected TAB-separated lexicon line")
             word, pron = line.split("\t", 1)
-            word = word.strip()
-            if len(word.split()) != 1:   # decoded, "" or "a b" would not read back as one word
-                raise TableError(f"lexicon word {word!r} is empty or holds whitespace")
-            pron = tuple(pron.split())
-            if not pron or BLANK_TOKEN in pron:   # no trie path could spell the word
-                raise TableError(f"word {word!r} has an empty pronunciation or one with the blank")
-            entries.append(LexiconEntry(word=word, pron=pron))
+            entries.append(LexiconEntry(word=word.strip(), pron=tuple(pron.split())))
     return entries
 
 

@@ -38,6 +38,7 @@ from typing import Iterable, Sequence
 
 from . import BLANK_TOKEN, UNK_TOKEN
 from .inputs import located, read_utf8, write_lines
+from .lexicon import PhonemeVocab
 
 logger = logging.getLogger(__name__)
 
@@ -57,12 +58,9 @@ class BpeModel:
     vocab: tuple[str, ...]
 
     def __post_init__(self):
-        if self.vocab[:2] != (BLANK_TOKEN, UNK_TOKEN):
-            raise ValueError(f"vocab must start with {BLANK_TOKEN!r} and {UNK_TOKEN!r}, "
-                             f"got {list(self.vocab[:2])}")
-        if len(set(self.vocab)) != len(self.vocab):
-            dup = next(t for i, t in enumerate(self.vocab) if t in self.vocab[:i])
-            raise ValueError(f"duplicate token {dup!r} in vocab")
+        PhonemeVocab(self.vocab)   # the blank at id 0, no token twice
+        if self.vocab[1:2] != (UNK_TOKEN,):
+            raise ValueError(f"vocab id 1 must be {UNK_TOKEN!r}, got {list(self.vocab[1:2])}")
         tokens, seen = set(self.vocab), set()
         for pair in self.merges:
             missing = next((t for t in (*pair, pair[0] + pair[1]) if t not in tokens), None)

@@ -140,6 +140,16 @@ class TestLm:
         assert code == 0
         assert float(out.strip()) > 1.0
 
+    def test_corpus_with_one_tab_missing_names_line(self, capsys, tmp_path):
+        """A TAB on any line makes the file a corpus, so a line without one is a fault."""
+        corpus = tmp_path / "mixed.tsv"
+        corpus.write_text("u1\tmaaih mienh\nu2 dorn maaih\n", encoding="utf-8")
+        arpa = tmp_path / "m.arpa"
+        code, _, err = run(capsys, "lm-train", "--corpus", corpus, "--order", 2, "--output", arpa)
+        assert code == 1
+        assert f"{corpus}:2: expected 'utt-id TAB text'" in err
+        assert not arpa.exists()
+
     def test_ppl_of_a_model_without_unk_names_the_model(self, capsys, tmp_path):
         corpus = tmp_path / "c.txt"
         corpus.write_text("u1\ta b\n")
@@ -404,6 +414,35 @@ class TestDecodeCli:
         assert code == 1
         assert f"{lex}: word 'maaih': token 'aːɪ' not in phoneme vocabulary" in err
 
+    def test_empty_lexicon_names_lexicon_file(self, capsys, toy, tmp_path):
+        root, _ = toy
+        lex, vocab = self.staged_lexicon(capsys, root, tmp_path)
+        lex.write_text("", encoding="utf-8")
+        ids = tmp_path / "ids.txt"
+        ids.write_text("u1\n")
+        code, _, err = run(capsys, "decode", "--mode", "phoneme",
+                           "--emissions", root / "emissions", "--ids", ids,
+                           "--lexicon", lex, "--vocab", vocab, "--output", tmp_path / "o.txt")
+        assert code == 1
+        assert f"error: {lex}: empty lexicon" in err
+
+    def test_lm_of_specials_only_names_lm_file(self, capsys, tmp_path):
+        """Subword mode spells the LM's words, so an LM with none gives an empty lexicon."""
+        root = tmp_path / "toy"
+        write_toy_experiment(root, mode="subword")
+        model, arpa = tmp_path / "bpe.model", tmp_path / "spec.arpa"
+        run(capsys, "bpe-train", "--corpus", root / "corpus.tsv", "--vocab-size", 20,
+            "--output", model)
+        arpa.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-99\t<s>\n-0.30103\t</s>\n"
+                        "-0.30103\t<unk>\n\n\\end\\\n", encoding="utf-8")
+        ids = tmp_path / "ids.txt"
+        ids.write_text("u1\n")
+        code, _, err = run(capsys, "decode", "--mode", "subword",
+                           "--emissions", root / "emissions", "--ids", ids,
+                           "--bpe-model", model, "--lm", arpa, "--output", tmp_path / "o.txt")
+        assert code == 1
+        assert f"error: {arpa}: empty lexicon" in err
+
     def test_lm_word_the_bpe_model_cannot_spell_names_word(self, capsys, tmp_path):
         root = tmp_path / "toy"
         write_toy_experiment(root, mode="subword")
@@ -420,6 +459,45 @@ class TestDecodeCli:
                            "--bpe-model", model, "--lm", arpa, "--output", tmp_path / "o.txt")
         assert code == 1
         assert f"{arpa}: LM word 'qxqx' spells to <unk>" in err
+
+
+class TestInputFaultNamesFile:
+    """A library call's fault in an input file names that file; a flag's fault names none."""
+
+    @pytest.mark.parametrize("command, flag, text, message", [
+        ("vocab", "--lexicon", "", "{}: cannot derive a vocabulary from an empty lexicon"),
+        ("split", "--ids", "u1\nu2\nu1\n", "{}:3: duplicate utterance id 'u1'"),
+        ("lm-train", "--corpus", "u1\t\nu2\t \n", "{}: corpus has zero tokens"),
+        ("bpe-train", "--corpus", "u1\t\n", "{}: empty training corpus"),
+        ("bpe-train", "--corpus", "u1\ta\u2581b\n",
+         "{}: training word 'a\u2581b' holds the word-boundary marker"),
+    ], ids=["empty-lexicon", "repeated-id", "wordless-lm-corpus", "wordless-bpe-corpus",
+            "marker-in-word"])
+    def test_fault_names_file(self, capsys, tmp_path, command, flag, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        out = (["--output-dir", tmp_path / "out", "--folds", 2, "--runs", 1]
+               if command == "split" else ["--output", tmp_path / "out"])
+        code, _, err = run(capsys, command, flag, path, *out)
+        assert code == 1
+        assert message.format(path) in err
+
+    def test_order_below_one_is_a_usage_error(self, capsys, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            main(["lm-train", "--corpus", str(corpus), "--order", "0",
+                  "--output", str(tmp_path / "m.arpa")])
+        assert info.value.code == 2
+        assert "--order" in capsys.readouterr().err
+
+    def test_runs_beyond_folds_name_no_file(self, capsys, tmp_path):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("u1\nu2\n", encoding="utf-8")
+        code, _, err = run(capsys, "split", "--ids", ids, "--folds", 2, "--runs", 2,
+                           "--output-dir", tmp_path / "out")
+        assert code == 1
+        assert "2 runs need 4 distinct folds" in err and str(ids) not in err
 
 
 class TestTransferCli:

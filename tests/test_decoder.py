@@ -237,11 +237,8 @@ class TestDecodePhoneme:
             decode_phoneme(em, tree, None, DecodeConfig())
 
     def test_empty_lexicon_rejected(self):
-        vocab = vocab_of(3)
-        tree = build_prefix_tree([], vocab)
-        em = EmissionMatrix(logits=peaked_emissions([1], len(vocab)))
         with pytest.raises(ValueError, match="empty"):
-            decode_phoneme(em, tree, None, DecodeConfig())
+            build_prefix_tree([], vocab_of(3))
 
     def test_exhaustive_beam_equals_brute_force(self):
         rng = np.random.default_rng(4)

@@ -8,6 +8,8 @@ check that each writer's output reads back as what was written.
 """
 
 import ast
+import contextlib
+import io
 import random
 import re
 from pathlib import Path
@@ -16,9 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mienasr import BLANK_TOKEN, orthography
+from mienasr import BLANK_ID, BLANK_TOKEN, orthography
 from mienasr.cli import main
 from mienasr.ctc import normalize_rows, read_emissions, write_emissions
+from mienasr.decoder import build_prefix_tree
 from mienasr.experiment import PipelineError, load_config, read_tagged, tagged_line, write_lines
 from mienasr.fixtures import TOY_UTTS, write_toy_experiment
 from mienasr.inputs import located
@@ -389,3 +392,68 @@ class TestRoundTrips:
         vocab = PhonemeVocab((BLANK_TOKEN, *tokens))
         write_vocab(vocab, path)
         assert read_vocab(path) == vocab
+
+
+# -- a lexicon and a vocabulary that load build a prefix tree ----------------
+
+# fields from a small alphabet; the blank, whitespace and empty fields are the rarer draws
+LEX_WORD = st.sampled_from(["x", "y", "xy"] * 3 + ["", " ", "x y"])
+LEX_PRON = st.lists(st.sampled_from(["a", "b", "c", "d"] * 2 + [BLANK_TOKEN, "", " "]),
+                    min_size=1, max_size=3).map(" ".join)
+LEX_LINE = st.one_of(*[st.tuples(LEX_WORD, LEX_PRON).map("\t".join)] * 4,
+                     st.sampled_from(["", " ", "x"]))
+LEX_TEXT = st.lists(LEX_LINE, min_size=1, max_size=4).map(lambda lines: "".join(ln + "\n" for ln in lines))
+VOCAB_TEXT = st.tuples(
+    st.sampled_from([[BLANK_TOKEN]] * 4 + [[]]),
+    st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True),
+    st.sampled_from([[]] * 4 + [[BLANK_TOKEN], ["", "c"], [" a"]]),
+).map(lambda parts: "".join(t + "\n" for part in parts for t in part))
+
+
+def _tree_words(node):
+    """The words at or below ``node``, whose arcs never spell the blank."""
+    assert BLANK_ID not in node.children
+    return set(node.words).union(*(_tree_words(child) for child in node.children.values()))
+
+
+class TestLoadedLexiconBuildsTrie:
+    """Every entry rule lives where a lexicon entry is built, so once a lexicon
+    and a vocabulary load, the only faults left are a token outside the
+    vocabulary, which names its word, or no word at all."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(LEX_TEXT, VOCAB_TEXT)
+    def test_tree_spells_every_word_or_names_the_fault(self, tmp_path_factory, lex_text,
+                                                       vocab_text):
+        d = tmp_path_factory.mktemp("trie")
+        lex, vocab_path = d / "lex.tsv", d / "tokens.txt"
+        lex.write_text(lex_text, encoding="utf-8")
+        vocab_path.write_text(vocab_text, encoding="utf-8")
+        try:
+            entries, vocab = read_lexicon(lex), read_vocab(vocab_path)
+        except ValueError:
+            return
+        unspelled = next((e.word for e in entries if not set(e.pron) <= set(vocab.tokens)), None)
+        if not entries:
+            fault = "empty lexicon"
+        elif unspelled is not None:
+            fault = f"word {unspelled!r}: "
+        else:
+            fault = None
+            assert _tree_words(build_prefix_tree(entries, vocab).root) == {e.word for e in entries}
+        if fault is not None:
+            with pytest.raises(ValueError, match=re.escape(fault)):
+                build_prefix_tree(entries, vocab)
+
+        (d / "em").mkdir()
+        write_emissions(d / "em" / "u1.em", normalize_rows(np.zeros((3, len(vocab)))))
+        (d / "ids.txt").write_text("u1\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in ("decode", "--mode", "phoneme", "--emissions", d / "em",
+                                          "--ids", d / "ids.txt", "--lexicon", lex,
+                                          "--vocab", vocab_path, "--output", d / "hyp.txt")])
+        if fault is None:
+            assert code == 0, err.getvalue()
+        else:
+            assert code == 1 and f"error: {lex}: {fault}" in err.getvalue()

@@ -404,3 +404,20 @@ class TestTableQualifiers:
         table = load_g2p_table(path)
         assert table.onset_entries["b"] == ("b",)
         assert table.rime_entries["b"] == ("p",)
+
+    @pytest.mark.parametrize("lines", [("b\tp", "b@initial\tb"), ("b@initial\tb", "b\tp")],
+                             ids=["bare-first", "qualified-first"])
+    def test_qualified_key_shadows_bare_key_in_either_order(self, tmp_path, lines):
+        path = tmp_path / "t.tsv"
+        path.write_text("\n".join(lines) + "\n[tones]\nnone\t1\n", encoding="utf-8")
+        table = load_g2p_table(path)
+        assert table.onset_entries == {"b": ("b",)}
+        assert table.rime_entries == {"b": ("p",)}
+
+    def test_repeated_qualified_key_names_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("b\tp\nb@initial\tb\nb@initial\tm\n[tones]\nnone\t1\n",
+                        encoding="utf-8")
+        with pytest.raises(TableError,
+                           match=rf"^{re.escape(str(path))}:3: duplicate entry 'b@initial'$"):
+            load_g2p_table(path)

@@ -117,13 +117,37 @@ MUTANTS = (
             "tests/test_lm.py::TestArpaRoundTrip")),
     # -- lexicon and CLI inputs -------------------------------------------------
     Mutant("checked-only-tone-keyed-open", "lexicon.py",
-           "        tone_map.update(((mark, CHECKED), digit) for mark, digit in tone_checked.items())\n",
-           "        tone_map.update(((mark, OPEN), digit) for mark, digit in tone_checked.items())\n",
+           "        tone_map.update(((mark, CHECKED), digit) for mark, digit in tones[CHECKED].items())\n",
+           "        tone_map.update(((mark, OPEN), digit) for mark, digit in tones[CHECKED].items())\n",
            ("tests/test_lexicon.py::TestCheckedOnlyTone",)),
     Mutant("empty-pronunciation-loads", "lexicon.py",
-           "            if not pron or BLANK_TOKEN in pron:",
-           "            if BLANK_TOKEN in pron:",
-           ("tests/test_lexicon.py::TestLexiconFiles::test_pronunciation_without_phones_names_line",)),
+           "        if not self.pron:\n",
+           "        if self.pron is None:\n",
+           ("tests/test_lexicon.py::TestLexiconFiles::test_pronunciation_without_phones_names_line",
+            "tests/test_decoder.py::TestPrefixTreeErrors::test_empty_pronunciation_names_word")),
+    Mutant("trie-accepts-empty-lexicon", "decoder.py",
+           "    if not lexicon:\n"
+           "        raise ValueError(\"empty lexicon\")\n",
+           "",
+           ("tests/test_decoder.py::TestDecodePhoneme::test_empty_lexicon_rejected",
+            "tests/test_cli.py::TestDecodeCli::test_empty_lexicon_names_lexicon_file")),
+    Mutant("bpe-vocab-unchecked", "tokenizer.py",
+           "        PhonemeVocab(self.vocab)   # the blank at id 0, no token twice\n",
+           "",
+           ("tests/test_tokenizer.py::TestModelFile::test_bad_vocab_names_path_and_token",)),
+    Mutant("bare-g2p-key-shadows-qualified", "lexicon.py",
+           "        onset = {**graphemes[\"\"], **graphemes[\"initial\"]}\n",
+           "        onset = {**graphemes[\"initial\"], **graphemes[\"\"]}\n",
+           ("tests/test_lexicon.py::TestTableQualifiers::"
+            "test_qualified_key_shadows_bare_key_in_either_order",)),
+    Mutant("transcripts-tagged-per-line", "cli.py",
+           "    lines = _read_lines(path)\n"
+           "    if any(\"\\t\" in ln for ln in lines):\n"
+           "        return [text for _, text in read_corpus(path)]\n"
+           "    return [normalize_text(ln) for ln in lines]\n",
+           "    return [normalize_text(ln.split(\"\\t\", 1)[1] if \"\\t\" in ln else ln)\n"
+           "            for ln in _read_lines(path)]\n",
+           ("tests/test_cli.py::TestLm::test_corpus_with_one_tab_missing_names_line",)),
     Mutant("decode-reads-raw-id-lines", "cli.py",
            "decode_utterances(args.emissions, _read_ids(args.ids),",
            "decode_utterances(args.emissions, _read_lines(args.ids),",
