@@ -78,7 +78,7 @@ def cmd_parse(args):
 
 def cmd_lexicon(args):
     inv, table = load_inventory(args.inventory), load_g2p_table(args.g2p_table)
-    words = [w for text in _read_transcripts(args.corpus or args.words) for w in text.split()]
+    words = [w for text in _read_transcripts(args.corpus) for w in text.split()]
     entries, failures = build_lexicon(words, table, inv)
     write_lexicon(entries, args.output)
     for word, err in failures:
@@ -138,7 +138,10 @@ def cmd_lm_train(args):
 
 def cmd_lm_ppl(args):
     model = lm_mod.arpa_read(args.model)
-    print(f"{lm_mod.perplexity(model, _read_transcripts(args.text)):.6f}")
+    texts = _read_transcripts(args.text)
+    with located(args.text):
+        ppl = lm_mod.perplexity(model, texts)
+    print(f"{ppl:.6f}")
     return 0
 
 
@@ -235,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--inventory")
 
     sp = add("lexicon", cmd_lexicon, "build the pronunciation lexicon")
-    source = sp.add_mutually_exclusive_group(required=True)
-    source.add_argument("--corpus", help="utt TAB text file")
-    source.add_argument("--words", help="one word per line")
+    sp.add_argument("--corpus", required=True, help="utt TAB text or plain text lines")
     sp.add_argument("--g2p-table", dest="g2p_table")
     sp.add_argument("--inventory")
     sp.add_argument("--output", required=True)

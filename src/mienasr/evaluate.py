@@ -50,10 +50,11 @@ class ScoreReport:
 
 @dataclass(frozen=True)
 class CvPlan:
-    """Fold partition plus per-run (dev fold, test fold, train folds)."""
+    """Fold partition plus per-run (dev fold, test fold); each run trains on
+    the other folds."""
 
     folds: tuple[tuple[str, ...], ...]
-    runs: tuple[tuple[int, int, tuple[int, ...]], ...]
+    runs: tuple[tuple[int, int], ...]
 
     def dev_ids(self, run: int) -> tuple[str, ...]:
         return self.folds[self.runs[run][0]]
@@ -62,7 +63,8 @@ class CvPlan:
         return self.folds[self.runs[run][1]]
 
     def train_ids(self, run: int) -> tuple[str, ...]:
-        return tuple(u for f in self.runs[run][2] for u in self.folds[f])
+        held = self.runs[run]
+        return tuple(u for k, fold in enumerate(self.folds) if k not in held for u in fold)
 
 
 def error_rate(ref: Sequence[str], hyp: Sequence[str]) -> ScoreReport:
@@ -132,12 +134,11 @@ def pool(reports: Sequence[ScoreReport]) -> ScoreReport:
     )
 
 
-def aggregate(rates: Sequence[float | ScoreReport]) -> float:
+def aggregate(rates: Sequence[float]) -> float:
     """Mean of per-run rates (rates averaged, counts never pooled here)."""
     if not rates:
         raise ValueError("nothing to aggregate")
-    values = [r.rate if isinstance(r, ScoreReport) else float(r) for r in rates]
-    return sum(values) / len(values)
+    return sum(rates) / len(rates)
 
 
 def make_cv_plan(
@@ -166,9 +167,5 @@ def make_cv_plan(
         size = base + (1 if k < extra else 0)
         folds.append(tuple(ids[pos:pos + size]))
         pos += size
-    runs = []
-    for r in range(n_runs):
-        dev, test = 2 * r, 2 * r + 1
-        train = tuple(k for k in range(n_folds) if k not in (dev, test))
-        runs.append((dev, test, train))
-    return CvPlan(folds=tuple(folds), runs=tuple(runs))
+    runs = tuple((2 * r, 2 * r + 1) for r in range(n_runs))
+    return CvPlan(folds=tuple(folds), runs=runs)

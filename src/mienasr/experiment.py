@@ -132,14 +132,6 @@ class ExperimentReport:
         """One rate averaged over the runs."""
         return aggregate([r.rates[metric, lm] for r in self.runs])
 
-    @property
-    def wer_no_lm(self) -> float:
-        return self.rate("WER", "no-lm")
-
-    @property
-    def wer_with_lm(self) -> float:
-        return self.rate("WER", "with-lm")
-
     def to_text(self) -> str:
         metrics = dict.fromkeys(m for r in self.runs for m, _ in r.rates)   # WER, then PER
         rows = [(r.run, m, r.rates[m, "no-lm"], r.rates[m, "with-lm"])

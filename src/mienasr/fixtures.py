@@ -35,8 +35,9 @@ TOY_UTTS = (
 )
 
 
-def peaked_emissions(ids, vocab_size: int, peak: float = 0.98) -> np.ndarray:
-    """Log-prob matrix peaking on each id in turn, blank-separated repeats."""
+def peaked_emissions(ids, vocab_size: int) -> np.ndarray:
+    """Log-prob matrix peaking at 0.98 on each id in turn, blank-separated repeats."""
+    peak = 0.98
     rest = (1.0 - peak) / (vocab_size - 1)
     frames = []
     prev = None

@@ -1,5 +1,5 @@
-"""How an input file becomes text, how a fault in it is reported, and how
-an artifact's lines are written.
+"""How an input file becomes text, how a fault in it is reported, how a
+token-per-line file is read, and how an artifact's lines are written.
 
 Every reader decodes its file with ``read_utf8`` inside a ``located`` block.
 A ValueError raised in the block, an undecodable byte included, leaves it as
@@ -33,6 +33,22 @@ def read_utf8(path, fault: str = "not UTF-8 text") -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ValueError(f"{fault}: byte {e.object[e.start]:#04x} at offset {e.start}") from None
+
+
+def token_lines(lines, at, first: int = 1) -> tuple[str, ...]:
+    """One token per line, the first on line ``first``, as a tuple.
+
+    Only trailing lines may be empty, since an empty line would shift the
+    ids after it; a token holding whitespace is a fault at its ``at.line``.
+    """
+    end = len(lines)
+    while end and not lines[end - 1]:
+        end -= 1
+    for at.line, token in enumerate(lines[:end], first):
+        if token.split() != [token]:   # pronunciations and texts split on whitespace
+            raise ValueError(f"token {token!r} is empty or holds whitespace")
+    at.line = None
+    return tuple(lines[:end])
 
 
 def write_lines(path, lines) -> None:

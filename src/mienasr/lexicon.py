@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import BLANK_TOKEN
-from .inputs import convert_distinct, located, read_utf8, write_lines
+from .inputs import convert_distinct, located, read_utf8, token_lines, write_lines
 from .orthography import InventoryConfig, ParseError, Syllable, parse_word
 
 logger = logging.getLogger(__name__)
@@ -132,7 +132,7 @@ def load_g2p_table(path=None) -> G2PTable:
     Format: UTF-8 TSV ``grapheme TAB ipa-tokens`` (tokens space-separated),
     ``#`` comments, then a ``[tones]`` section of ``tone-mark TAB digit``
     lines where the mark "none" denotes the unmarked tone and marks may carry
-    a ``@checked`` qualifier.
+    a ``@checked`` qualifier.  No value may hold the blank token.
     """
     path = path or Path(__file__).parent / "data" / "iu_mien_g2p.tsv"
     with located(path, TableError) as at:
@@ -153,6 +153,8 @@ def load_g2p_table(path=None) -> G2PTable:
             key, value = key.strip(), value.strip()
             if not key or not value:
                 raise TableError("empty key or value")
+            if BLANK_TOKEN in value.split():   # no prefix-tree path can spell it
+                raise TableError(f"the blank {BLANK_TOKEN} is not a phoneme or tone digit")
             name, _, qual = key.partition("@")
             kind = "tone " if views is tones else ""
             name = "" if views is tones and name == "none" else name   # the unmarked tone
@@ -315,11 +317,7 @@ def write_vocab(vocab: PhonemeVocab, path) -> None:
 def read_vocab(path) -> PhonemeVocab:
     """One token per line, blank first; only trailing lines may be empty."""
     with located(path) as at:
-        tokens = read_utf8(path).rstrip("\n").splitlines()
-        for at.line, token in enumerate(tokens, 1):
-            if token.split() != [token]:   # pronunciations split on whitespace
-                raise ValueError(f"token {token!r} is empty or holds whitespace")
-        at.line = None
+        tokens = token_lines(read_utf8(path).splitlines(), at)
         if not tokens:
             raise ValueError("empty vocabulary file")
-        return PhonemeVocab(tokens=tuple(tokens))
+        return PhonemeVocab(tokens=tokens)

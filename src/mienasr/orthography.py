@@ -66,11 +66,11 @@ class InventoryConfig:
     codas: frozenset[str]
     tone_letters: tuple[str, ...]
     # lookup structures derived in __post_init__
-    _initial_set: frozenset[str] = field(default=frozenset(), repr=False, compare=False)
-    _initial_lens: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    _syllable_len: int = field(default=0, repr=False, compare=False)
-    _final_set: frozenset[str] = field(default=frozenset(), repr=False, compare=False)
-    _rime_slots: dict = field(default_factory=dict, repr=False, compare=False)
+    _initial_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _initial_lens: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _syllable_len: int = field(init=False, repr=False, compare=False)
+    _final_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _rime_slots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_initial_set", frozenset(self.initials))

@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import BLANK_TOKEN, UNK_TOKEN
-from .inputs import located, read_utf8, write_lines
+from .inputs import located, read_utf8, token_lines, write_lines
 from .lexicon import PhonemeVocab
 
 logger = logging.getLogger(__name__)
@@ -236,6 +236,5 @@ def load_bpe(path) -> BpeModel:
             if len(pair) != 2:
                 raise ValueError("expected 'left TAB right' merge")
             merges.append(pair)
-        at.line = None
-        vocab = tuple(ln for ln in lines[end + 1:] if ln)
+        vocab = token_lines(lines[end + 1:], at, end + 2)
         return BpeModel(merges=tuple(merges), vocab=vocab)

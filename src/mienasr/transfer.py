@@ -56,7 +56,12 @@ class EmbeddingMatrix:
 class TransferReport:
     copied: tuple[tuple[str, int], ...]     # (target token, source row index)
     randomized: tuple[str, ...]
-    coverage: float
+
+    @property
+    def coverage(self) -> float:
+        """Share of the target's non-blank tokens copied from the source."""
+        n_real = len(self.copied) + len(self.randomized)
+        return len(self.copied) / n_real if n_real else 0.0
 
 
 def match_tokens(
@@ -121,12 +126,7 @@ def transfer_init(
         else:
             out[i] = rng.uniform(-scale, scale, size=d)
             randomized.append(tok)
-    n_real = len(tgt_vocab) - 1
-    report = TransferReport(
-        copied=tuple(copied),
-        randomized=tuple(randomized),
-        coverage=len(copied) / n_real if n_real else 0.0,
-    )
+    report = TransferReport(copied=tuple(copied), randomized=tuple(randomized))
     return EmbeddingMatrix(rows=out, row_labels=tgt_vocab.tokens), report
 
 

@@ -308,8 +308,8 @@ def test_end_to_end_fixture(tmp_path):
 
     report1, digest1 = run_once("out1")
     report2, digest2 = run_once("out2")
-    assert report1.wer_no_lm == 0.0
-    assert report1.wer_with_lm == 0.0
+    assert report1.rate("WER", "no-lm") == 0.0
+    assert report1.rate("WER", "with-lm") == 0.0
     assert digest1 == digest2
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"criterion 9 took {elapsed:.1f}s"

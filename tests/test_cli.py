@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mienasr
 from mienasr import cli, experiment
 from mienasr.cli import main
 from mienasr.ctc import normalize_rows, write_emissions
@@ -16,6 +17,8 @@ from mienasr.lexicon import default_g2p_table, derive_phoneme_vocab, g2p
 from mienasr.lm import arpa_read
 from mienasr.orthography import default_inventory
 from mienasr.tokenizer import bpe_encode, bpe_train
+
+PACKAGED_G2P = Path(mienasr.__file__).parent / "data" / "iu_mien_g2p.tsv"
 
 
 @pytest.fixture()
@@ -53,7 +56,7 @@ class TestLexiconVocab:
         words = tmp_path / "words.txt"
         words.write_text("mienh\ndorn\nmaaih\n")
         lex = tmp_path / "lex.tsv"
-        code, out, _ = run(capsys, "lexicon", "--words", str(words), "--output", str(lex))
+        code, out, _ = run(capsys, "lexicon", "--corpus", str(words), "--output", str(lex))
         assert code == 0 and "3 entries" in out
         vocab = tmp_path / "ph.txt"
         code, out, _ = run(capsys, "vocab", "--lexicon", str(lex), "--output", str(vocab))
@@ -64,16 +67,29 @@ class TestLexiconVocab:
         words = tmp_path / "words.txt"
         words.write_text("mienh\nxxxx\n")
         lex = tmp_path / "lex.tsv"
-        code, _, err = run(capsys, "lexicon", "--words", str(words), "--output", str(lex))
+        code, _, err = run(capsys, "lexicon", "--corpus", str(words), "--output", str(lex))
         assert code == 1
         assert "unconvertible\txxxx" in err
 
-    def test_needs_corpus_or_words(self, capsys, tmp_path):
+    def test_blank_in_g2p_table_names_table_line(self, capsys, tmp_path):
+        table = tmp_path / "t.tsv"
+        text = PACKAGED_G2P.read_text(encoding="utf-8")
+        line = text.splitlines().index("m\tm") + 1
+        table.write_text(text.replace("\nm\tm\n", "\nm\t<blk>\n"), encoding="utf-8")
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("u1\tmienh dorn\n", encoding="utf-8")
+        lex = tmp_path / "lex.tsv"
+        code, _, err = run(capsys, "lexicon", "--corpus", corpus, "--g2p-table", table,
+                           "--output", lex)
+        assert code == 1
+        assert f"{table}:{line}: " in err
+        assert not lex.exists()
+
+    def test_needs_corpus(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["lexicon", "--output", str(tmp_path / "lex.tsv")])
         assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert "--corpus" in err and "--words" in err
+        assert "--corpus" in capsys.readouterr().err
         assert not (tmp_path / "lex.tsv").exists()
 
 
@@ -149,6 +165,17 @@ class TestLm:
         assert code == 1
         assert f"{corpus}:2: expected 'utt-id TAB text'" in err
         assert not arpa.exists()
+
+    def test_ppl_of_text_without_words_names_the_text(self, capsys, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("u1\ta b\n")
+        arpa = tmp_path / "m.arpa"
+        run(capsys, "lm-train", "--corpus", corpus, "--order", 2, "--output", arpa)
+        text = tmp_path / "empty.txt"
+        text.write_text("\n", encoding="utf-8")
+        code, out, err = run(capsys, "lm-ppl", "--model", arpa, "--text", text)
+        assert code == 1 and not out
+        assert f"{text}: cannot compute perplexity of empty text" in err
 
     def test_ppl_of_a_model_without_unk_names_the_model(self, capsys, tmp_path):
         corpus = tmp_path / "c.txt"

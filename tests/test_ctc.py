@@ -415,11 +415,47 @@ class TestEmissionFiles:
         else:
             logits[1, 2] = bad
         path = tmp_path / "x.em"
-        write_emissions(path, logits, binary=binary)
+        if binary:   # the file as another writer would make it: write_emissions refuses it
+            path.write_bytes(b"EMISMAT1" + struct.pack("<II", 2, 3) + logits.astype("<f4").tobytes())
+        else:
+            path.write_text("2 3\n" + "".join(" ".join(map(str, row)) + "\n" for row in logits),
+                            encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(f"{path}: a frame holds NaN")):
                 read_emissions(path)
+
+    @staticmethod
+    def frames_with(cell, whole_row):
+        """Two uniform frames, with ``cell`` in the second frame's last column or across it."""
+        logits = np.log(np.full((2, 3), 1 / 3))
+        logits[1, 0 if whole_row else 2:] = cell
+        return logits
+
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("cell, whole_row", [(np.nan, False), (np.inf, False), (-np.inf, True)],
+                             ids=["nan", "inf", "dead"])
+    def test_writer_refuses_a_frame_its_reader_rejects(self, tmp_path, binary, cell, whole_row):
+        path = tmp_path / "x.em"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: a frame holds NaN")):
+            write_emissions(path, self.frames_with(cell, whole_row), binary=binary)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("cell, whole_row", [(1e39, False), ([-4e38, -5e38, -1e39], True)],
+                             ids=["inf-as-float32", "dead-as-float32"])
+    def test_cell_past_float32_range_refused_binary_only(self, tmp_path, cell, whole_row):
+        """Stored as float32, 1e39 is +inf and a row below -3.5e38 has no finite cell;
+        text keeps float64's range, so the same frames read back."""
+        logits = self.frames_with(cell, whole_row)
+        text = tmp_path / "x.txt"
+        write_emissions(text, logits, binary=False)
+        assert read_emissions(text).frames == 2
+        path = tmp_path / "x.em"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no RuntimeWarning from the float32 cast
+            with pytest.raises(ValueError, match=re.escape(f"{path}: a frame holds NaN")):
+                write_emissions(path, logits)
+        assert not path.exists()
 
     @pytest.mark.parametrize("header", ["", "2", "2 x", "2 3 4"])
     def test_malformed_text_header_names_line(self, tmp_path, header):
@@ -476,6 +512,14 @@ class TestEmissionFiles:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: emission rows are not normalized log-probabilities")):
             read_emissions(path)
+
+    def test_row_spanning_the_float_range_loads_without_warning(self, tmp_path):
+        """Cells 2e308 apart: the lower one's probability underflows to 0, its log to -inf."""
+        path = tmp_path / "x.txt"
+        path.write_text("1 2\n1e308 -1e308\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_emissions(path).logits.tolist() == [[0.0, -math.inf]]
 
     def test_neither_binary_nor_utf8_names_file(self, tmp_path):
         path = tmp_path / "x.em"

@@ -162,10 +162,6 @@ class TestAggregate:
     def test_mean(self):
         assert aggregate([2, 4, 6]) == pytest.approx(4.0)
 
-    def test_accepts_reports(self):
-        reports = [ScoreReport(1, 0, 0, 4), ScoreReport(0, 1, 1, 4)]
-        assert aggregate(reports) == pytest.approx((0.25 + 0.5) / 2)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
@@ -185,6 +181,13 @@ class TestCvPlan:
         assert plan.runs[0][0] == 0 and plan.runs[0][1] == 1
         assert plan.dev_ids(0) == plan.folds[0]
         assert plan.test_ids(0) == plan.folds[1]
+
+    def test_train_ids_are_the_other_folds_in_order(self):
+        plan = make_cv_plan([f"u{i}" for i in range(23)], n_folds=7, n_runs=2, seed=3)
+        assert plan.runs == ((0, 1), (2, 3))
+        f = plan.folds
+        assert plan.train_ids(0) == f[2] + f[3] + f[4] + f[5] + f[6]
+        assert plan.train_ids(1) == f[0] + f[1] + f[4] + f[5] + f[6]
 
     def test_corpus_scale_ratios(self):
         ids = [f"utt{i:05d}" for i in range(9761)]

@@ -6,12 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mienasr
 from mienasr.ctc import write_emissions
 from mienasr.experiment import (ExperimentReport, PipelineConfig, PipelineError, RunResult,
                                 load_config, read_corpus, run_experiment)
 from mienasr.fixtures import TOY_UTTS, TOY_WORDS, peaked_emissions, write_toy_experiment
 from mienasr.lexicon import default_g2p_table, derive_phoneme_vocab, g2p
 from mienasr.orthography import default_inventory
+
+PACKAGED_G2P = Path(mienasr.__file__).parent / "data" / "iu_mien_g2p.tsv"
 
 
 def toy_lexicon():
@@ -69,7 +72,7 @@ class TestConfig:
         cfg = load_config(cfg2)
         assert cfg.inventory == inv_copy
         cfg.output_dir = tmp_path / "out"
-        assert run_experiment(cfg).wer_with_lm == 0.0
+        assert run_experiment(cfg).rate("WER", "with-lm") == 0.0
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -196,6 +199,17 @@ class TestStageErrors:
             run_experiment(load_config(cfg_path))
         assert info.value.stage == "lexicon"
 
+    def test_blank_in_g2p_table_is_a_config_error(self, tmp_path):
+        cfg = load_config(write_toy_experiment(tmp_path / "toy"))
+        cfg.g2p_table = tmp_path / "t.tsv"
+        text = PACKAGED_G2P.read_text(encoding="utf-8")
+        line = text.splitlines().index("m\tm") + 1
+        cfg.g2p_table.write_text(text.replace("\nm\tm\n", "\nm\t<blk>\n"), encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(f"{cfg.g2p_table}:{line}: ")) as info:
+            run_experiment(cfg)
+        assert info.value.stage == "config"
+        assert not cfg.output_dir.exists()
+
     @pytest.mark.parametrize("workers", [0, 3])
     def test_workers_other_than_one_rejected(self, tmp_path, workers):
         cfg = load_config(write_toy_experiment(tmp_path / "toy"))
@@ -236,8 +250,8 @@ class TestToyExperiment:
         cfg = load_config(cfg_path)
         cfg.output_dir = tmp_path / "out"
         report = run_experiment(cfg)
-        assert report.wer_no_lm == 0.0
-        assert report.wer_with_lm == 0.0
+        assert report.rate("WER", "no-lm") == 0.0
+        assert report.rate("WER", "with-lm") == 0.0
         assert report.runs[0].rates["PER", "with-lm"] == 0.0
 
     def test_artifacts_written(self, toy, tmp_path):
@@ -283,7 +297,7 @@ class TestToyExperiment:
         cfg.beam_size = 1
         cfg.output_dir = tmp_path / "out"
         report = run_experiment(cfg)
-        assert report.wer_no_lm == 1.0 and report.wer_with_lm == 1.0
+        assert report.rate("WER", "no-lm") == 1.0 and report.rate("WER", "with-lm") == 1.0
         assert report.runs[0].rates["PER", "with-lm"] == 1.0
         for name in ("hyp_with_lm.txt", "hyp_without_lm.txt"):
             line = (cfg.output_dir / "run0" / name).read_text(encoding="utf-8")
@@ -328,7 +342,7 @@ class TestSubwordExperiment:
         assert cfg.mode == "subword"
         cfg.output_dir = tmp_path / "out1"
         report = run_experiment(cfg)
-        assert report.wer_no_lm == 0.0 and report.wer_with_lm == 0.0
+        assert report.rate("WER", "no-lm") == 0.0 and report.rate("WER", "with-lm") == 0.0
         assert ("PER", "no-lm") not in report.runs[0].rates  # PER is a phoneme-mode metric
         first = tree_digest(cfg.output_dir)
         cfg.output_dir = tmp_path / "out2"
@@ -382,6 +396,16 @@ class TestCorpusReader:
 
 
 class TestFixtureModes:
+    @pytest.mark.parametrize("mode, digest", [
+        ("phoneme", "1ae1576977f0f72c5b830834da90292bab193c0f5ba997508c1bb4b2ddb3d058"),
+        ("subword", "01a503e2268fe6a28f5234760a9727c6be1d2d0dfaca8ae7317888dc3aac8897"),
+    ])
+    def test_toy_tree_bytes_are_pinned(self, tmp_path, mode, digest):
+        """The corpus, emissions (peaked at 0.98) and config the fixture writes, byte for byte."""
+        write_toy_experiment(tmp_path / "toy", mode=mode)
+        files = sorted(tree_digest(tmp_path / "toy").items())
+        assert hashlib.sha256(repr(files).encode()).hexdigest() == digest
+
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown fixture mode 'grapheme'"):
             write_toy_experiment(tmp_path / "toy", mode="grapheme")
@@ -401,7 +425,7 @@ class TestReportText:
             "0\tWER\t0.5000\t0.2500\n0\tPER\t0.3750\t0.1250\n"
             "1\tWER\t1.0000\t0.7500\n1\tPER\t0.5000\t0.0000\n"
             "avg\tWER\t0.7500\t0.5000\navg\tPER\t0.4375\t0.0625\n")
-        assert (report.wer_no_lm, report.wer_with_lm) == (0.75, 0.5)
+        assert (report.rate("WER", "no-lm"), report.rate("WER", "with-lm")) == (0.75, 0.5)
         assert report.rate("PER", "no-lm") == 0.4375
 
     def test_wer_only_runs(self):

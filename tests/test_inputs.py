@@ -10,8 +10,10 @@ check that each writer's output reads back as what was written.
 import ast
 import contextlib
 import io
+import math
 import random
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 from mienasr import BLANK_ID, BLANK_TOKEN, orthography
 from mienasr.cli import main
 from mienasr.ctc import normalize_rows, read_emissions, write_emissions
-from mienasr.decoder import build_prefix_tree
-from mienasr.experiment import PipelineError, load_config, read_tagged, tagged_line, write_lines
+from mienasr.decoder import DecodeConfig, build_prefix_tree
+from mienasr.experiment import (PipelineError, decode_utterances, emission_path, load_config,
+                                read_tagged, tagged_line, write_lines)
 from mienasr.fixtures import TOY_UTTS, write_toy_experiment
 from mienasr.inputs import located
 from mienasr.lexicon import (LexiconEntry, PhonemeVocab, TableError, load_g2p_table,
@@ -457,3 +460,55 @@ class TestLoadedLexiconBuildsTrie:
             assert code == 0, err.getvalue()
         else:
             assert code == 1 and f"error: {lex}: {fault}" in err.getvalue()
+
+
+# -- an emission file that loads decodes to finite scores --------------------
+
+# plain log-probabilities, with the extremes a file can hold as the rarer draws
+EM_CELL = st.one_of(*[st.floats(-30, 5)] * 12, st.sampled_from(
+    [-np.inf, np.inf, np.nan, 0.0, -1e-45, 1e39, -1e39, 3.4e38, -3.4e38, 1e308, -1e308]))
+EM_WORDS = ("x", "y", "xy")
+
+
+def _emission_file(path, rows, binary):
+    """``rows`` stored as they are: as float32 cells, or as text in float64 ``repr``."""
+    T, V = len(rows), len(rows[0])
+    if binary:
+        with np.errstate(over="ignore"):
+            payload = np.array(rows, dtype=np.float64).astype("<f4").tobytes()
+        path.write_bytes(b"EMISMAT1" + struct.pack("<II", T, V) + payload)
+    else:
+        path.write_text(f"{T} {V}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in rows),
+                        encoding="utf-8")
+
+
+class TestLoadedEmissionsDecode:
+    """Once an emission file loads, a phoneme decode with or without an LM
+    scores every hypothesis without NaN or +inf, or names the file."""
+
+    @settings(max_examples=150)
+    @given(st.integers(2, 4), st.integers(1, 5), st.booleans(), st.data())
+    def test_scores_are_never_nan_or_plus_inf(self, tmp_path_factory, width, T, binary, data):
+        V = data.draw(st.sampled_from([width] * 6 + [width - 1, width + 1]))   # the file's width
+        rows = data.draw(st.lists(st.lists(EM_CELL, min_size=V, max_size=V),
+                                  min_size=T, max_size=T))
+        cfg = DecodeConfig(beam_size=data.draw(st.sampled_from([1, 4])),
+                           lm_weight=data.draw(st.sampled_from([0.0, 0.5, 1e3])),
+                           word_insertion_penalty=data.draw(st.sampled_from([0.0, -2.0, 1e3])))
+        vocab = PhonemeVocab((BLANK_TOKEN, "a", "b", "c")[:width])
+        tokens = vocab.tokens[1:]
+        entries = [LexiconEntry(w, tuple(tokens[i % len(tokens)] for i in range(len(w), 0, -1)))
+                   for w in EM_WORDS]
+        ngram = lm_train(["x y xy", "y x", "xy xy y"], order=2)
+        d = tmp_path_factory.mktemp("em")
+        path = emission_path(d, "u1")
+        _emission_file(path, rows, binary)
+        try:
+            [(_, nbests)] = decode_utterances(d, ["u1"], cfg, (ngram, None),
+                                              lex=build_prefix_tree(entries, vocab))
+        except ValueError as e:
+            assert str(e).startswith(f"{path}: ")
+            return
+        for h in (h for hyps in nbests for h in hyps):
+            for score in (h.score, h.score_ac, h.score_lm):
+                assert not (math.isnan(score) or score == math.inf), h

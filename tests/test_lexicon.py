@@ -330,6 +330,18 @@ class TestLexiconFiles:
         with pytest.raises(TableError, match="collide"):
             load_g2p_table(path)
 
+    @pytest.mark.parametrize("text, line", [
+        (f"b\t{BLANK_TOKEN}\n[tones]\nnone\t1\n", 1),      # a grapheme's only token
+        (f"b\tp\nc\tp {BLANK_TOKEN}\n[tones]\nnone\t1\n", 2),   # one token of several
+        (f"b\tp\n[tones]\nnone\t{BLANK_TOKEN}\n", 3),      # a tone digit
+    ])
+    def test_table_blank_token_names_line(self, tmp_path, text, line):
+        """A table that loads yields pronunciations a prefix tree can spell."""
+        path = tmp_path / "t.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TableError, match=rf"^{re.escape(str(path))}:{line}: .*{BLANK_TOKEN}"):
+            load_g2p_table(path)
+
     def test_empty_vocab_file_names_path(self, tmp_path):
         path = tmp_path / "phonemes.txt"
         path.write_text("\n", encoding="utf-8")

@@ -98,6 +98,16 @@ class TestParseWord:
         assert inv._syllable_len == max(map(len, inv.initials)) + max(map(len, inv.finals)) + 1
         assert tiny_inv._syllable_len == 2 + 4 + 1
 
+    @pytest.mark.parametrize("name", ["_initial_set", "_initial_lens", "_syllable_len",
+                                      "_final_set", "_rime_slots"])
+    def test_derived_fields_are_not_parameters(self, tiny_inv, name):
+        """Each lookup structure is derived from the inventory, never passed in."""
+        fields = {f: getattr(tiny_inv, f) for f in ("initials", "finals", "medials", "mains",
+                                                    "codas", "tone_letters")}
+        assert InventoryConfig(**fields) == tiny_inv
+        with pytest.raises(TypeError, match=name):
+            InventoryConfig(**fields, **{name: getattr(tiny_inv, name)})
+
     def test_coverage_report_drops_nothing(self, inv):
         tokens = ["mienh", "zzzz", "dorn", "qqq", "mienh"]
         parses, failures = report_coverage(tokens, inv)

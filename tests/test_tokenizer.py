@@ -143,6 +143,26 @@ class TestModelFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(token)):
             load_bpe(path)
 
+    @pytest.mark.parametrize("vocab, line", [
+        ([BLANK_TOKEN, UNK_TOKEN, "", "a"], 6),     # an empty line would shift a's id
+        ([BLANK_TOKEN, UNK_TOKEN, "  ", "a"], 6),   # a whitespace-only token
+        ([BLANK_TOKEN, UNK_TOKEN, "a b"], 6),       # two tokens on one line
+        ([BLANK_TOKEN, " " + UNK_TOKEN], 5),        # a token with a leading space
+    ], ids=["empty", "whitespace", "two-tokens", "leading-space"])
+    def test_malformed_vocab_line_names_line(self, tmp_path, vocab, line):
+        """The [vocab] section follows the phoneme vocabulary file's line rule."""
+        path = tmp_path / "bpe.model"
+        path.write_text("mienasr-bpe v1\n[merges]\n[vocab]\n" + "\n".join(vocab) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "):
+            load_bpe(path)
+
+    def test_vocab_trailing_empty_lines_ignored(self, tmp_path):
+        path = tmp_path / "bpe.model"
+        path.write_text(f"mienasr-bpe v1\n[merges]\n[vocab]\n{BLANK_TOKEN}\n{UNK_TOKEN}\n\n\n",
+                        encoding="utf-8")
+        assert load_bpe(path).vocab == (BLANK_TOKEN, UNK_TOKEN)
+
     @pytest.mark.parametrize("merges, vocab, pair", [
         (["▁y\ti"], [BLANK_TOKEN, UNK_TOKEN, "▁y", "i", "e"], "('▁y', 'i')"),
         (["a\tb"], [BLANK_TOKEN, UNK_TOKEN, "a", "ab"], "('a', 'b')"),

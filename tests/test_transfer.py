@@ -56,6 +56,11 @@ class TestTransferInit:
         # blank still copied from the source blank
         assert np.array_equal(out.rows[0], src.rows[0])
 
+    def test_blank_only_vocabulary_has_zero_coverage(self):
+        out, rep = transfer_init(source_matrix([BLANK_TOKEN, "a"]), PhonemeVocab((BLANK_TOKEN,)))
+        assert (rep.copied, rep.randomized, rep.coverage) == ((), (), 0.0)
+        assert out.row_labels == (BLANK_TOKEN,)
+
     def test_half_overlap_seeded(self):
         src = source_matrix([BLANK_TOKEN, "a", "b"])
         vocab = PhonemeVocab((BLANK_TOKEN, "a", "b", "c", "d"))

@@ -74,6 +74,39 @@ MUTANTS = (
            "    if not -math.inf < wip * frames < math.inf:\n",
            "    if wip * frames != wip * frames:\n",
            ("tests/test_decoder.py::TestInsertionTermOverflow",)),
+    Mutant("floor-walk-stops-at-a-tie", "decoder.py",
+           "                    if score < best[0]:\n"
+           "                        if k == last:",
+           "                    if score <= best[0]:\n"
+           "                        if k == last:",
+           ("tests/test_decoder.py::TestBeamFloor::test_ties_break_on_words_not_on_first_seen_order",
+            "tests/test_decoder.py::TestBeamFloor::test_narrow_beams_match_reference")),
+    Mutant("floor-walk-ends-at-low-repeat-token", "decoder.py",
+           "                        if k == last:   # scored from pb; later children may score higher\n"
+           "                            continue\n"
+           "                        break\n",
+           "                        break\n",
+           ("tests/test_decoder.py::TestGoldenNBest::test_nbest_matches_recorded",
+            "tests/test_decoder.py::TestBeamFloor::test_narrow_beams_match_reference")),
+    Mutant("arcs-into-states-dropped-below-floor", "decoder.py",
+           "                entry = beam.get(new_key)\n"
+           "                if entry is not None:   # a state pools every arc into it\n",
+           "                if mass + lm_term + wip_term < best[0]:\n"
+           "                    continue\n"
+           "                entry = beam.get(new_key)\n"
+           "                if entry is not None:   # a state pools every arc into it\n",
+           ("tests/test_decoder.py::TestBeamFloor::test_two_pronunciations_reenter_together",
+            "tests/test_decoder.py::TestBeamFloor::test_narrow_beams_match_reference")),
+    Mutant("reentries-into-held-states-walked", "decoder.py",
+           "                held = roots if new_base in shared else into.get(new_base, ())\n",
+           "                held = roots if new_base in shared else ()\n",
+           ("tests/test_decoder.py::TestGoldenNBest::test_nbest_matches_recorded",
+            "tests/test_decoder.py::TestBeamFloor::test_narrow_beams_match_reference")),
+    Mutant("shared-reentries-walked-best-first", "decoder.py",
+           "                held = roots if new_base in shared else into.get(new_base, ())\n",
+           "                held = into.get(new_base, ())\n",
+           ("tests/test_decoder.py::TestBeamFloor::test_two_pronunciations_reenter_together",
+            "tests/test_decoder.py::TestBeamFloor::test_narrow_beams_match_reference")),
     # -- orthography, scoring, CTC ---------------------------------------------
     Mutant("syllable-length-without-tone-letter", "orthography.py",
            "                           + max(map(len, self.finals), default=0) + 1)\n",
@@ -82,6 +115,10 @@ MUTANTS = (
     Mutant("myers-boundary-bit-dropped", "evaluate.py",
            "        hp = (hp << 1) | 1                # row 0 rises by one per column\n",
            "        hp = hp << 1\n",
+           ("tests/test_evaluate.py::TestMatchesReference",)),
+    Mutant("myers-vp-unmasked", "evaluate.py",
+           "        vp = ((hn << 1) | ~(hp | d0)) & full\n",
+           "        vp = (hn << 1) | ~(hp | d0)\n",
            ("tests/test_evaluate.py::TestMatchesReference",)),
     Mutant("insertion-before-substitution", "evaluate.py",
            "        if d == diag + cost:\n"
@@ -101,6 +138,20 @@ MUTANTS = (
            "    return np.logaddexp.reduce(np.ascontiguousarray(a.T), axis=0)\n",
            "    return np.logaddexp.reduce(np.ascontiguousarray(a.T[::-1]), axis=0)\n",
            ("tests/test_ctc.py::TestRowReductionMatchesAxis1",)),
+    Mutant("forward-nests-prev-and-skip", "ctc.py",
+           "        np.logaddexp(last[2:], last[1:-1], out=row)\n"
+           "        np.logaddexp(row, last[:-2], out=row, where=skip_ok)\n",
+           "        skip = np.where(skip_ok, last[:-2], NEG_INF)\n"
+           "        np.logaddexp(last[2:], np.logaddexp(last[1:-1], skip), out=row)\n",
+           ("tests/test_ctc.py::TestMatchesReference",)),
+    Mutant("forward-skip-mask-dropped", "ctc.py",
+           "        np.logaddexp(row, last[:-2], out=row, where=skip_ok)\n",
+           "        np.logaddexp(row, last[:-2], out=row)\n",
+           ("tests/test_ctc.py::TestMatchesReference",)),
+    Mutant("gradient-folded-in-descending-s", "ctc.py",
+           "    for k, occ in zip(ext.tolist(), occupancy):\n",
+           "    for k, occ in reversed(list(zip(ext.tolist(), occupancy))):\n",
+           ("tests/test_ctc.py::TestMatchesReference",)),
     # -- experiment report, LM vocabulary, artifact lines -----------------------
     Mutant("report-rows-out-of-order", "experiment.py",
            "        metrics = dict.fromkeys(m for r in self.runs for m, _ in r.rates)",
@@ -152,6 +203,63 @@ MUTANTS = (
            "decode_utterances(args.emissions, _read_ids(args.ids),",
            "decode_utterances(args.emissions, _read_lines(args.ids),",
            ("tests/test_cli.py::TestDecodeCli::test_ids_read_as_split_reads_them",)),
+    # -- values derived in one place, and the inputs that feed them ------------
+    Mutant("inventory-lookup-is-a-parameter", "orthography.py",
+           "    _syllable_len: int = field(init=False, repr=False, compare=False)\n",
+           "    _syllable_len: int = field(default=0, repr=False, compare=False)\n",
+           ("tests/test_orthography.py::TestParseWord::test_derived_fields_are_not_parameters",)),
+    Mutant("transfer-coverage-counts-the-blank", "transfer.py",
+           "        n_real = len(self.copied) + len(self.randomized)\n",
+           "        n_real = len(self.copied) + len(self.randomized) + 1\n",
+           ("tests/test_transfer.py::TestTransferInit",)),
+    Mutant("train-folds-in-descending-order", "evaluate.py",
+           "        return tuple(u for k, fold in enumerate(self.folds) if k not in held for u in fold)\n",
+           "        return tuple(u for k, fold in reversed(list(enumerate(self.folds)))\n"
+           "                     if k not in held for u in fold)\n",
+           ("tests/test_evaluate.py::TestCvPlan::test_train_ids_are_the_other_folds_in_order",)),
+    Mutant("fixture-peak-moved", "fixtures.py",
+           "    peak = 0.98\n",
+           "    peak = 0.9\n",
+           ("tests/test_experiment.py::TestFixtureModes::test_toy_tree_bytes_are_pinned",)),
+    Mutant("lexicon-corpus-optional", "cli.py",
+           '    sp.add_argument("--corpus", required=True, help="utt TAB text or plain text lines")\n',
+           '    sp.add_argument("--corpus", help="utt TAB text or plain text lines")\n',
+           ("tests/test_cli.py::TestLexiconVocab::test_needs_corpus",)),
+    Mutant("aggregate-takes-the-largest-rate", "evaluate.py",
+           "    return sum(rates) / len(rates)\n",
+           "    return max(rates)\n",
+           ("tests/test_evaluate.py::TestAggregate",)),
+    Mutant("report-rate-ignores-lm", "experiment.py",
+           "        return aggregate([r.rates[metric, lm] for r in self.runs])\n",
+           "        return aggregate([r.rates[metric, \"with-lm\"] for r in self.runs])\n",
+           ("tests/test_experiment.py::TestReportText",)),
+    Mutant("g2p-table-accepts-blank", "lexicon.py",
+           "            if BLANK_TOKEN in value.split():   # no prefix-tree path can spell it\n",
+           "            if False:\n",
+           ("tests/test_lexicon.py::TestLexiconFiles::test_table_blank_token_names_line",
+            "tests/test_cli.py::TestLexiconVocab::test_blank_in_g2p_table_names_table_line",
+            "tests/test_experiment.py::TestStageErrors::test_blank_in_g2p_table_is_a_config_error")),
+    Mutant("lm-ppl-unlocated", "cli.py",
+           "    with located(args.text):\n"
+           "        ppl = lm_mod.perplexity(model, texts)\n",
+           "    ppl = lm_mod.perplexity(model, texts)\n",
+           ("tests/test_cli.py::TestLm::test_ppl_of_text_without_words_names_the_text",)),
+    Mutant("bpe-vocab-drops-empty-lines", "tokenizer.py",
+           "        vocab = token_lines(lines[end + 1:], at, end + 2)\n",
+           "        vocab = token_lines([ln for ln in lines[end + 1:] if ln], at, end + 2)\n",
+           ("tests/test_tokenizer.py::TestModelFile::test_malformed_vocab_line_names_line",)),
+    Mutant("emission-writer-unchecked", "ctc.py",
+           "    with located(path):\n"
+           "        _check_frames(cells)\n",
+           "",
+           ("tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_a_frame_its_reader_rejects",)),
+    Mutant("emission-writer-checks-float64", "ctc.py",
+           "    with located(path):\n"
+           "        _check_frames(cells)\n",
+           "    with located(path):\n"
+           "        _check_frames(logits)\n",
+           ("tests/test_ctc.py::TestEmissionFiles::"
+            "test_cell_past_float32_range_refused_binary_only",)),
 )
 
 
