@@ -199,23 +199,27 @@ def write_emissions(path, logits: np.ndarray, binary: bool = True) -> None:
 
     Binary container: magic "EMISMAT1", uint32 T and V (little-endian), then
     T*V row-major float32 values.  The text alternative is a "T V" header
-    line followed by T whitespace-separated rows.  A frame that
+    line followed by T whitespace-separated rows.  A matrix that
     ``read_emissions`` would reject, as its cells are stored, is refused and
     nothing is written.
     """
     logits = np.asarray(logits, dtype=np.float64)
     T, V = logits.shape
-    with np.errstate(over="ignore"):   # a cell past float32's range is inf, checked next
-        cells = logits.astype("<f4") if binary else logits
+    if binary:
+        with np.errstate(over="ignore"):   # a cell past float32's range is inf, checked next
+            cells = logits.astype("<f4")
+    else:
+        rows = [" ".join(f"{x:.8e}" for x in row) for row in logits]
+        cells = np.array([[float(x) for x in row.split()] for row in rows]).reshape(T, V)
     with located(path):
-        _check_frames(cells)
+        _from_cells(cells)
     if binary:
         with open(path, "wb") as f:
             f.write(_MAGIC)
             f.write(struct.pack("<II", T, V))
             f.write(cells.tobytes(order="C"))
     else:
-        write_lines(path, [f"{T} {V}"] + [" ".join(f"{x:.8e}" for x in row) for row in logits])
+        write_lines(path, [f"{T} {V}"] + rows)
 
 
 def read_emissions(path) -> EmissionMatrix:
@@ -261,12 +265,13 @@ def read_emissions(path) -> EmissionMatrix:
             if len(rows) != T:
                 raise ValueError(f"header says {T} rows, found {len(rows)}")
             logits = np.array(rows, dtype=np.float64).reshape(T, V)
-        _check_frames(logits)
-        return EmissionMatrix(logits=normalize_rows(logits))
+        return _from_cells(logits)
 
 
-def _check_frames(cells: np.ndarray) -> None:
-    """Every frame holds a finite cell and no NaN or +inf."""
+def _from_cells(cells: np.ndarray) -> EmissionMatrix:
+    """The matrix that stored cells read as: each frame needs a finite cell
+    and no NaN or +inf, and the renormalized rows must be log-probabilities."""
     # NaN and +inf propagate through max; an all -inf frame cannot be normalized
     if cells.size and not np.isfinite(cells.max(axis=1)).all():
         raise ValueError("a frame holds NaN or +inf, or no finite cell")
+    return EmissionMatrix(logits=normalize_rows(cells))

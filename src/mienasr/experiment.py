@@ -13,6 +13,9 @@ making reruns byte-identical.
 from __future__ import annotations
 
 import configparser
+import os
+import signal
+import threading
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
@@ -64,7 +67,7 @@ class PipelineConfig:
     folds: int = 10
     runs: int = 3
     seed: int = 0
-    workers: int = 1   # decoding is serial; kept only for configs that say 1
+    workers: int = 1   # only 1; does not set the decode processes (decode_utterances)
 
     def validate(self) -> DecodeConfig:
         """Check the settings and input paths; return the decoder settings."""
@@ -188,15 +191,70 @@ def tagged_line(utt: str, words) -> str:
     return f"{utt}\t{' '.join(words)}"
 
 
+def _decode_one(utt, emissions_dir, cfg, lms, lex, bpe):
+    path = emission_path(emissions_dir, utt)
+    em = read_emissions(path)
+    with located(path):
+        return [decode(em, cfg, lex=lex, bpe=bpe, lm=lm) for lm in lms]
+
+
+def _decode_processes(n_ids: int) -> int:
+    """Processes that decode a call of ``n_ids`` ids: one per CPU this process
+    may run on, but no fewer than 8 ids each.  1 means in-process, as it is
+    where ``fork`` or CPU affinity is missing, and in a process that runs
+    other threads: a forked child could find a lock of theirs held forever."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_ids // 8))
+
+
+_worker_decode = None   # in a forked worker, the call's per-utterance decode
+
+
+def _start_worker(decode_one) -> None:
+    global _worker_decode
+    _worker_decode = decode_one
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # Ctrl-C is the parent's to handle
+
+
+def _decode_in_worker(utt):
+    """``(utt, n-best lists)``, or ``(utt, None)`` if decoding ``utt`` raised:
+    the parent then decodes ``utt`` again and raises the error itself, with its
+    own traceback, so no exception has to cross the pipe."""
+    try:
+        return utt, _worker_decode(utt)
+    except Exception:
+        return utt, None
+
+
 def decode_utterances(emissions_dir, ids, cfg: DecodeConfig, lms, *, lex=None, bpe=None):
-    """Yield ``(utt, n-best lists)`` for each id, one list per LM in ``lms``
-    (None for no LM); a width mismatch is the emission file's fault."""
-    for utt in ids:
-        path = emission_path(emissions_dir, utt)
-        em = read_emissions(path)
-        with located(path):
-            nbests = [decode(em, cfg, lex=lex, bpe=bpe, lm=lm) for lm in lms]
-        yield utt, nbests
+    """Yield ``(utt, n-best lists)`` for each id in order, one list per LM in
+    ``lms`` (None for no LM); a width mismatch is the emission file's fault.
+
+    With ``_decode_processes(len(ids))`` above 1 the ids are decoded in that
+    many forked processes, which inherit the models copy-on-write and send
+    back only n-best lists.  The results and any error are serial
+    decoding's: the earliest id that fails is decoded again in this process,
+    which raises its error.  No process outlives the call, even when the
+    caller stops early.
+    """
+    decode_one = partial(_decode_one, emissions_dir=emissions_dir, cfg=cfg, lms=lms,
+                         lex=lex, bpe=bpe)
+    ids = list(ids)
+    processes = _decode_processes(len(ids))
+    if processes == 1:
+        for utt in ids:
+            yield utt, decode_one(utt)
+        return
+    import multiprocessing
+    # leaving the block terminates the workers; four chunks per process even out
+    # uneven utterances at little messaging cost
+    with multiprocessing.get_context("fork").Pool(processes, _start_worker,
+                                                  (decode_one,)) as pool:
+        for utt, nbests in pool.imap(_decode_in_worker, ids, len(ids) // (4 * processes)):
+            yield utt, decode_one(utt) if nbests is None else nbests
 
 
 def run_experiment(cfg: PipelineConfig) -> ExperimentReport:

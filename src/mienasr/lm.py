@@ -293,20 +293,31 @@ def arpa_write(model: ArpaModel, path) -> None:
     Sections: a ``\\data\\`` header with per-order counts, then per-order
     ``\\n-grams:`` blocks of "logprob TAB n-gram TAB backoff" (back-off
     column omitted for non-histories), then ``\\end\\``.  Grams are sorted
-    for byte-stable output.
+    for byte-stable output.  A model that ``arpa_read`` would reject as
+    written (a value that ten decimals round onto a range end, say) raises
+    ArpaError naming the file, and nothing is written.
     """
     lines = ["\\data\\"]
     for n in range(1, model.order + 1):
         lines.append(f"ngram {n}={len(model.tables[n])}")
+    read_back: list = [None]   # the tables as arpa_read parses the lines
     for n in range(1, model.order + 1):
         lines.append("")
         lines.append(f"\\{n}-grams:")
+        table = {}
         for gram in sorted(model.tables[n]):
             logp, bow = model.tables[n][gram]
-            entry = f"{_fmt(logp)}\t{' '.join(gram)}"
-            if bow is not None:
-                entry += f"\t{_fmt(bow)}"
-            lines.append(entry)
+            p = _fmt(logp)
+            if bow is None:
+                lines.append(f"{p}\t{' '.join(gram)}")
+                table[gram] = (float(p), None)
+            else:
+                b = _fmt(bow)
+                lines.append(f"{p}\t{' '.join(gram)}\t{b}")
+                table[gram] = (float(p), float(b))
+        read_back.append(table)
+    with located(path, ArpaError):
+        ArpaModel(order=model.order, tables=tuple(read_back)).validate()
     write_lines(path, lines + ["", "\\end\\"])
 
 

@@ -441,6 +441,24 @@ class TestEmissionFiles:
             write_emissions(path, self.frames_with(cell, whole_row), binary=binary)
         assert not path.exists()
 
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_writer_refuses_rows_that_do_not_renormalize(self, tmp_path, binary):
+        """[1e20, 1e20, 0] renormalizes to [0, 0, -1e20], whose log-sum is ln 2."""
+        path = tmp_path / "x.em"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: emission rows are not normalized log-probabilities")):
+            write_emissions(path, [[1e20, 1e20, 0.0]], binary=binary)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 1)])
+    def test_writer_refuses_a_shape_its_reader_rejects(self, tmp_path, binary, shape):
+        path = tmp_path / "x.em"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: emission matrix must be T>=1 by V>=2, got {shape}")):
+            write_emissions(path, np.zeros(shape), binary=binary)
+        assert not path.exists()
+
     @pytest.mark.parametrize("cell, whole_row", [(1e39, False), ([-4e38, -5e38, -1e39], True)],
                              ids=["inf-as-float32", "dead-as-float32"])
     def test_cell_past_float32_range_refused_binary_only(self, tmp_path, cell, whole_row):

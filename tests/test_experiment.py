@@ -1,18 +1,30 @@
 import dataclasses
 import hashlib
+import multiprocessing
+import os
 import re
+import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mienasr
-from mienasr.ctc import write_emissions
+from mienasr.cli import main
+from mienasr.ctc import normalize_rows, read_emissions, write_emissions
+from mienasr.decoder import DecodeConfig, build_prefix_tree, spell_lm_words
+from mienasr.evaluate import make_cv_plan
 from mienasr.experiment import (ExperimentReport, PipelineConfig, PipelineError, RunResult,
-                                load_config, read_corpus, run_experiment)
-from mienasr.fixtures import TOY_UTTS, TOY_WORDS, peaked_emissions, write_toy_experiment
-from mienasr.lexicon import default_g2p_table, derive_phoneme_vocab, g2p
+                                decode_utterances, load_config, read_corpus, run_experiment)
+from mienasr.fixtures import (BPE_TOY_SIZE, TOY_UTTS, TOY_WORDS, peaked_emissions,
+                              write_toy_experiment)
+from mienasr.inputs import write_lines
+from mienasr.lexicon import (default_g2p_table, derive_phoneme_vocab, g2p, write_lexicon,
+                             write_vocab)
+from mienasr.lm import arpa_write, lm_train
 from mienasr.orthography import default_inventory
+from mienasr.tokenizer import bpe_encode, bpe_train
 
 PACKAGED_G2P = Path(mienasr.__file__).parent / "data" / "iu_mien_g2p.tsv"
 
@@ -358,6 +370,177 @@ class TestSubwordExperiment:
         with pytest.raises(PipelineError, match="x\u2581maaih.*marker") as info:
             run_experiment(load_config(cfg_path))
         assert info.value.stage == "bpe"
+
+
+def cpus(monkeypatch, n: int) -> None:
+    """Let this process run on CPUs 0..n-1; a decode may start one process per CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def noisy_decode_case(root: Path, mode: str, n: int = 16):
+    """Ids ``v0``..., their noisy emission files under ``root`` over the toy
+    texts, the LMs ``(ngram, None)`` and the models that decode them."""
+    texts = [text for _, text in TOY_UTTS]
+    ngram = lm_train(texts, order=2)
+    if mode == "phoneme":
+        entries, vocab = toy_lexicon()
+        pron = {e.word: e.pron for e in entries}
+        ids_of = lambda text: [vocab.index(p) for w in text.split() for p in pron[w]]
+        width, models = len(vocab), {"lex": build_prefix_tree(entries, vocab)}
+    else:
+        bpe = bpe_train(texts, BPE_TOY_SIZE)
+        ids_of = lambda text: bpe_encode(text, bpe)
+        width, models = len(bpe.vocab), {"lex": spell_lm_words(bpe, ngram), "bpe": bpe}
+    rng = np.random.default_rng(0)
+    ids = [f"v{k}" for k in range(n)]
+    for k, utt in enumerate(ids):
+        clean = peaked_emissions(ids_of(texts[k % len(texts)]), width)
+        write_emissions(root / f"{utt}.em",
+                        normalize_rows(clean + 2.0 * rng.standard_normal(clean.shape)))
+    return ids, (ngram, None), models
+
+
+def lengthen(path: Path, times: int = 60) -> None:
+    """Repeat an emission file's frames, so its id decodes last of all."""
+    write_emissions(path, np.vstack([read_emissions(path).logits] * times))
+
+
+class TestForkedDecode:
+    """A call of 16 or more ids on 2 CPUs decodes in 2 forked processes, with
+    serial decoding's results and errors, and leaves no process behind."""
+
+    @staticmethod
+    def decode(monkeypatch, n_cpus, root, ids, lms, models):
+        cpus(monkeypatch, n_cpus)
+        return decode_utterances(root, ids, DecodeConfig(beam_size=8), lms, **models)
+
+    @pytest.mark.parametrize("mode", ["phoneme", "subword"])
+    def test_nbest_lists_equal_serial(self, monkeypatch, tmp_path, mode):
+        # (ngram, None): phoneme mode with and without an LM, subword with an LM and greedy
+        case = noisy_decode_case(tmp_path, mode)
+        serial = list(self.decode(monkeypatch, 1, tmp_path, *case))
+        assert any(len(hyps) > 1 for _, nbests in serial for hyps in nbests)
+        forked = self.decode(monkeypatch, 2, tmp_path, *case)
+        first = next(forked)
+        assert len(multiprocessing.active_children()) == 2
+        assert repr([first, *forked]) == repr(serial)
+        assert multiprocessing.active_children() == []
+
+    def test_ids_yielded_in_order_when_a_later_id_finishes_first(self, monkeypatch, tmp_path):
+        ids, lms, models = noisy_decode_case(tmp_path, "phoneme")
+        lengthen(tmp_path / "v0.em")
+        assert [utt for utt, _ in self.decode(monkeypatch, 2, tmp_path, ids, lms, models)] == ids
+
+    def test_earliest_failing_id_raises_serial_error(self, monkeypatch, tmp_path):
+        case = noisy_decode_case(tmp_path, "phoneme")
+        lengthen(tmp_path / "v0.em")   # v1 fails after v7 does
+        write_emissions(tmp_path / "v1.em", np.log(np.full((3, 2), 0.5)))
+        (tmp_path / "v7.em").write_bytes(b"EMISMAT1\x05")
+        seen = []
+        for n_cpus in (1, 2):
+            done = []
+            with pytest.raises(ValueError) as info:
+                for utt, _ in self.decode(monkeypatch, n_cpus, tmp_path, *case):
+                    done.append(utt)
+            seen.append((done, type(info.value), str(info.value)))
+            assert multiprocessing.active_children() == []
+        assert seen[1] == seen[0]
+        assert seen[0][0] == ["v0"]
+        assert seen[0][2].startswith(f"{tmp_path / 'v1.em'}: emission vocab size 2 != ")
+
+    def test_closed_early_leaves_no_process(self, monkeypatch, tmp_path):
+        decoding = self.decode(monkeypatch, 2, tmp_path, *noisy_decode_case(tmp_path, "phoneme"))
+        next(decoding)
+        assert multiprocessing.active_children()
+        decoding.close()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_ids, n_cpus", [(10, 2), (15, 2), (16, 1)])
+    def test_few_ids_or_one_cpu_start_no_process(self, monkeypatch, tmp_path, n_ids, n_cpus):
+        decoding = self.decode(monkeypatch, n_cpus, tmp_path,
+                               *noisy_decode_case(tmp_path, "phoneme", n_ids))
+        next(decoding)
+        assert multiprocessing.active_children() == []
+        decoding.close()
+
+    def test_process_running_another_thread_starts_no_process(self, monkeypatch, tmp_path):
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            decoding = self.decode(monkeypatch, 2, tmp_path,
+                                   *noisy_decode_case(tmp_path, "phoneme"))
+            next(decoding)
+            assert multiprocessing.active_children() == []
+            decoding.close()
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    def test_calls_in_turn_each_fork(self, monkeypatch, tmp_path):
+        case = noisy_decode_case(tmp_path, "phoneme")
+        for _ in range(2):
+            decoding = self.decode(monkeypatch, 2, tmp_path, *case)
+            next(decoding)
+            assert len(multiprocessing.active_children()) == 2
+            assert len(list(decoding)) == 15
+        assert threading.active_count() == 1
+
+    def test_cli_decode_same_files_and_error_line(self, monkeypatch, capsys, tmp_path):
+        ids, (ngram, _), models = noisy_decode_case(tmp_path, "phoneme")
+        entries, vocab = toy_lexicon()
+        write_lexicon(entries, tmp_path / "lex.tsv")
+        write_vocab(vocab, tmp_path / "ph.txt")
+        arpa_write(ngram, tmp_path / "lm.arpa")
+        write_lines(tmp_path / "ids.txt", ids)
+
+        def decode_cli(n_cpus, out):
+            cpus(monkeypatch, n_cpus)
+            code = main([str(a) for a in (
+                "decode", "--mode", "phoneme", "--emissions", tmp_path, "--ids",
+                tmp_path / "ids.txt", "--lexicon", tmp_path / "lex.tsv", "--vocab",
+                tmp_path / "ph.txt", "--lm", tmp_path / "lm.arpa", "--beam", 8,
+                "--output", out / "hyp.txt", "--nbest", out / "nbest.txt")])
+            return code, capsys.readouterr().err, tree_digest(out)
+
+        for n_cpus in (1, 2):
+            (tmp_path / f"out{n_cpus}").mkdir()
+        assert decode_cli(1, tmp_path / "out1") == decode_cli(2, tmp_path / "out2")
+        (tmp_path / "v3.em").write_bytes(b"junk")
+        (tmp_path / "v9.em").unlink()
+        failed = decode_cli(1, tmp_path / "out1")
+        assert failed == decode_cli(2, tmp_path / "out1")
+        assert failed[:2] == (1, f"mienasr: decode: error: {tmp_path / 'v3.em'}:1: "
+                                 "expected a 'T V' header line\n")
+
+    def test_experiment_same_tree_and_error(self, monkeypatch, tmp_path):
+        root = tmp_path / "toy"
+        cfg = load_config(write_toy_experiment(root))
+        utts = [(f"w{k}", TOY_UTTS[k % 5]) for k in range(48)]
+        write_lines(cfg.corpus, [f"{w}\t{text}" for w, (_, text) in utts])
+        for w, (utt, _) in utts:
+            shutil.copy(root / "emissions" / f"{utt}.em", root / "emissions" / f"{w}.em")
+        cfg.folds, cfg.runs = 3, 1   # 16 test ids
+        trees = []
+        for n_cpus in (1, 2):
+            cpus(monkeypatch, n_cpus)
+            cfg.output_dir = tmp_path / f"out{n_cpus}"
+            run_experiment(cfg)
+            trees.append(tree_digest(cfg.output_dir))
+        assert trees[1] == trees[0]
+        test = make_cv_plan([w for w, _ in utts], cfg.folds, cfg.runs, cfg.seed).test_ids(0)
+        (root / "emissions" / f"{test[1]}.em").write_bytes(b"junk")
+        (root / "emissions" / f"{test[9]}.em").write_bytes(b"EMISMAT1\x05")
+        errors = []
+        for n_cpus in (1, 2):
+            cpus(monkeypatch, n_cpus)
+            with pytest.raises(PipelineError) as info:
+                run_experiment(cfg)
+            errors.append((info.value.stage, str(info.value)))
+        assert errors[1] == errors[0]
+        assert errors[0] == ("decode", f"[decode] run 0: {root / 'emissions' / test[1]}.em:1: "
+                                       "expected a 'T V' header line")
 
 
 class TestCorpusReader:

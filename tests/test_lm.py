@@ -210,6 +210,19 @@ class TestArpaRoundTrip:
         arpa_write(m, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("log10, bow", [(-323.29999999999, None), (-1.0, 308.24999999999)],
+                             ids=["log-prob", "back-off"])
+    def test_writer_refuses_a_value_its_reader_rejects(self, tmp_path, log10, bow):
+        """The value is in range, but written with ten decimals it is the
+        range end, -323.3000000000 or 308.2500000000, which arpa_read rejects."""
+        m = lm_train(TOY3, order=2)
+        m.tables[1][(UNK,)] = (log10, bow)
+        m.validate()
+        path = tmp_path / "m.arpa"
+        with pytest.raises(ArpaError, match=re.escape(f"{path}: ") + ".*out-of-range"):
+            arpa_write(m, path)
+        assert not path.exists()
+
     def test_declared_count_mismatch_rejected(self, tmp_path):
         m = lm_train(TOY3, order=2)
         path = tmp_path / "m.arpa"

@@ -203,6 +203,34 @@ MUTANTS = (
            "decode_utterances(args.emissions, _read_ids(args.ids),",
            "decode_utterances(args.emissions, _read_lines(args.ids),",
            ("tests/test_cli.py::TestDecodeCli::test_ids_read_as_split_reads_them",)),
+    # -- decoding in forked processes ------------------------------------------
+    Mutant("forked-decode-yields-in-completion-order", "experiment.py",
+           "        for utt, nbests in pool.imap(_decode_in_worker,",
+           "        for utt, nbests in pool.imap_unordered(_decode_in_worker,",
+           ("tests/test_experiment.py::TestForkedDecode::"
+            "test_ids_yielded_in_order_when_a_later_id_finishes_first",)),
+    Mutant("forked-decode-raises-first-error-to-arrive", "experiment.py",
+           "        for utt, nbests in pool.imap(_decode_in_worker, ids, len(ids) // (4 * processes)):\n"
+           "            yield utt, decode_one(utt) if nbests is None else nbests\n",
+           "        done, k = {}, 0\n"
+           "        for utt, nbests in pool.imap_unordered(_decode_in_worker, ids,\n"
+           "                                               len(ids) // (4 * processes)):\n"
+           "            done[utt] = decode_one(utt) if nbests is None else nbests\n"
+           "            while k < len(ids) and ids[k] in done:\n"
+           "                yield ids[k], done.pop(ids[k])\n"
+           "                k += 1\n",
+           ("tests/test_experiment.py::TestForkedDecode::"
+            "test_earliest_failing_id_raises_serial_error",)),
+    Mutant("forked-decode-beside-threads", "experiment.py",
+           "    if threading.active_count() > 1:\n"
+           "        return 1\n",
+           "",
+           ("tests/test_experiment.py::TestForkedDecode::"
+            "test_process_running_another_thread_starts_no_process",)),
+    Mutant("forked-decode-without-ids-per-process", "experiment.py",
+           "    return max(1, min(len(os.sched_getaffinity(0)), n_ids // 8))\n",
+           "    return max(1, len(os.sched_getaffinity(0)))\n",
+           ("tests/test_experiment.py::TestForkedDecode::test_few_ids_or_one_cpu_start_no_process",)),
     # -- values derived in one place, and the inputs that feed them ------------
     Mutant("inventory-lookup-is-a-parameter", "orthography.py",
            "    _syllable_len: int = field(init=False, repr=False, compare=False)\n",
@@ -250,16 +278,28 @@ MUTANTS = (
            ("tests/test_tokenizer.py::TestModelFile::test_malformed_vocab_line_names_line",)),
     Mutant("emission-writer-unchecked", "ctc.py",
            "    with located(path):\n"
-           "        _check_frames(cells)\n",
+           "        _from_cells(cells)\n",
            "",
            ("tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_a_frame_its_reader_rejects",)),
     Mutant("emission-writer-checks-float64", "ctc.py",
            "    with located(path):\n"
-           "        _check_frames(cells)\n",
+           "        _from_cells(cells)\n",
            "    with located(path):\n"
-           "        _check_frames(logits)\n",
+           "        _from_cells(logits)\n",
            ("tests/test_ctc.py::TestEmissionFiles::"
             "test_cell_past_float32_range_refused_binary_only",)),
+    Mutant("emission-writer-checks-frames-only", "ctc.py",
+           "    with located(path):\n"
+           "        _from_cells(cells)\n",
+           "    with located(path):\n"
+           "        if cells.size and not np.isfinite(cells.max(axis=1)).all():\n"
+           "            raise ValueError(\"a frame holds NaN or +inf, or no finite cell\")\n",
+           ("tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_rows_that_do_not_renormalize",
+            "tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_a_shape_its_reader_rejects")),
+    Mutant("arpa-writer-checks-unwritten-values", "lm.py",
+           "        ArpaModel(order=model.order, tables=tuple(read_back)).validate()\n",
+           "        ArpaModel(order=model.order, tables=model.tables).validate()\n",
+           ("tests/test_lm.py::TestArpaRoundTrip::test_writer_refuses_a_value_its_reader_rejects",)),
 )
 
 
