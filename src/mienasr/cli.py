@@ -42,12 +42,17 @@ def _read_lines(path):
 
 
 def _read_ids(path):
-    """Distinct utterance ids: each line's first TAB field, so "utt TAB text" files serve."""
+    """Distinct, non-empty utterance ids: each non-blank line's first TAB field, so
+    "utt TAB text" files serve."""
     line_of = {}   # id -> the line it is first on
     with located(path) as at:
         for at.line, ln in enumerate(read_utf8(path).splitlines(), 1):
+            if not ln.strip():
+                continue
             utt = ln.split("\t", 1)[0].strip()
-            if ln.strip() and line_of.setdefault(utt, at.line) != at.line:
+            if not utt:
+                raise ValueError("empty utterance id")
+            if line_of.setdefault(utt, at.line) != at.line:
                 raise ValueError(f"duplicate utterance id {utt!r}")
     return list(line_of)
 

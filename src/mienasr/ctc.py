@@ -41,8 +41,7 @@ class EmissionMatrix:
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=np.float64)
         object.__setattr__(self, "logits", logits)
-        if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
-            raise ValueError(f"emission matrix must be T>=1 by V>=2, got {logits.shape}")
+        _check_shape(logits)
         if np.isnan(logits).any() or np.isposinf(logits).any():
             raise ValueError("emission matrix holds NaN or +inf cells")
         if np.max(np.abs(_row_logsumexp(logits))) > 1e-5:
@@ -55,6 +54,11 @@ class EmissionMatrix:
     @property
     def vocab_size(self) -> int:
         return self.logits.shape[1]
+
+
+def _check_shape(logits: np.ndarray) -> None:
+    if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
+        raise ValueError(f"emission matrix must be T>=1 by V>=2, got {logits.shape}")
 
 
 def collapse(path: Sequence[int]) -> list[int]:
@@ -204,6 +208,8 @@ def write_emissions(path, logits: np.ndarray, binary: bool = True) -> None:
     nothing is written.
     """
     logits = np.asarray(logits, dtype=np.float64)
+    with located(path):
+        _check_shape(logits)
     T, V = logits.shape
     if binary:
         with np.errstate(over="ignore"):   # a cell past float32's range is inf, checked next

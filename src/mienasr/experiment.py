@@ -151,7 +151,7 @@ def normalize_text(text: str) -> str:
 
 
 def read_tagged(path) -> list[tuple[str, str]]:
-    """Non-blank "utt-id TAB text" lines with distinct ids; text is kept verbatim."""
+    """Non-blank "utt-id TAB text" lines with distinct, non-empty ids; text is kept verbatim."""
     utts, seen = [], set()
     with located(path, partial(PipelineError, "corpus")) as at:
         for at.line, line in enumerate(read_utf8(path).splitlines(), 1):
@@ -161,6 +161,8 @@ def read_tagged(path) -> list[tuple[str, str]]:
                 raise ValueError("expected 'utt-id TAB text'")
             utt, text = line.split("\t", 1)
             utt = utt.strip()
+            if not utt:
+                raise ValueError("empty utterance id")
             if utt in seen:
                 raise ValueError(f"duplicate utterance id {utt!r}")
             seen.add(utt)

@@ -268,20 +268,6 @@ def perplexity(model: ArpaModel, text: Iterable[str]) -> float:
         return math.inf
 
 
-def uniform_model(words: Sequence[str]) -> ArpaModel:
-    """Uniform unigram model: P = 1/len(words) for each listed word.
-
-    ``words`` must include </s> and <unk> so that scoring is total; its
-    perplexity on any text is exactly len(words).
-    """
-    if EOS not in words or UNK not in words:
-        raise ValueError("uniform model words must include </s> and <unk>")
-    logp = math.log10(1.0 / len(words))
-    table = {(w,): (logp, None) for w in words}
-    table[(BOS,)] = (LOG10_ZERO, None)
-    return ArpaModel(order=1, tables=(None, table))
-
-
 def normalization_mass(model: ArpaModel, history: Sequence[str]) -> float:
     """Sum of P(w|history) over the whole vocabulary (diagnostic)."""
     return sum(10.0 ** lm_score(model, history, w) for w in model.vocab)

@@ -11,24 +11,24 @@ import logging
 import math
 import random
 import time
-from itertools import product
 
 import numpy as np
 import pytest
 
 from mienasr import BLANK_TOKEN
-from mienasr.ctc import EmissionMatrix, collapse, ctc_loss, normalize_rows
-from mienasr.decoder import (LN10, DecodeConfig, build_prefix_tree,
-                             decode_phoneme)
+from mienasr.ctc import EmissionMatrix, ctc_loss, normalize_rows
+from mienasr.decoder import DecodeConfig, build_prefix_tree, decode_phoneme
 from mienasr.evaluate import error_rate, make_cv_plan, pool
 from mienasr.experiment import load_config, run_experiment
 from mienasr.fixtures import homophone_case, write_toy_experiment
 from mienasr.lexicon import (LexiconEntry, PhonemeVocab, build_lexicon,
                              derive_phoneme_vocab, g2p, longest_match)
-from mienasr.lm import (EOS, UNK, arpa_read, arpa_write, lm_score, lm_train,
-                        normalization_mass, perplexity, uniform_model)
+from mienasr.lm import (EOS, UNK, arpa_read, arpa_write, lm_train, normalization_mass,
+                        perplexity)
 from mienasr.orthography import parse_syllable, parse_word
 from mienasr.transfer import EmbeddingMatrix, transfer_init
+
+from oracles import brute_force_likelihood, brute_force_phoneme, edit_distances, uniform_lm
 
 
 def criterion(number, text):
@@ -56,10 +56,7 @@ def test_ctc_oracle():
         labels = rng.integers(1, V, size=int(rng.integers(0, 4))).tolist()
         logits = normalize_rows(rng.normal(size=(T, V)))
 
-        total = 0.0
-        for path in product(range(V), repeat=T):
-            if collapse(path) == labels:
-                total += math.exp(sum(logits[t, k] for t, k in enumerate(path)))
+        total = brute_force_likelihood(logits, labels)
         loss, grad = ctc_loss(logits, labels, with_grad=True)
         if total == 0.0:
             assert loss == math.inf
@@ -75,16 +72,6 @@ def test_ctc_oracle():
                 assert abs(grad[t, k] - fd) <= 1e-3 * max(1.0, abs(fd))
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"criterion 1 took {elapsed:.1f}s"
-
-
-def _lm_log10(model, words):
-    if model is None:
-        return 0.0
-    total, h = 0.0, ("<s>",)
-    for w in words:
-        total += lm_score(model, h, w)
-        h = h + (w,)
-    return total + lm_score(model, h, EOS)
 
 
 @criterion(2, "phoneme decoder with exhaustive beam equals brute-force enumeration")
@@ -108,38 +95,15 @@ def test_decoder_oracle():
         wip = float(rng.choice([-0.5, 0.0, 0.5]))
         logits = normalize_rows(rng.normal(size=(T, V)))
 
-        mass = {}
-        for path in product(range(V), repeat=T):
-            key = tuple(collapse(path))
-            mass[key] = mass.get(key, 0.0) + math.exp(
-                sum(logits[t, k] for t, k in enumerate(path)))
-        pron_ids = {e.word: tuple(vocab.index(t) for t in e.pron) for e in entries}
-        best = None
-
-        def rec(seq, ids):
-            nonlocal best
-            m = mass.get(ids, 0.0)
-            if m > 0.0:
-                score = (math.log(m) + lw * LN10 * _lm_log10(model, seq)
-                         + wip * len(seq))
-                cand = (-score, seq)
-                if best is None or cand < best:
-                    best = cand
-            if len(ids) < T:
-                for w in names:
-                    nids = ids + pron_ids[w]
-                    if len(nids) <= T:
-                        rec(seq + (w,), nids)
-
-        rec((), ())
+        best = brute_force_phoneme(logits, entries, vocab, model, lw, wip)
         tree = build_prefix_tree(entries, vocab)
         cfg = DecodeConfig(beam_size=10 ** 6, lm_weight=lw, word_insertion_penalty=wip)
         hyps = decode_phoneme(EmissionMatrix(logits=logits), tree, model, cfg)
         if best is None:
             assert not hyps
             continue
-        assert hyps[0].words == best[1]
-        assert abs(hyps[0].score - (-best[0])) <= 1e-6
+        assert hyps[0].words == best[0]
+        assert abs(hyps[0].score - best[1]) <= 1e-6
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"criterion 2 took {elapsed:.1f}s"
 
@@ -216,37 +180,18 @@ def test_lm_properties(tmp_path):
             if bow is not None:
                 assert abs(bow - bow2) <= 1e-9
 
-    uni = uniform_model(["a", "b", "c", "d", EOS, UNK])
+    uni = uniform_lm(["a", "b", "c", "d", EOS, UNK])
     assert perplexity(uni, ["a b c", "d a"]) == pytest.approx(6.0, abs=1e-12)
 
 
 @criterion(6, "edit-distance engine equals brute force on all pairs <= length 6")
 def test_error_rate_oracle(caplog):
     caplog.set_level(logging.ERROR, logger="mienasr.evaluate")
-
-    def reference(a, b):
-        memo = {}
-
-        def rec(i, j):
-            if (i, j) in memo:
-                return memo[(i, j)]
-            if i == len(a):
-                r = len(b) - j
-            elif j == len(b):
-                r = len(a) - i
-            else:
-                r = min(rec(i + 1, j + 1) + (a[i] != b[j]),
-                        rec(i, j + 1) + 1,
-                        rec(i + 1, j) + 1)
-            memo[(i, j)] = r
-            return r
-
-        return rec(0, 0)
-
+    # shorter sequences first, so each one's parent b[:-1] precedes it
     seqs = [tuple(t) for n in range(0, 7) for t in itertools.product("abc", repeat=n)]
     for a in seqs:
-        for b in seqs:
-            assert error_rate(a, b).errors == reference(a, b)
+        for b, reference in zip(seqs, edit_distances(a, seqs)):
+            assert error_rate(a, b).errors == reference
 
 
 @criterion(7, "transfer head: bit-exact copies, randomized tone digits, seeded")

@@ -232,6 +232,14 @@ class TestSplitScore:
             assert code == 1 and not out
             assert f"{ref}:2: duplicate utterance id 'u1'" in err
 
+    def test_score_rejects_empty_id(self, capsys, tmp_path):
+        ref = tmp_path / "ref.txt"
+        ref.write_text("u1\ta\n\tmienh dorn\n")
+        for metric in ("wer", "per"):
+            code, out, err = run(capsys, "score", "--metric", metric, "--ref", ref, "--hyp", ref)
+            assert code == 1 and not out
+            assert f"{ref}:2: empty utterance id" in err
+
     def test_score_missing_hyp_errors(self, capsys, tmp_path):
         ref = tmp_path / "ref.txt"
         hyp = tmp_path / "hyp.txt"
@@ -494,12 +502,13 @@ class TestInputFaultNamesFile:
     @pytest.mark.parametrize("command, flag, text, message", [
         ("vocab", "--lexicon", "", "{}: cannot derive a vocabulary from an empty lexicon"),
         ("split", "--ids", "u1\nu2\nu1\n", "{}:3: duplicate utterance id 'u1'"),
+        ("split", "--ids", "u1\n\tmienh dorn\nu2\n", "{}:2: empty utterance id"),
         ("lm-train", "--corpus", "u1\t\nu2\t \n", "{}: corpus has zero tokens"),
         ("bpe-train", "--corpus", "u1\t\n", "{}: empty training corpus"),
         ("bpe-train", "--corpus", "u1\ta\u2581b\n",
          "{}: training word 'a\u2581b' holds the word-boundary marker"),
-    ], ids=["empty-lexicon", "repeated-id", "wordless-lm-corpus", "wordless-bpe-corpus",
-            "marker-in-word"])
+    ], ids=["empty-lexicon", "repeated-id", "empty-id", "wordless-lm-corpus",
+            "wordless-bpe-corpus", "marker-in-word"])
     def test_fault_names_file(self, capsys, tmp_path, command, flag, text, message):
         path = tmp_path / "input.txt"
         path.write_text(text, encoding="utf-8")

@@ -3,7 +3,6 @@ import heapq
 import json
 import math
 import random
-from itertools import product
 from operator import attrgetter
 from pathlib import Path
 
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mienasr import BLANK_ID, BLANK_TOKEN
-from mienasr.ctc import NEG_INF, EmissionMatrix, collapse, greedy_decode, normalize_rows
+from mienasr.ctc import NEG_INF, EmissionMatrix, greedy_decode, normalize_rows
 from mienasr.decoder import (LN10, DecodeConfig, Hypothesis, _lae, _lm10, build_prefix_tree,
                              decode, decode_phoneme, spell_lm_words)
 from mienasr.fixtures import homophone_case, peaked_emissions
@@ -20,57 +19,11 @@ from mienasr.lexicon import LexiconEntry, PhonemeVocab
 from mienasr.lm import BOS, EOS, UNK, lm_score, lm_train
 from mienasr.tokenizer import MARKER, bpe_decode, bpe_encode, bpe_train
 
+from oracles import brute_force_phoneme, lm_log10
+
 
 def vocab_of(n):
     return PhonemeVocab((BLANK_TOKEN,) + tuple(f"p{i}" for i in range(1, n)))
-
-
-def lm_log10(model, words):
-    if model is None:
-        return 0.0
-    total, h = 0.0, (BOS,)
-    for w in words:
-        total += lm_score(model, h, w)
-        h = h + (w,)
-    return total + lm_score(model, h, EOS)
-
-
-def collapsed_mass(logits):
-    """Acoustic mass of every collapsed label sequence, by enumeration."""
-    T, V = logits.shape
-    mass = {}
-    for path in product(range(V), repeat=T):
-        key = tuple(collapse(path))
-        mass[key] = mass.get(key, 0.0) + math.exp(sum(logits[t, k] for t, k in enumerate(path)))
-    return mass
-
-
-def brute_force_phoneme(logits, entries, vocab, model, lm_weight, wip):
-    """Best word sequence over all (word sequence, alignment) pairs."""
-    mass = collapsed_mass(logits)
-    pron_ids = {e.word: tuple(vocab.index(t) for t in e.pron) for e in entries}
-    T = logits.shape[0]
-    best = [None]
-
-    def consider(seq, ids):
-        m = mass.get(ids, 0.0)
-        if m > 0.0:
-            score = math.log(m) + lm_weight * LN10 * lm_log10(model, seq) + wip * len(seq)
-            cand = (-score, seq)
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
-
-    def rec(seq, ids):
-        consider(seq, ids)
-        if len(ids) >= T:
-            return
-        for w in sorted(pron_ids):
-            nids = ids + pron_ids[w]
-            if len(nids) <= T:
-                rec(seq + (w,), nids)
-
-    rec((), ())
-    return (best[0][1], -best[0][0]) if best[0] else None
 
 
 LAE_ARG = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-math.inf))

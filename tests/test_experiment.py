@@ -556,6 +556,13 @@ class TestCorpusReader:
         with pytest.raises(PipelineError, match=re.escape(f"{p}:4: duplicate utterance id 'u1'")):
             read_corpus(p)
 
+    @pytest.mark.parametrize("line", ["\tmienh dorn", "  \tmienh dorn"], ids=["tab", "spaces"])
+    def test_empty_id_named_at_path_and_line(self, tmp_path, line):
+        p = tmp_path / "c.tsv"
+        p.write_text(f"u1\ta\n{line}\n")
+        with pytest.raises(PipelineError, match=re.escape(f"{p}:2: empty utterance id")):
+            read_corpus(p)
+
     def test_duplicate_corpus_id_is_a_corpus_error(self, tmp_path):
         cfg_path = write_toy_experiment(tmp_path / "toy")
         corpus = tmp_path / "toy" / "corpus.tsv"

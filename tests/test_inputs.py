@@ -249,6 +249,30 @@ class TestNoUnusedPrivateNames:
         assert unused == []
 
 
+# -- no public function that only tests call -------------------------------------
+
+class TestNoUncalledPublicFunctions:
+    def test_every_public_top_level_function_is_referenced(self):
+        """Each public top-level function's name occurs outside its own ``def``
+        in the package, the demos, the benchmark, the tools or README.md."""
+        root = SRC.parents[1]
+        texts = {p: p.read_text(encoding="utf-8") for d in ("src", "demos", "bench", "tools")
+                 for p in sorted((root / d).rglob("*.py"))}
+        texts[root / "README.md"] = (root / "README.md").read_text(encoding="utf-8")
+        unreferenced = []
+        for p in sorted(SRC.glob("*.py")):
+            lines = texts[p].splitlines()
+            for node in ast.parse(texts[p]).body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+                name = re.compile(rf"\b{node.name}\b")
+                if not any(name.search(rest if q == p else t) for q, t in texts.items()):
+                    unreferenced.append(f"{p.name}:{node.lineno}: {node.name}")
+        assert unreferenced == []
+
+
 # -- no recursion whose depth the input sets ---------------------------------
 
 # lm._backoff recurses once per history word it drops, so it is at most the

@@ -120,6 +120,10 @@ MUTANTS = (
            "        vp = ((hn << 1) | ~(hp | d0)) & full\n",
            "        vp = (hn << 1) | ~(hp | d0)\n",
            ("tests/test_evaluate.py::TestMatchesReference",)),
+    Mutant("myers-match-dropped-from-d0", "evaluate.py",
+           "        d0 = ((vp + (x & vp)) ^ vp) | x   # where D[i][j] = D[i-1][j-1]\n",
+           "        d0 = (vp + (x & vp)) ^ vp\n",
+           ("tests/test_acceptance.py::test_error_rate_oracle",)),
     Mutant("insertion-before-substitution", "evaluate.py",
            "        if d == diag + cost:\n"
            "            subs += cost\n"
@@ -199,6 +203,17 @@ MUTANTS = (
            "    return [normalize_text(ln.split(\"\\t\", 1)[1] if \"\\t\" in ln else ln)\n"
            "            for ln in _read_lines(path)]\n",
            ("tests/test_cli.py::TestLm::test_corpus_with_one_tab_missing_names_line",)),
+    Mutant("empty-id-listed", "cli.py",
+           "            if not utt:\n"
+           "                raise ValueError(\"empty utterance id\")\n",
+           "",
+           ("tests/test_cli.py::TestInputFaultNamesFile::test_fault_names_file[empty-id]",)),
+    Mutant("empty-id-in-corpus", "experiment.py",
+           "            if not utt:\n"
+           "                raise ValueError(\"empty utterance id\")\n",
+           "",
+           ("tests/test_experiment.py::TestCorpusReader::test_empty_id_named_at_path_and_line",
+            "tests/test_cli.py::TestSplitScore::test_score_rejects_empty_id")),
     Mutant("decode-reads-raw-id-lines", "cli.py",
            "decode_utterances(args.emissions, _read_ids(args.ids),",
            "decode_utterances(args.emissions, _read_lines(args.ids),",
@@ -294,8 +309,12 @@ MUTANTS = (
            "    with located(path):\n"
            "        if cells.size and not np.isfinite(cells.max(axis=1)).all():\n"
            "            raise ValueError(\"a frame holds NaN or +inf, or no finite cell\")\n",
-           ("tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_rows_that_do_not_renormalize",
-            "tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_a_shape_its_reader_rejects")),
+           ("tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_rows_that_do_not_renormalize",)),
+    Mutant("emission-writer-shape-unchecked", "ctc.py",
+           "    with located(path):\n"
+           "        _check_shape(logits)\n",
+           "",
+           ("tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_a_shape_its_reader_rejects",)),
     Mutant("arpa-writer-checks-unwritten-values", "lm.py",
            "        ArpaModel(order=model.order, tables=tuple(read_back)).validate()\n",
            "        ArpaModel(order=model.order, tables=model.tables).validate()\n",
