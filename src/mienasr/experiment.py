@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import os
+import pickle
 import signal
 import threading
 from contextlib import contextmanager
@@ -201,10 +202,11 @@ def _decode_one(utt, emissions_dir, cfg, lms, lex, bpe):
 
 
 def _decode_processes(n_ids: int) -> int:
-    """Processes that decode a call of ``n_ids`` ids: one per CPU this process
-    may run on, but no fewer than 8 ids each.  1 means in-process, as it is
-    where ``fork`` or CPU affinity is missing, and in a process that runs
-    other threads: a forked child could find a lock of theirs held forever."""
+    """Processes that decode a call of ``n_ids`` ids, this one included: one
+    per CPU this process may run on, but no fewer than 8 ids each.  1 means
+    in-process, as it is where ``fork`` or CPU affinity is missing, and in a
+    process that runs other threads: a forked child could find a lock of
+    theirs held forever."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     if threading.active_count() > 1:
@@ -212,51 +214,66 @@ def _decode_processes(n_ids: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_ids // 8))
 
 
-_worker_decode = None   # in a forked worker, the call's per-utterance decode
+def _fork_share(decode_one, share):
+    """Fork a child that decodes the ids of ``share`` in order, writing each
+    id's pickled n-best lists to a pipe, flushed per id.  It stops at the
+    first id whose decode raises, so the pipe's end is its failure marker.
+    Returns the child's pid and the pipe's reading end."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # every way out of the child is os._exit: an exception that unwound
+        # into the caller's stack would go on running the caller's code
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)   # Ctrl-C is the caller's to handle
+            os.close(r)
+            with open(w, "wb") as out:
+                for utt in share:
+                    pickle.dump(decode_one(utt), out)
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
 
 
-def _start_worker(decode_one) -> None:
-    global _worker_decode
-    _worker_decode = decode_one
-    signal.signal(signal.SIGINT, signal.SIG_IGN)   # Ctrl-C is the parent's to handle
-
-
-def _decode_in_worker(utt):
-    """``(utt, n-best lists)``, or ``(utt, None)`` if decoding ``utt`` raised:
-    the parent then decodes ``utt`` again and raises the error itself, with its
-    own traceback, so no exception has to cross the pipe."""
+def _receive(pipe):
+    """The next n-best lists a child wrote to ``pipe``, or None once it stopped:
+    it failed, or it died mid-share."""
     try:
-        return utt, _worker_decode(utt)
-    except Exception:
-        return utt, None
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):   # the end, or a cut-off last record
+        return None
 
 
 def decode_utterances(emissions_dir, ids, cfg: DecodeConfig, lms, *, lex=None, bpe=None):
     """Yield ``(utt, n-best lists)`` for each id in order, one list per LM in
     ``lms`` (None for no LM); a width mismatch is the emission file's fault.
 
-    With ``_decode_processes(len(ids))`` above 1 the ids are decoded in that
-    many forked processes, which inherit the models copy-on-write and send
-    back only n-best lists.  The results and any error are serial
-    decoding's: the earliest id that fails is decoded again in this process,
-    which raises its error.  No process outlives the call, even when the
-    caller stops early.
+    With ``n = _decode_processes(len(ids))`` above 1, this process decodes
+    ``ids[0::n]`` and n-1 forked children decode ``ids[1::n]`` ...
+    ``ids[n-1::n]``; they inherit the models copy-on-write and send back
+    only n-best lists.  The results and any error are serial decoding's: an
+    id whose child failed or died is decoded again in this process, which
+    raises its error.  No process outlives the call, even when the caller
+    stops early.
     """
     decode_one = partial(_decode_one, emissions_dir=emissions_dir, cfg=cfg, lms=lms,
                          lex=lex, bpe=bpe)
     ids = list(ids)
-    processes = _decode_processes(len(ids))
-    if processes == 1:
-        for utt in ids:
-            yield utt, decode_one(utt)
-        return
-    import multiprocessing
-    # leaving the block terminates the workers; four chunks per process even out
-    # uneven utterances at little messaging cost
-    with multiprocessing.get_context("fork").Pool(processes, _start_worker,
-                                                  (decode_one,)) as pool:
-        for utt, nbests in pool.imap(_decode_in_worker, ids, len(ids) // (4 * processes)):
+    n = _decode_processes(len(ids))
+    children = []   # (pid, pipe) of the child that decodes ids[k::n], k = 1..n-1
+    try:
+        for k in range(1, n):
+            children.append(_fork_share(decode_one, ids[k::n]))
+        for i, utt in enumerate(ids):
+            nbests = _receive(children[i % n - 1][1]) if i % n else None
             yield utt, decode_one(utt) if nbests is None else nbests
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 def run_experiment(cfg: PipelineConfig) -> ExperimentReport:

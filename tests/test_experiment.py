@@ -1,9 +1,9 @@
 import dataclasses
 import hashlib
-import multiprocessing
 import os
 import re
 import shutil
+import sys
 import threading
 from pathlib import Path
 
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mienasr
+import mienasr.experiment as experiment
 from mienasr.cli import main
 from mienasr.ctc import normalize_rows, read_emissions, write_emissions
 from mienasr.decoder import DecodeConfig, build_prefix_tree, spell_lm_words
@@ -70,7 +71,6 @@ class TestConfig:
 
     def test_custom_inventory_and_table_paths(self, toy, tmp_path):
         root, cfg_path = toy
-        import mienasr.lexicon as lx
         import mienasr.orthography as orth
         from pathlib import Path as P
         inv_copy = tmp_path / "inv.txt"
@@ -405,9 +405,35 @@ def lengthen(path: Path, times: int = 60) -> None:
     write_emissions(path, np.vstack([read_emissions(path).logits] * times))
 
 
+def live_children() -> list[int]:
+    """Pids of this process's children that are not yet reaped, zombies too."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = stat.read_text().rsplit(")", 1)[1].split()[1]   # "pid (comm) state ppid ..."
+        except OSError:   # the process ended while the list was read
+            continue
+        if int(ppid) == os.getpid():
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def fail_in_child(monkeypatch, utt: str, fail) -> None:
+    """Make a forked child call ``fail()`` when it comes to decode ``utt``."""
+    caller, decode_one = os.getpid(), experiment._decode_one
+
+    def decode(u, *args, **kwargs):
+        if u == utt and os.getpid() != caller:
+            fail()
+        return decode_one(u, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_decode_one", decode)
+
+
 class TestForkedDecode:
-    """A call of 16 or more ids on 2 CPUs decodes in 2 forked processes, with
-    serial decoding's results and errors, and leaves no process behind."""
+    """A call of 16 or more ids on 2 CPUs decodes every other id in this process
+    and the rest in 1 forked child, with serial decoding's results and errors,
+    and leaves no process behind."""
 
     @staticmethod
     def decode(monkeypatch, n_cpus, root, ids, lms, models):
@@ -422,9 +448,9 @@ class TestForkedDecode:
         assert any(len(hyps) > 1 for _, nbests in serial for hyps in nbests)
         forked = self.decode(monkeypatch, 2, tmp_path, *case)
         first = next(forked)
-        assert len(multiprocessing.active_children()) == 2
+        assert len(live_children()) == 1
         assert repr([first, *forked]) == repr(serial)
-        assert multiprocessing.active_children() == []
+        assert live_children() == []
 
     def test_ids_yielded_in_order_when_a_later_id_finishes_first(self, monkeypatch, tmp_path):
         ids, lms, models = noisy_decode_case(tmp_path, "phoneme")
@@ -433,9 +459,12 @@ class TestForkedDecode:
 
     def test_earliest_failing_id_raises_serial_error(self, monkeypatch, tmp_path):
         case = noisy_decode_case(tmp_path, "phoneme")
-        lengthen(tmp_path / "v0.em")   # v1 fails after v7 does
+        # the child fails at v1 while this process decodes v0; v6 (this
+        # process's share) and v7 fail later in id order
+        lengthen(tmp_path / "v0.em")
         write_emissions(tmp_path / "v1.em", np.log(np.full((3, 2), 0.5)))
-        (tmp_path / "v7.em").write_bytes(b"EMISMAT1\x05")
+        for utt in ("v6", "v7"):
+            (tmp_path / f"{utt}.em").write_bytes(b"EMISMAT1\x05")
         seen = []
         for n_cpus in (1, 2):
             done = []
@@ -443,7 +472,7 @@ class TestForkedDecode:
                 for utt, _ in self.decode(monkeypatch, n_cpus, tmp_path, *case):
                     done.append(utt)
             seen.append((done, type(info.value), str(info.value)))
-            assert multiprocessing.active_children() == []
+            assert live_children() == []
         assert seen[1] == seen[0]
         assert seen[0][0] == ["v0"]
         assert seen[0][2].startswith(f"{tmp_path / 'v1.em'}: emission vocab size 2 != ")
@@ -451,16 +480,38 @@ class TestForkedDecode:
     def test_closed_early_leaves_no_process(self, monkeypatch, tmp_path):
         decoding = self.decode(monkeypatch, 2, tmp_path, *noisy_decode_case(tmp_path, "phoneme"))
         next(decoding)
-        assert multiprocessing.active_children()
+        assert live_children()
         decoding.close()
-        assert multiprocessing.active_children() == []
+        assert live_children() == []
+
+    def test_child_dying_mid_share_yields_serial_results(self, monkeypatch, tmp_path):
+        case = noisy_decode_case(tmp_path, "phoneme")
+        serial = list(self.decode(monkeypatch, 1, tmp_path, *case))
+        fail_in_child(monkeypatch, "v5", lambda: os._exit(1))   # after v1 and v3
+        assert repr(list(self.decode(monkeypatch, 2, tmp_path, *case))) == repr(serial)
+        assert live_children() == []
+
+    def test_child_raising_system_exit_never_runs_callers_code(self, monkeypatch, tmp_path):
+        case = noisy_decode_case(tmp_path, "phoneme")
+        serial = list(self.decode(monkeypatch, 1, tmp_path, *case))
+        fail_in_child(monkeypatch, "v3", lambda: sys.exit(3))
+        caller, escaped = os.getpid(), tmp_path / "escaped"
+        try:
+            forked = list(self.decode(monkeypatch, 2, tmp_path, *case))
+        finally:
+            if os.getpid() != caller:   # a child unwound into this test: record it, stop it
+                escaped.write_text(f"{os.getpid()}\n")
+                os._exit(0)
+        assert not escaped.exists()
+        assert repr(forked) == repr(serial)
+        assert live_children() == []
 
     @pytest.mark.parametrize("n_ids, n_cpus", [(10, 2), (15, 2), (16, 1)])
     def test_few_ids_or_one_cpu_start_no_process(self, monkeypatch, tmp_path, n_ids, n_cpus):
         decoding = self.decode(monkeypatch, n_cpus, tmp_path,
                                *noisy_decode_case(tmp_path, "phoneme", n_ids))
         next(decoding)
-        assert multiprocessing.active_children() == []
+        assert live_children() == []
         decoding.close()
 
     def test_process_running_another_thread_starts_no_process(self, monkeypatch, tmp_path):
@@ -471,7 +522,7 @@ class TestForkedDecode:
             decoding = self.decode(monkeypatch, 2, tmp_path,
                                    *noisy_decode_case(tmp_path, "phoneme"))
             next(decoding)
-            assert multiprocessing.active_children() == []
+            assert live_children() == []
             decoding.close()
         finally:
             stop.set()
@@ -483,7 +534,7 @@ class TestForkedDecode:
         for _ in range(2):
             decoding = self.decode(monkeypatch, 2, tmp_path, *case)
             next(decoding)
-            assert len(multiprocessing.active_children()) == 2
+            assert len(live_children()) == 1
             assert len(list(decoding)) == 15
         assert threading.active_count() == 1
 

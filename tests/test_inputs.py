@@ -36,6 +36,7 @@ from mienasr.tokenizer import bpe_train, load_bpe, save_bpe
 from mienasr.transfer import EmbeddingMatrix, read_matrix, write_matrix
 
 SRC = Path(__file__).parents[1] / "src" / "mienasr"
+TESTS = Path(__file__).parent
 DATA = Path(orthography.__file__).parent / "data"
 HELPER = "inputs.py"
 CORPUS = ["mienh nyei dorn", "dorn maaih mienh", "maaih mienh nyei nyei", "nyei dorn"]
@@ -212,7 +213,7 @@ class TestOneDecodePath:
 class TestNoUnusedImports:
     def test_every_imported_name_is_used(self):
         unused = []
-        for p in sorted(SRC.glob("*.py")):
+        for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
             tree = ast.parse(p.read_text(encoding="utf-8"))
             imported = {}   # bound name -> line
             for node in ast.walk(tree):
@@ -221,8 +222,8 @@ class TestNoUnusedImports:
                     for alias in node.names:
                         imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
             used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            unused += [f"{p.name}:{line}: {name}" for name, line in imported.items()
-                       if name not in used]
+            unused += [f"{p.relative_to(SRC.parents[1])}:{line}: {name}"
+                       for name, line in imported.items() if name not in used]
         assert unused == []
 
 

@@ -219,23 +219,37 @@ MUTANTS = (
            "decode_utterances(args.emissions, _read_lines(args.ids),",
            ("tests/test_cli.py::TestDecodeCli::test_ids_read_as_split_reads_them",)),
     # -- decoding in forked processes ------------------------------------------
-    Mutant("forked-decode-yields-in-completion-order", "experiment.py",
-           "        for utt, nbests in pool.imap(_decode_in_worker,",
-           "        for utt, nbests in pool.imap_unordered(_decode_in_worker,",
+    Mutant("forked-decode-yields-own-share-first", "experiment.py",
+           "        for i, utt in enumerate(ids):\n",
+           "        for i, utt in sorted(enumerate(ids), key=lambda iu: iu[0] % n):\n",
            ("tests/test_experiment.py::TestForkedDecode::"
             "test_ids_yielded_in_order_when_a_later_id_finishes_first",)),
     Mutant("forked-decode-raises-first-error-to-arrive", "experiment.py",
-           "        for utt, nbests in pool.imap(_decode_in_worker, ids, len(ids) // (4 * processes)):\n"
-           "            yield utt, decode_one(utt) if nbests is None else nbests\n",
-           "        done, k = {}, 0\n"
-           "        for utt, nbests in pool.imap_unordered(_decode_in_worker, ids,\n"
-           "                                               len(ids) // (4 * processes)):\n"
-           "            done[utt] = decode_one(utt) if nbests is None else nbests\n"
-           "            while k < len(ids) and ids[k] in done:\n"
-           "                yield ids[k], done.pop(ids[k])\n"
-           "                k += 1\n",
+           "        for i, utt in enumerate(ids):\n"
+           "            nbests = _receive(children[i % n - 1][1]) if i % n else None\n",
+           "        own = {utt: decode_one(utt) for utt in ids[0::n]}\n"
+           "        for i, utt in enumerate(ids):\n"
+           "            nbests = _receive(children[i % n - 1][1]) if i % n else own[utt]\n",
            ("tests/test_experiment.py::TestForkedDecode::"
             "test_earliest_failing_id_raises_serial_error",)),
+    Mutant("forked-shares-read-out-of-id-order", "experiment.py",
+           "            nbests = _receive(children[i % n - 1][1]) if i % n else None\n",
+           "            nbests = _receive(children[i % n - 1][1]) if (i + 1) % n else None\n",
+           ("tests/test_experiment.py::TestForkedDecode::test_nbest_lists_equal_serial",)),
+    Mutant("forked-child-returns-on-exit", "experiment.py",
+           "                    out.flush()\n"
+           "        finally:\n"
+           "            os._exit(0)\n",
+           "                    out.flush()\n"
+           "            os._exit(0)\n"
+           "        except Exception:\n"
+           "            os._exit(1)\n",
+           ("tests/test_experiment.py::TestForkedDecode::"
+            "test_child_raising_system_exit_never_runs_callers_code",)),
+    Mutant("forked-children-not-reaped", "experiment.py",
+           "            os.waitpid(pid, 0)\n",
+           "",
+           ("tests/test_experiment.py::TestForkedDecode::test_closed_early_leaves_no_process",)),
     Mutant("forked-decode-beside-threads", "experiment.py",
            "    if threading.active_count() > 1:\n"
            "        return 1\n",
