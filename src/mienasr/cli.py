@@ -17,7 +17,8 @@ from . import transfer as transfer_mod
 from .decoder import DecodeConfig, build_prefix_tree, spell_lm_words
 from .evaluate import error_rate, make_cv_plan, pool
 from .experiment import (best_words, decode_utterances, load_config, normalize_text,
-                         read_corpus, read_tagged, run_experiment, tagged_line)
+                         read_corpus, read_tagged, run_experiment, tagged_line,
+                         tagged_lines)
 from .inputs import located, read_utf8, write_lines
 from .lexicon import (build_lexicon, derive_phoneme_vocab, load_g2p_table, read_lexicon,
                       read_vocab, write_lexicon, write_vocab)
@@ -42,19 +43,10 @@ def _read_lines(path):
 
 
 def _read_ids(path):
-    """Distinct, non-empty utterance ids: each non-blank line's first TAB field, so
+    """The ids of ``tagged_lines``, where a line without a TAB is all id, so
     "utt TAB text" files serve."""
-    line_of = {}   # id -> the line it is first on
     with located(path) as at:
-        for at.line, ln in enumerate(read_utf8(path).splitlines(), 1):
-            if not ln.strip():
-                continue
-            utt = ln.split("\t", 1)[0].strip()
-            if not utt:
-                raise ValueError("empty utterance id")
-            if line_of.setdefault(utt, at.line) != at.line:
-                raise ValueError(f"duplicate utterance id {utt!r}")
-    return list(line_of)
+        return [utt for utt, _ in tagged_lines(read_utf8(path), at, tab_required=False)]
 
 
 def _read_transcripts(path):

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import BLANK_ID
-from .inputs import located, read_utf8, write_lines
+from .inputs import located, read_utf8
 
 _MAGIC = b"EMISMAT1"
 NEG_INF = -np.inf
@@ -64,12 +64,6 @@ def _check_shape(logits: np.ndarray) -> None:
 def collapse(path: Sequence[int]) -> list[int]:
     """CTC collapse: remove adjacent repeats, then remove blanks."""
     return [k for k, _ in groupby(path) if k != BLANK_ID]
-
-
-def min_frames(labels: Sequence[int]) -> int:
-    """Shortest path length that can emit ``labels``: length + adjacent repeats."""
-    repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
-    return len(labels) + repeats
 
 
 def _extended(labels: Sequence[int]) -> np.ndarray:
@@ -198,38 +192,30 @@ def normalize_rows(scores: np.ndarray) -> np.ndarray:
         return scores - _row_logsumexp(scores)[:, None]
 
 
-def write_emissions(path, logits: np.ndarray, binary: bool = True) -> None:
-    """Persist an emission matrix.
+def write_emissions(path, logits: np.ndarray) -> None:
+    """Persist an emission matrix in the binary container: magic "EMISMAT1",
+    uint32 T and V (little-endian), then T*V row-major float32 values.
 
-    Binary container: magic "EMISMAT1", uint32 T and V (little-endian), then
-    T*V row-major float32 values.  The text alternative is a "T V" header
-    line followed by T whitespace-separated rows.  A matrix that
-    ``read_emissions`` would reject, as its cells are stored, is refused and
-    nothing is written.
+    A matrix that ``read_emissions`` would reject, as its cells are stored,
+    is refused and nothing is written.
     """
     logits = np.asarray(logits, dtype=np.float64)
     with located(path):
         _check_shape(logits)
-    T, V = logits.shape
-    if binary:
         with np.errstate(over="ignore"):   # a cell past float32's range is inf, checked next
             cells = logits.astype("<f4")
-    else:
-        rows = [" ".join(f"{x:.8e}" for x in row) for row in logits]
-        cells = np.array([[float(x) for x in row.split()] for row in rows]).reshape(T, V)
-    with located(path):
         _from_cells(cells)
-    if binary:
-        with open(path, "wb") as f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<II", T, V))
-            f.write(cells.tobytes(order="C"))
-    else:
-        write_lines(path, [f"{T} {V}"] + rows)
+    with open(path, "wb") as f:
+        f.write(_MAGIC)
+        f.write(struct.pack("<II", *cells.shape))
+        f.write(cells.tobytes(order="C"))
 
 
 def read_emissions(path) -> EmissionMatrix:
     """Load an emission matrix, sniffing binary vs text by the magic string.
+
+    The text form, which only other writers make, is a "T V" header line
+    followed by T rows of V whitespace-separated values.
 
     Rows are renormalized on load so float32 storage round-trips cleanly
     through the normalization invariant.  Bad files raise ValueError naming

@@ -41,13 +41,15 @@ product of the same two floats has the same bits wherever it is formed,
 and the floor, the expansion and the cut all sum a score in one order,
 ``(acoustic + LM term) + insertion term``.  Trie arcs are read from
 ``TrieNode.arcs``, each node's children as ``(phone, child index, child)``
-tuples compiled once with the tree.  A completed hypothesis adds ``</s>``
-to its record's lm10; completed hypotheses are ordered by score, then word
-sequence.  The LM term is at most 0 and may be ``-inf``, so an insertion
-term must stay finite: ``+inf`` would meet it as NaN.  Every word takes at
-least one frame, so ``word_insertion_penalty`` times the frame count bounds
-every insertion term; the search raises ValueError up front, before any
-hypothesis forms, when that bound is not finite.
+tuples in first-seen order.  A completed hypothesis adds ``</s>`` to its
+record's lm10; completed hypotheses are ordered by score, then word
+sequence.  Every word takes at least one frame, so a hypothesis holds at
+most T words, for T frames, and the terms are bounded up front, before any
+hypothesis forms: the search raises ValueError when
+``word_insertion_penalty`` times T is not finite, or, with an LM, when
+``lm_weight * ln 10`` times the largest LM log10 magnitude of T words and
+``</s>`` is not (each word sums at most ``order`` ARPA values, each above
+-323.3).  So every LM and insertion term is finite, and no two meet as NaN.
 
 Log-adding into ``-inf`` returns the other operand without calling
 ``_lae``, in the self-loop, at every site that pools into a key and where
@@ -108,7 +110,7 @@ from typing import Optional, Sequence
 from . import BLANK_ID
 from .ctc import EmissionMatrix, NEG_INF, greedy_decode
 from .lexicon import LexiconEntry, PhonemeVocab
-from .lm import BOS, EOS, UNK, ArpaModel, lm_score
+from .lm import _LOG10_MIN, BOS, EOS, UNK, ArpaModel, lm_score
 from .tokenizer import BpeModel, bpe_decode, bpe_encode
 
 LN10 = math.log(10.0)
@@ -146,12 +148,10 @@ class Hypothesis:
 
 
 class TrieNode:
-    __slots__ = ("children", "arcs", "words", "phone", "idx")
+    __slots__ = ("arcs", "words", "phone", "idx")
 
     def __init__(self, phone: Optional[int], idx: int):
-        self.children: dict[int, TrieNode] = {}
-        # ``children`` as (phone, child index, child), in insertion order;
-        # build_prefix_tree fills it once the tree is complete
+        # the children as (phone, child index, child), in first-seen order
         self.arcs: tuple[tuple[int, int, TrieNode], ...] = ()
         self.words: tuple[str, ...] = ()
         self.phone = phone   # phoneme id on the incoming arc, None at root
@@ -175,7 +175,7 @@ def build_prefix_tree(lexicon: Sequence[LexiconEntry], vocab: PhonemeVocab) -> P
     if not lexicon:
         raise ValueError("empty lexicon")
     root = TrieNode(None, 0)
-    nodes = [root]
+    child_of: dict[tuple[int, int], TrieNode] = {}   # (node index, phone) -> child
     for entry in lexicon:
         node = root
         for tok in entry.pron:
@@ -183,17 +183,14 @@ def build_prefix_tree(lexicon: Sequence[LexiconEntry], vocab: PhonemeVocab) -> P
                 pid = vocab.index(tok)
             except KeyError as e:
                 raise ValueError(f"word {entry.word!r}: {e.args[0]}") from None
-            nxt = node.children.get(pid)
+            nxt = child_of.get((node.idx, pid))
             if nxt is None:
-                nxt = TrieNode(pid, len(nodes))
-                nodes.append(nxt)
-                node.children[pid] = nxt
+                nxt = child_of[node.idx, pid] = TrieNode(pid, len(child_of) + 1)
+                node.arcs += ((pid, nxt.idx, nxt),)   # few arcs a node, so a growing tuple is cheap
             node = nxt
         if entry.word not in node.words:
             node.words = tuple(sorted(node.words + (entry.word,)))
-    for node in nodes:
-        node.arcs = tuple([(k, child.idx, child) for k, child in node.children.items()])
-    return PrefixTree(root=root, vocab=vocab, node_count=len(nodes) - 1)
+    return PrefixTree(root=root, vocab=vocab, node_count=len(child_of))
 
 
 def spell_lm_words(bpe: BpeModel, lm: ArpaModel) -> PrefixTree:
@@ -221,6 +218,14 @@ def _check_insertion_bound(wip: float, frames: int) -> None:
     # every word takes at least one frame, so no hypothesis holds more than `frames` words
     if not -math.inf < wip * frames < math.inf:
         raise ValueError(f"word_insertion_penalty {wip} times {frames} frames is not finite")
+
+
+def _check_lm_bound(lam: float, order: int, frames: int) -> None:
+    # a word's LM log10 sums at most `order` ARPA values, each above _LOG10_MIN, and a
+    # hypothesis scores at most `frames` words and </s>
+    if not lam * LN10 * -_LOG10_MIN * order * (frames + 1) < math.inf:
+        raise ValueError(f"lm_weight {lam} times an order-{order} LM's largest log10 over "
+                         f"{frames} frames is not finite")
 
 
 def _lae(x: float, y: float) -> float:
@@ -256,8 +261,10 @@ def decode_phoneme(
             f"emission vocab size {em.vocab_size} != lexicon phoneme vocab {len(lex.vocab)}"
         )
     _check_insertion_bound(cfg.word_insertion_penalty, em.logits.shape[0])
+    if lm is not None:
+        _check_lm_bound(cfg.lm_weight, lm.order, em.logits.shape[0])
     root = lex.root
-    roots = root.children     # phone -> root child
+    roots = {k: child for k, _, child in root.arcs}     # phone -> root child
     root_nodes = frozenset(roots.values())
     beam_size = cfg.beam_size
     lam, wip = cfg.lm_weight, cfg.word_insertion_penalty

@@ -122,24 +122,19 @@ def load_config(path) -> PipelineConfig:
 
 
 @dataclass
-class RunResult:
-    run: int
-    rates: dict[tuple[str, str], float]   # (metric, "no-lm" or "with-lm") -> rate, as in scores.txt
-
-
-@dataclass
 class ExperimentReport:
     model_id: str
-    runs: list[RunResult] = field(default_factory=list)
+    # run r's rates table: (metric, "no-lm" or "with-lm") -> rate, as in its scores.txt
+    runs: list[dict[tuple[str, str], float]] = field(default_factory=list)
 
     def rate(self, metric: str, lm: str) -> float:
         """One rate averaged over the runs."""
-        return aggregate([r.rates[metric, lm] for r in self.runs])
+        return aggregate([rates[metric, lm] for rates in self.runs])
 
     def to_text(self) -> str:
-        metrics = dict.fromkeys(m for r in self.runs for m, _ in r.rates)   # WER, then PER
-        rows = [(r.run, m, r.rates[m, "no-lm"], r.rates[m, "with-lm"])
-                for r in self.runs for m in metrics]
+        metrics = dict.fromkeys(m for rates in self.runs for m, _ in rates)   # WER, then PER
+        rows = [(r, m, rates[m, "no-lm"], rates[m, "with-lm"])
+                for r, rates in enumerate(self.runs) for m in metrics]
         rows += [("avg", m, self.rate(m, "no-lm"), self.rate(m, "with-lm")) for m in metrics]
         lines = [f"model\t{self.model_id}", "run\tmetric\ttest-wo-lm\ttest-with-lm"]
         lines += [f"{run}\t{m}\t{no_lm:.4f}\t{with_lm:.4f}" for run, m, no_lm, with_lm in rows]
@@ -151,24 +146,34 @@ def normalize_text(text: str) -> str:
     return " ".join(text.lower().split())
 
 
+def tagged_lines(text: str, at, tab_required: bool = True):
+    """Yield ``(utt-id, rest)`` for each non-blank line of ``text``, with
+    ``at.line`` set to its number while it is checked.
+
+    The id is the line's first TAB field, stripped; it must be non-empty and
+    distinct.  A line with no TAB is a fault if ``tab_required``, else all id.
+    """
+    seen = set()
+    for at.line, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        if tab_required and "\t" not in line:
+            raise ValueError("expected 'utt-id TAB text'")
+        utt, _, rest = line.partition("\t")
+        utt = utt.strip()
+        if not utt:
+            raise ValueError("empty utterance id")
+        if utt in seen:
+            raise ValueError(f"duplicate utterance id {utt!r}")
+        seen.add(utt)
+        yield utt, rest
+    at.line = None
+
+
 def read_tagged(path) -> list[tuple[str, str]]:
-    """Non-blank "utt-id TAB text" lines with distinct, non-empty ids; text is kept verbatim."""
-    utts, seen = [], set()
+    """The "utt-id TAB text" lines of ``tagged_lines``, at least one; text is kept verbatim."""
     with located(path, partial(PipelineError, "corpus")) as at:
-        for at.line, line in enumerate(read_utf8(path).splitlines(), 1):
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise ValueError("expected 'utt-id TAB text'")
-            utt, text = line.split("\t", 1)
-            utt = utt.strip()
-            if not utt:
-                raise ValueError("empty utterance id")
-            if utt in seen:
-                raise ValueError(f"duplicate utterance id {utt!r}")
-            seen.add(utt)
-            utts.append((utt, text))
-        at.line = None
+        utts = list(tagged_lines(read_utf8(path), at))
         if not utts:
             raise ValueError("no utterances")
     return utts
@@ -309,7 +314,7 @@ def run_experiment(cfg: PipelineConfig) -> ExperimentReport:
     return report
 
 
-def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunResult:
+def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> dict:
     run = f"run {r}: "
     with _stage("split", run):
         out_dir.mkdir(exist_ok=True)
@@ -367,4 +372,4 @@ def _run_one(cfg, decode_cfg, r, plan, texts, inv, table, out_dir: Path) -> RunR
             rates[metric, "with-lm"], rates[metric, "no-lm"] = (pool(rep).rate for rep in reports)
         write_lines(out_dir / "scores.txt", [f"{metric}\t{lm}\t{rates[metric, lm]:.6f}"
                                              for metric in units for lm in ("no-lm", "with-lm")])
-    return RunResult(run=r, rates=rates)
+    return rates

@@ -229,12 +229,11 @@ def lm_score(model: ArpaModel, history: Sequence[str], word: str) -> float:
 
 
 def _backoff(model, h, w):
+    # ``w`` is a listed unigram or <unk>, which validate requires, so the gram is found by h == ()
     gram = h + (w,)
     entry = model.tables[len(gram)].get(gram)
     if entry is not None:
         return entry[0]
-    if not h:
-        return model.tables[1][(w,)][0]
     h_entry = model.tables[len(h)].get(h)
     bow = h_entry[1] if h_entry is not None and h_entry[1] is not None else 0.0
     return bow + _backoff(model, h[1:], w)

@@ -44,15 +44,14 @@ class InventoryError(ValueError):
 class ParseError(ValueError):
     """Input does not decompose under the inventory.
 
-    ``position`` is the offset of the first character that could not be
-    consumed; ``remainder`` is the suffix starting there.
+    ``position`` is the offset in ``text`` of the first character that
+    could not be consumed.
     """
 
     def __init__(self, message: str, text: str, position: int):
         super().__init__(message)
         self.text = text
         self.position = position
-        self.remainder = text[position:]
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 """References that the tests compare the library with.
 
-Enumeration of every CTC path and of every word sequence, the textbook
-edit-distance recurrence, and a language model whose perplexity is known.
+Enumeration of every CTC path and of every word sequence, emission files
+written byte by byte, the textbook edit-distance recurrence, and a language
+model whose perplexity is known.
 None shares code with the computation it checks, so a fault there cannot
 hide in its own reference.  Tests import them from here, so each reference
 has one definition; pytest collects no tests from this module.
 """
 
 import math
+import struct
 from itertools import product
+
+import numpy as np
 
 from mienasr.ctc import collapse
 from mienasr.decoder import LN10
@@ -32,6 +36,22 @@ def collapsed_mass(logits):
 def brute_force_likelihood(logits, labels):
     """P(labels): the mass of the paths that collapse to ``labels``, 0.0 if none."""
     return collapsed_mass(logits).get(tuple(labels), 0.0)
+
+
+# -- emission files, as another writer stores them ------------------------------
+
+def stored_emissions(path, rows, binary):
+    """``rows`` stored as they are, checked by nothing: as float32 cells in the
+    EMISMAT1 container, or as text, a "T V" header and rows of float64 ``repr``."""
+    cells = np.asarray(rows, dtype=np.float64)
+    T, V = cells.shape
+    if binary:
+        with np.errstate(over="ignore"):
+            payload = cells.astype("<f4").tobytes()
+        path.write_bytes(b"EMISMAT1" + struct.pack("<II", T, V) + payload)
+    else:
+        path.write_text(f"{T} {V}\n" + "".join(" ".join(map(repr, row)) + "\n"
+                                               for row in cells.tolist()), encoding="utf-8")
 
 
 # -- lexicon decoding ------------------------------------------------------------

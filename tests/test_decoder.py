@@ -56,7 +56,8 @@ class TestBuildPrefixTree:
         assert tree.node_count == 3
         node = tree.root
         for tok in ("p1", "p2", "p3"):
-            node = node.children[vocab.index(tok)]
+            [(pid, _, node)] = node.arcs
+            assert pid == vocab.index(tok)
         assert node.words == ("w",)
 
     def test_shared_prefix(self):
@@ -64,14 +65,15 @@ class TestBuildPrefixTree:
         tree = build_prefix_tree(
             [LexiconEntry("ab", ("p1", "p2")), LexiconEntry("ac", ("p1", "p3"))], vocab)
         assert tree.node_count == 3
-        assert len(tree.root.children) == 1
+        assert len(tree.root.arcs) == 1
 
     def test_duplicate_pron_merges_with_two_finals(self):
         vocab = vocab_of(3)
         tree = build_prefix_tree(
             [LexiconEntry("x", ("p1",)), LexiconEntry("y", ("p1",))], vocab)
         assert tree.node_count == 1
-        assert tree.root.children[1].words == ("x", "y")
+        [(_, _, node)] = tree.root.arcs
+        assert node.words == ("x", "y")
 
     def test_real_lexicon_shares_nodes(self, inv, g2p_table):
         from mienasr.lexicon import build_lexicon, derive_phoneme_vocab
@@ -88,18 +90,29 @@ class TestBuildPrefixTree:
             build_prefix_tree([LexiconEntry("w", ("zz",))], vocab_of(3))
 
     def test_arcs_list_children(self, packaged_trie):
-        """Every node's arcs are its children as (phone, index, child), in
-        insertion order, on the ~1,000-word trie and on a spelled LM trie."""
-        _, tree, lm = packaged_trie
+        """Every node's arcs are its children as (phone, index, child), one per
+        phone, in the order the lexicon's pronunciations first reach them, on
+        the ~1,000-word trie and on a spelled LM trie."""
+        entries, tree, lm = packaged_trie
         words = sorted(set(lm.vocab) - {BOS, EOS, UNK})
-        spelled_tree = spell_lm_words(bpe_train(words, vocab_size=80), lm)
-        for t in (tree, spelled_tree):
-            stack, visited = [t.root], 0
+        bpe = bpe_train(words, vocab_size=80)
+        spelled_tree = spell_lm_words(bpe, lm)
+        spelled = [LexiconEntry(w, tuple(bpe.vocab[i] for i in bpe_encode(w, bpe)))
+                   for w in words]
+        for t, lexicon in ((tree, entries), (spelled_tree, spelled)):
+            first_seen = {}   # path of phones -> the phones that first extend it, in order
+            for e in lexicon:
+                path = tuple(t.vocab.index(tok) for tok in e.pron)
+                for i in range(len(path)):
+                    first_seen.setdefault(path[:i], {}).setdefault(path[i])
+            stack, visited = [((), t.root)], 0
             while stack:
-                node = stack.pop()
+                path, node = stack.pop()
                 visited += 1
-                assert node.arcs == tuple((k, c.idx, c) for k, c in node.children.items())
-                stack.extend(node.children.values())
+                assert [k for k, _, _ in node.arcs] == list(first_seen.get(path, ()))
+                for k, idx, child in node.arcs:
+                    assert (idx, child.phone) == (child.idx, k)
+                    stack.append((path + (k,), child))
             assert visited == t.node_count + 1
 
 
@@ -322,14 +335,16 @@ class TestDispatcher:
             DecodeConfig(lm_weight=lm_weight)
 
     def test_largest_accepted_lm_weight_scores_without_nan(self):
+        """DecodeConfig accepts 1e307, but with an LM the decode refuses it:
+        its LM term could overflow (TestLmTermOverflow)."""
         lm_weight = 1e307
         assert math.isfinite(lm_weight * LN10)
         model = lm_train(["a", "a", "a"], order=2, smoothing="mle")   # P(a | <s>) = 1
         assert lm_score(model, (BOS,), "a") == 0.0
         tree = build_prefix_tree([LexiconEntry("a", ("p1",))], vocab_of(2))
         em = EmissionMatrix(logits=peaked_emissions([1], 2))
-        hyps = decode_phoneme(em, tree, model, DecodeConfig(lm_weight=lm_weight))
-        assert all(not math.isnan(h.score) for h in hyps)
+        with pytest.raises(ValueError, match="lm_weight"):
+            decode_phoneme(em, tree, model, DecodeConfig(lm_weight=lm_weight))
 
 
 def two_word_case():
@@ -371,6 +386,34 @@ class TestInsertionTermOverflow:
         em, tree, model = two_word_case()
         hyps = decode_phoneme(em, tree, model, DecodeConfig(word_insertion_penalty=5e307))
         assert hyps and all(math.isfinite(h.score) for h in hyps)
+
+
+class TestLmTermOverflow:
+    """Every ARPA value lies above -323.3 in log10, a word's log10 sums at most
+    ``order`` of them, and a hypothesis scores at most T words and ``</s>``:
+    an ``lm_weight`` that could take that LM term past the float range is an
+    error before the search, never a ``-inf`` score."""
+
+    @staticmethod
+    def limit(order, frames):
+        return 1.7976931348623157e308 / (LN10 * 323.3 * order * (frames + 1))
+
+    def test_lm_weight_past_the_bound_names_the_setting(self):
+        em, tree, model = two_word_case()
+        cfg = DecodeConfig(lm_weight=self.limit(model.order, em.frames) * (1 + 1e-9))
+        with pytest.raises(ValueError, match="lm_weight"):
+            decode_phoneme(em, tree, model, cfg)
+
+    def test_lm_weight_below_the_bound_scores_finitely(self):
+        em, tree, model = two_word_case()
+        cfg = DecodeConfig(lm_weight=self.limit(model.order, em.frames) * (1 - 1e-9))
+        hyps = decode_phoneme(em, tree, model, cfg)
+        assert hyps and all(math.isfinite(h.score) for h in hyps)
+
+    def test_no_lm_has_no_lm_term_to_bound(self):
+        em, tree, _ = two_word_case()
+        hyps = decode_phoneme(em, tree, None, DecodeConfig(lm_weight=1e307))
+        assert hyps[0].words == ("b", "a") and math.isfinite(hyps[0].score)
 
 
 GOLDEN_NBEST = Path(__file__).parent / "data" / "decoder_golden_nbest.json"
@@ -549,12 +592,12 @@ def ref_decode_phoneme(em, lex, lm, cfg):
     root = lex.root
 
     def expand(words, node, lm10):
-        for pid, child in node.children.items():
+        for pid, _, child in node.arcs:
             yield pid, (words, child), lm10
         for w in node.words:
             w_lm10 = lm10 + _lm10(lm, (BOS,) + words, w)
             new_words = words + (w,)
-            for pid, child in root.children.items():
+            for pid, _, child in root.arcs:
                 yield pid, (new_words, child), w_lm10
 
     def finish(words, node, lm10):

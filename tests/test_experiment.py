@@ -16,7 +16,7 @@ from mienasr.cli import main
 from mienasr.ctc import normalize_rows, read_emissions, write_emissions
 from mienasr.decoder import DecodeConfig, build_prefix_tree, spell_lm_words
 from mienasr.evaluate import make_cv_plan
-from mienasr.experiment import (ExperimentReport, PipelineConfig, PipelineError, RunResult,
+from mienasr.experiment import (ExperimentReport, PipelineConfig, PipelineError,
                                 decode_utterances, load_config, read_corpus, run_experiment)
 from mienasr.fixtures import (BPE_TOY_SIZE, TOY_UTTS, TOY_WORDS, peaked_emissions,
                               write_toy_experiment)
@@ -264,7 +264,7 @@ class TestToyExperiment:
         report = run_experiment(cfg)
         assert report.rate("WER", "no-lm") == 0.0
         assert report.rate("WER", "with-lm") == 0.0
-        assert report.runs[0].rates["PER", "with-lm"] == 0.0
+        assert report.runs[0]["PER", "with-lm"] == 0.0
 
     def test_artifacts_written(self, toy, tmp_path):
         _, cfg_path = toy
@@ -310,7 +310,7 @@ class TestToyExperiment:
         cfg.output_dir = tmp_path / "out"
         report = run_experiment(cfg)
         assert report.rate("WER", "no-lm") == 1.0 and report.rate("WER", "with-lm") == 1.0
-        assert report.runs[0].rates["PER", "with-lm"] == 1.0
+        assert report.runs[0]["PER", "with-lm"] == 1.0
         for name in ("hyp_with_lm.txt", "hyp_without_lm.txt"):
             line = (cfg.output_dir / "run0" / name).read_text(encoding="utf-8")
             assert line.endswith("\t\n") and line.count("\n") == 1
@@ -355,7 +355,7 @@ class TestSubwordExperiment:
         cfg.output_dir = tmp_path / "out1"
         report = run_experiment(cfg)
         assert report.rate("WER", "no-lm") == 0.0 and report.rate("WER", "with-lm") == 0.0
-        assert ("PER", "no-lm") not in report.runs[0].rates  # PER is a phoneme-mode metric
+        assert ("PER", "no-lm") not in report.runs[0]  # PER is a phoneme-mode metric
         first = tree_digest(cfg.output_dir)
         cfg.output_dir = tmp_path / "out2"
         run_experiment(cfg)
@@ -656,10 +656,10 @@ class TestReportText:
     """report.txt rows come from each run's rates table, in scores.txt's metric order."""
 
     def test_rows_and_averages(self):
-        runs = [RunResult(0, {("WER", "with-lm"): 0.25, ("WER", "no-lm"): 0.5,
-                              ("PER", "with-lm"): 0.125, ("PER", "no-lm"): 0.375}),
-                RunResult(1, {("WER", "with-lm"): 0.75, ("WER", "no-lm"): 1.0,
-                              ("PER", "with-lm"): 0.0, ("PER", "no-lm"): 0.5})]
+        runs = [{("WER", "with-lm"): 0.25, ("WER", "no-lm"): 0.5,
+                 ("PER", "with-lm"): 0.125, ("PER", "no-lm"): 0.375},
+                {("WER", "with-lm"): 0.75, ("WER", "no-lm"): 1.0,
+                 ("PER", "with-lm"): 0.0, ("PER", "no-lm"): 0.5}]
         report = ExperimentReport("phoneme-ctc", runs)
         assert report.to_text() == (
             "model\tphoneme-ctc\nrun\tmetric\ttest-wo-lm\ttest-with-lm\n"
@@ -670,7 +670,7 @@ class TestReportText:
         assert report.rate("PER", "no-lm") == 0.4375
 
     def test_wer_only_runs(self):
-        report = ExperimentReport("subword-ctc", [RunResult(0, {("WER", "with-lm"): 0.5,
-                                                                ("WER", "no-lm"): 0.25})])
+        report = ExperimentReport("subword-ctc", [{("WER", "with-lm"): 0.5,
+                                                   ("WER", "no-lm"): 0.25}])
         assert report.to_text().splitlines()[2:] == ["0\tWER\t0.2500\t0.5000",
                                                      "avg\tWER\t0.2500\t0.5000"]

@@ -13,7 +13,6 @@ import io
 import math
 import random
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +29,13 @@ from mienasr.fixtures import TOY_UTTS, write_toy_experiment
 from mienasr.inputs import located
 from mienasr.lexicon import (LexiconEntry, PhonemeVocab, TableError, load_g2p_table,
                              read_lexicon, read_vocab, write_lexicon, write_vocab)
-from mienasr.lm import ArpaError, arpa_read, arpa_write, lm_train
+from mienasr.lm import (_LOG10_MAX, _LOG10_MIN, ArpaError, ArpaModel, _fmt, arpa_read,
+                        arpa_write, lm_train)
 from mienasr.orthography import InventoryError, load_inventory
 from mienasr.tokenizer import bpe_train, load_bpe, save_bpe
 from mienasr.transfer import EmbeddingMatrix, read_matrix, write_matrix
+
+from oracles import stored_emissions
 
 SRC = Path(__file__).parents[1] / "src" / "mienasr"
 TESTS = Path(__file__).parent
@@ -78,7 +80,10 @@ def _bpe(d):
 
 def _emissions(d, binary):
     logits = normalize_rows(np.random.default_rng(0).normal(size=(4, 5)))
-    write_emissions(d / "x.em", logits, binary=binary)
+    if binary:
+        write_emissions(d / "x.em", logits)
+    else:   # the text form, as another writer makes it
+        write_lines(d / "x.em", ["4 5"] + [" ".join(f"{x:.8e}" for x in row) for row in logits])
     return d / "x.em"
 
 
@@ -252,25 +257,38 @@ class TestNoUnusedPrivateNames:
 
 # -- no public function that only tests call -------------------------------------
 
+def _refers_to(node):
+    """The name a node of code refers to, if any: a name, an attribute or an
+    imported name; text in a string or a comment refers to nothing."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
 class TestNoUncalledPublicFunctions:
     def test_every_public_top_level_function_is_referenced(self):
-        """Each public top-level function's name occurs outside its own ``def``
-        in the package, the demos, the benchmark, the tools or README.md."""
+        """Code refers to each public top-level function outside its own
+        ``def``: in the package, the demos, the benchmark, the tools or the
+        release criteria of test_acceptance.py."""
         root = SRC.parents[1]
-        texts = {p: p.read_text(encoding="utf-8") for d in ("src", "demos", "bench", "tools")
-                 for p in sorted((root / d).rglob("*.py"))}
-        texts[root / "README.md"] = (root / "README.md").read_text(encoding="utf-8")
+        files = [p for d in ("src", "demos", "bench", "tools")
+                 for p in sorted((root / d).rglob("*.py"))] + [TESTS / "test_acceptance.py"]
+        trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+        refs = {}   # name -> the nodes that refer to it, by id
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                refs.setdefault(_refers_to(node), set()).add(id(node))
         unreferenced = []
         for p in sorted(SRC.glob("*.py")):
-            lines = texts[p].splitlines()
-            for node in ast.parse(texts[p]).body:
-                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            for fn in trees[p].body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
                     continue
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
-                name = re.compile(rf"\b{node.name}\b")
-                if not any(name.search(rest if q == p else t) for q, t in texts.items()):
-                    unreferenced.append(f"{p.name}:{node.lineno}: {node.name}")
+                if not refs.get(fn.name, set()) - {id(node) for node in ast.walk(fn)}:
+                    unreferenced.append(f"{p.name}:{fn.lineno}: {fn.name}")
         assert unreferenced == []
 
 
@@ -351,6 +369,16 @@ TOKENS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp
                  min_size=1, max_size=6).filter(lambda t: not any(c.isspace() for c in t))
 
 
+def _near(bound):
+    """log10 values within one ulp, or within one printed digit (1e-10), of ``bound``."""
+    ulps = [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+    return st.one_of(st.sampled_from(ulps + [bound - 1e-10, bound + 1e-10]),
+                     st.floats(bound - 1e-10, bound + 1e-10))
+
+
+ARPA_END = st.one_of(_near(_LOG10_MIN), _near(_LOG10_MAX))
+
+
 class TestRoundTrips:
     @settings(max_examples=40)
     @given(SENTENCES, st.integers(1, 3), st.sampled_from(["kneser_ney", "absolute", "mle"]))
@@ -369,6 +397,30 @@ class TestRoundTrips:
         arpa_write(back, path)
         assert path.read_bytes() == written
 
+    @settings(max_examples=80)
+    @given(ARPA_END, st.data())
+    def test_arpa_range_ends(self, tmp_path_factory, value, data):
+        """A model holding a value at a range end either reads back as ``_fmt``
+        stores it, or arpa_write refuses it, naming the file and writing nothing."""
+        model = lm_train(["a b", "b a a"], order=2)
+        slots = [(n, gram, col) for n in (1, 2) for gram, (_, bow) in model.tables[n].items()
+                 for col in (0, 1)[:1 + (bow is not None)]]   # a log10 prob or a back-off
+        n, gram, col = data.draw(st.sampled_from(sorted(slots)))
+        entry = list(model.tables[n][gram])
+        entry[col] = value
+        tables = list(model.tables)
+        tables[n] = {**tables[n], gram: tuple(entry)}
+        path = tmp_path_factory.mktemp("arpa") / "lm.arpa"
+        try:
+            arpa_write(ArpaModel(order=2, tables=tuple(tables)), path)
+        except ArpaError as e:
+            assert str(e).startswith(f"{path}: ") and not path.exists()
+            return
+        back = arpa_read(path)
+        for k in (1, 2):
+            assert back.tables[k] == {g: tuple(None if x is None else float(_fmt(x)) for x in v)
+                                      for g, v in tables[k].items()}
+
     @settings(max_examples=40)
     @given(SENTENCES, st.integers(8, 30))
     def test_bpe(self, tmp_path_factory, sentences, vocab_size):
@@ -385,12 +437,13 @@ class TestRoundTrips:
     def test_emissions(self, tmp_path_factory, T, V, seed, binary):
         path = tmp_path_factory.mktemp("em") / "x.em"
         logits = normalize_rows(np.random.default_rng(seed).normal(scale=5, size=(T, V)))
-        write_emissions(path, logits, binary=binary)
-        got = read_emissions(path).logits
         if binary:  # float32 storage, renormalized on load
-            assert np.array_equal(got, normalize_rows(logits.astype("<f4").astype(np.float64)))
-        else:
-            np.testing.assert_allclose(got, logits, rtol=0, atol=1e-6)
+            write_emissions(path, logits)
+            want = normalize_rows(logits.astype("<f4").astype(np.float64))
+            assert np.array_equal(read_emissions(path).logits, want)
+        else:   # the text form, which only another writer makes
+            stored_emissions(path, logits, binary)
+            np.testing.assert_allclose(read_emissions(path).logits, logits, rtol=0, atol=1e-6)
 
     @settings(max_examples=40)
     @given(st.lists(TOKENS, min_size=1, max_size=5, unique=True), st.integers(1, 4), st.data())
@@ -440,8 +493,8 @@ VOCAB_TEXT = st.tuples(
 
 def _tree_words(node):
     """The words at or below ``node``, whose arcs never spell the blank."""
-    assert BLANK_ID not in node.children
-    return set(node.words).union(*(_tree_words(child) for child in node.children.values()))
+    assert BLANK_ID not in [k for k, _, _ in node.arcs]
+    return set(node.words).union(*(_tree_words(child) for _, _, child in node.arcs))
 
 
 class TestLoadedLexiconBuildsTrie:
@@ -495,18 +548,6 @@ EM_CELL = st.one_of(*[st.floats(-30, 5)] * 12, st.sampled_from(
 EM_WORDS = ("x", "y", "xy")
 
 
-def _emission_file(path, rows, binary):
-    """``rows`` stored as they are: as float32 cells, or as text in float64 ``repr``."""
-    T, V = len(rows), len(rows[0])
-    if binary:
-        with np.errstate(over="ignore"):
-            payload = np.array(rows, dtype=np.float64).astype("<f4").tobytes()
-        path.write_bytes(b"EMISMAT1" + struct.pack("<II", T, V) + payload)
-    else:
-        path.write_text(f"{T} {V}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in rows),
-                        encoding="utf-8")
-
-
 class TestLoadedEmissionsDecode:
     """Once an emission file loads, a phoneme decode with or without an LM
     scores every hypothesis without NaN or +inf, or names the file."""
@@ -527,7 +568,7 @@ class TestLoadedEmissionsDecode:
         ngram = lm_train(["x y xy", "y x", "xy xy y"], order=2)
         d = tmp_path_factory.mktemp("em")
         path = emission_path(d, "u1")
-        _emission_file(path, rows, binary)
+        stored_emissions(path, rows, binary)
         try:
             [(_, nbests)] = decode_utterances(d, ["u1"], cfg, (ngram, None),
                                               lex=build_prefix_tree(entries, vocab))

@@ -206,7 +206,7 @@ def _word_outcome(w, inv):
     try:
         return parse_word(w, inv)
     except ParseError as e:
-        return ("error", str(e), e.position, e.remainder)
+        return ("error", str(e), e.position)
 
 
 # Every default final starts with a vowel, so at most one onset split of a
@@ -283,7 +283,7 @@ def _outcome(parse, w, inv):
     try:
         return parse(w, inv)
     except ParseError as e:
-        return ("error", str(e), e.position, e.remainder)
+        return ("error", str(e), e.position)
 
 
 def _long_spelling(inv):
@@ -297,7 +297,7 @@ def _long_spelling(inv):
 
 class TestIterativeParse:
     """The explicit-stack parse gives the same syllables, or the same error
-    message, position and remainder, as the recursion it replaced."""
+    message and position, as the recursion it replaced."""
 
     @settings(max_examples=1500)
     @given(st.sampled_from([default_inventory(), _AMBIGUOUS_INV]).flatmap(

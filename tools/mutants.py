@@ -15,8 +15,9 @@ One line per mutant reports it:
 - killed: a named test failed;
 - survived: every named test passed, so no test guards that code any more;
   a survivor needs a new test, not an edit to an existing one;
-- stale: the snippet is not in the file exactly once, or pytest found no
-  test under a named id; update or drop the mutant.
+- stale: the snippet is not in the file exactly once, the mutated file does
+  not compile, or pytest found no test under a named id; update or drop the
+  mutant.
 
 The exit code is 0 when every mutant is killed, else 1.  The checkout's
 ``src/`` is never changed, and one pytest process runs at a time.
@@ -74,6 +75,18 @@ MUTANTS = (
            "    if not -math.inf < wip * frames < math.inf:\n",
            "    if wip * frames != wip * frames:\n",
            ("tests/test_decoder.py::TestInsertionTermOverflow",)),
+    Mutant("lm-bound-without-end-of-sentence", "decoder.py",
+           "    if not lam * LN10 * -_LOG10_MIN * order * (frames + 1) < math.inf:\n",
+           "    if not lam * LN10 * -_LOG10_MIN * order * frames < math.inf:\n",
+           ("tests/test_decoder.py::TestLmTermOverflow::"
+            "test_lm_weight_past_the_bound_names_the_setting",)),
+    Mutant("arc-appended-per-entry", "decoder.py",
+           "                nxt = child_of[node.idx, pid] = TrieNode(pid, len(child_of) + 1)\n"
+           "                node.arcs += ((pid, nxt.idx, nxt),)",
+           "                nxt = child_of[node.idx, pid] = TrieNode(pid, len(child_of) + 1)\n"
+           "            node.arcs += ((pid, nxt.idx, nxt),)",
+           ("tests/test_decoder.py::TestBuildPrefixTree::test_arcs_list_children",
+            "tests/test_decoder.py::TestGoldenNBest")),
     Mutant("floor-walk-stops-at-a-tie", "decoder.py",
            "                    if score < best[0]:\n"
            "                        if k == last:",
@@ -158,8 +171,8 @@ MUTANTS = (
            ("tests/test_ctc.py::TestMatchesReference",)),
     # -- experiment report, LM vocabulary, artifact lines -----------------------
     Mutant("report-rows-out-of-order", "experiment.py",
-           "        metrics = dict.fromkeys(m for r in self.runs for m, _ in r.rates)",
-           "        metrics = sorted(dict.fromkeys(m for r in self.runs for m, _ in r.rates))",
+           "        metrics = dict.fromkeys(m for rates in self.runs for m, _ in rates)",
+           "        metrics = sorted(dict.fromkeys(m for rates in self.runs for m, _ in rates))",
            ("tests/test_experiment.py::TestReportText",)),
     Mutant("map-word-reads-the-top-order", "lm.py",
            "        return w if (w,) in self.tables[1] else UNK\n",
@@ -203,16 +216,12 @@ MUTANTS = (
            "    return [normalize_text(ln.split(\"\\t\", 1)[1] if \"\\t\" in ln else ln)\n"
            "            for ln in _read_lines(path)]\n",
            ("tests/test_cli.py::TestLm::test_corpus_with_one_tab_missing_names_line",)),
-    Mutant("empty-id-listed", "cli.py",
-           "            if not utt:\n"
-           "                raise ValueError(\"empty utterance id\")\n",
+    Mutant("empty-id-accepted", "experiment.py",
+           "        if not utt:\n"
+           "            raise ValueError(\"empty utterance id\")\n",
            "",
-           ("tests/test_cli.py::TestInputFaultNamesFile::test_fault_names_file[empty-id]",)),
-    Mutant("empty-id-in-corpus", "experiment.py",
-           "            if not utt:\n"
-           "                raise ValueError(\"empty utterance id\")\n",
-           "",
-           ("tests/test_experiment.py::TestCorpusReader::test_empty_id_named_at_path_and_line",
+           ("tests/test_cli.py::TestInputFaultNamesFile::test_fault_names_file[empty-id]",
+            "tests/test_experiment.py::TestCorpusReader::test_empty_id_named_at_path_and_line",
             "tests/test_cli.py::TestSplitScore::test_score_rejects_empty_id")),
     Mutant("decode-reads-raw-id-lines", "cli.py",
            "decode_utterances(args.emissions, _read_ids(args.ids),",
@@ -287,8 +296,8 @@ MUTANTS = (
            "    return max(rates)\n",
            ("tests/test_evaluate.py::TestAggregate",)),
     Mutant("report-rate-ignores-lm", "experiment.py",
-           "        return aggregate([r.rates[metric, lm] for r in self.runs])\n",
-           "        return aggregate([r.rates[metric, \"with-lm\"] for r in self.runs])\n",
+           "        return aggregate([rates[metric, lm] for rates in self.runs])\n",
+           "        return aggregate([rates[metric, \"with-lm\"] for rates in self.runs])\n",
            ("tests/test_experiment.py::TestReportText",)),
     Mutant("g2p-table-accepts-blank", "lexicon.py",
            "            if BLANK_TOKEN in value.split():   # no prefix-tree path can spell it\n",
@@ -306,28 +315,23 @@ MUTANTS = (
            "        vocab = token_lines([ln for ln in lines[end + 1:] if ln], at, end + 2)\n",
            ("tests/test_tokenizer.py::TestModelFile::test_malformed_vocab_line_names_line",)),
     Mutant("emission-writer-unchecked", "ctc.py",
-           "    with located(path):\n"
            "        _from_cells(cells)\n",
            "",
            ("tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_a_frame_its_reader_rejects",)),
     Mutant("emission-writer-checks-float64", "ctc.py",
-           "    with located(path):\n"
            "        _from_cells(cells)\n",
-           "    with located(path):\n"
            "        _from_cells(logits)\n",
            ("tests/test_ctc.py::TestEmissionFiles::"
             "test_cell_past_float32_range_refused_binary_only",)),
     Mutant("emission-writer-checks-frames-only", "ctc.py",
-           "    with located(path):\n"
            "        _from_cells(cells)\n",
-           "    with located(path):\n"
            "        if cells.size and not np.isfinite(cells.max(axis=1)).all():\n"
            "            raise ValueError(\"a frame holds NaN or +inf, or no finite cell\")\n",
            ("tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_rows_that_do_not_renormalize",)),
     Mutant("emission-writer-shape-unchecked", "ctc.py",
            "    with located(path):\n"
            "        _check_shape(logits)\n",
-           "",
+           "    with located(path):\n",
            ("tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_a_shape_its_reader_rejects",)),
     Mutant("arpa-writer-checks-unwritten-values", "lm.py",
            "        ArpaModel(order=model.order, tables=tuple(read_back)).validate()\n",
@@ -365,7 +369,12 @@ def run_mutant(m: Mutant) -> tuple[str, str]:
         text = path.read_text(encoding="utf-8")
         if text.count(m.snippet) != 1:
             return "stale", f"snippet found {text.count(m.snippet)} times in {m.file}"
-        path.write_text(text.replace(m.snippet, m.replacement), encoding="utf-8")
+        text = text.replace(m.snippet, m.replacement)
+        try:   # a mutant that fails to import would otherwise count as killed
+            compile(text, str(path), "exec")
+        except SyntaxError as e:
+            return "stale", f"the mutated {m.file} does not compile: {e.msg}, line {e.lineno}"
+        path.write_text(text, encoding="utf-8")
         proc = run_tests(src, m.tests)
     lines = (proc.stdout + proc.stderr).strip().splitlines()
     return outcome(proc), lines[-1] if lines else ""
