@@ -77,9 +77,12 @@ def cmd_lexicon(args):
     inv, table = load_inventory(args.inventory), load_g2p_table(args.g2p_table)
     words = [w for text in _read_transcripts(args.corpus) for w in text.split()]
     entries, failures = build_lexicon(words, table, inv)
-    write_lexicon(entries, args.output)
     for word, err in failures:
         print(f"unconvertible\t{word}\t{err}", file=sys.stderr)
+    if not entries:   # vocab would reject the empty lexicon; --allow-failures does not help
+        with located(args.corpus):
+            raise ValueError("no translatable words")
+    write_lexicon(entries, args.output)
     print(f"{len(entries)} entries, {len(failures)} failures -> {args.output}")
     return 0 if not failures or args.allow_failures else 1
 
@@ -276,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("decode", cmd_decode, "beam-search decode emission files")
     sp.description = ("Beam-search decode emission files.  Subword mode without --lm gives "
-                      "the greedy 1-best: --beam, --lm-weight, --wip and --nbest-size do "
-                      "not apply to it.")
+                      "the greedy 1-best: --beam, --lm-weight and --nbest-size do not apply "
+                      "to it.  --wip does not change that 1-best, but it is added to its "
+                      "score, and its bound (--wip times the frame count is finite) is checked.")
     sp.add_argument("--mode", choices=["subword", "phoneme"], required=True)
     sp.add_argument("--emissions", required=True, help="directory of <utt>.em files")
     sp.add_argument("--ids", required=True, help="id list or utt TAB text file")

@@ -14,8 +14,8 @@ counts and of a discount rule:
   back-off weight is LOG10_ZERO.
 
 All scores are base-10 logs to match the ARPA format; the decoder converts
-to natural logs at its boundary.  Models are immutable after training or
-loading and scoring is pure.
+to natural logs at its boundary.  A model is checked when it is built,
+however it is built, and is immutable after; scoring is pure.
 """
 
 from __future__ import annotations
@@ -65,10 +65,14 @@ class ArpaModel:
     def map_word(self, w: str) -> str:
         return w if (w,) in self.tables[1] else UNK
 
-    def validate(self) -> None:
-        """Structural checks: probs <= 0, each value's power of ten a finite
+    def __post_init__(self) -> None:
+        """Every model is checked where it is built, raising ArpaError: one
+        table per order, probs <= 0, each value's power of ten a finite
         positive float (so every score and back-off sum is finite), no
         dangling history, and a <unk> unigram for OOV words to map to."""
+        if self.order < 1 or len(self.tables) != self.order + 1:
+            raise ArpaError(f"order {self.order} with {len(self.tables)} tables: "
+                            f"the order must be >= 1, with order + 1 tables (index 0 unused)")
         for n in range(1, self.order + 1):
             for gram, (logp, bow) in self.tables[n].items():
                 if len(gram) != n:
@@ -163,9 +167,7 @@ def lm_train(corpus: Iterable[str], order: int = 4, smoothing: str = "kneser_ney
         counts[1][(UNK,)] = counts[1].get((UNK,), 0) + 1  # the reserved <unk> count
         rule = _fixed_discounts(0.0)
     tables = _discounted_tables(counts, order, vocab, rule)
-    model = ArpaModel(order=order, tables=tuple(tables))
-    model.validate()
-    return model
+    return ArpaModel(order=order, tables=tuple(tables))
 
 
 def _fixed_discounts(d: float):
@@ -229,7 +231,7 @@ def lm_score(model: ArpaModel, history: Sequence[str], word: str) -> float:
 
 
 def _backoff(model, h, w):
-    # ``w`` is a listed unigram or <unk>, which validate requires, so the gram is found by h == ()
+    # ``w`` is a listed unigram or <unk>, which every model holds, so the gram is found by h == ()
     gram = h + (w,)
     entry = model.tables[len(gram)].get(gram)
     if entry is not None:
@@ -302,7 +304,7 @@ def arpa_write(model: ArpaModel, path) -> None:
                 table[gram] = (float(p), float(b))
         read_back.append(table)
     with located(path, ArpaError):
-        ArpaModel(order=model.order, tables=tuple(read_back)).validate()
+        ArpaModel(order=model.order, tables=tuple(read_back))
     write_lines(path, lines + ["", "\\end\\"])
 
 
@@ -374,6 +376,4 @@ def arpa_read(path) -> ArpaModel:
         for n, want in declared.items():
             if len(tables[n]) != want:
                 raise ArpaError(f"declared {want} {n}-grams, found {len(tables[n])}")
-        model = ArpaModel(order=order, tables=tuple(tables))
-        model.validate()
-    return model
+        return ArpaModel(order=order, tables=tuple(tables))

@@ -85,6 +85,18 @@ class TestLexiconVocab:
         assert f"{table}:{line}: " in err
         assert not lex.exists()
 
+    @pytest.mark.parametrize("allow", [[], ["--allow-failures"]], ids=["strict", "allow-failures"])
+    @pytest.mark.parametrize("text", ["xxxx\nqqq\n", "\n", "u1\t\n"],
+                             ids=["untranslatable", "no-words", "empty-transcript"])
+    def test_corpus_without_an_entry_refused(self, capsys, tmp_path, text, allow):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(text, encoding="utf-8")
+        lex = tmp_path / "lex.tsv"
+        code, out, err = run(capsys, "lexicon", "--corpus", corpus, "--output", lex, *allow)
+        assert code == 1 and not out
+        assert err.endswith(f"mienasr: lexicon: error: {corpus}: no translatable words\n")
+        assert not lex.exists()
+
     def test_needs_corpus(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["lexicon", "--output", str(tmp_path / "lex.tsv")])

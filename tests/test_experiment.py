@@ -514,6 +514,18 @@ class TestForkedDecode:
         assert live_children() == []
         decoding.close()
 
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_without_fork_or_affinity_decodes_in_process(self, monkeypatch, tmp_path, missing):
+        case = noisy_decode_case(tmp_path, "phoneme")
+        serial = list(self.decode(monkeypatch, 1, tmp_path, *case))
+        cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, missing)
+        decoding = decode_utterances(tmp_path, case[0], DecodeConfig(beam_size=8), case[1],
+                                     **case[2])
+        first = next(decoding)
+        assert live_children() == []
+        assert repr([first, *decoding]) == repr(serial)
+
     def test_process_running_another_thread_starts_no_process(self, monkeypatch, tmp_path):
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mienasr.lm import (BOS, EOS, UNK, ArpaError, arpa_read, arpa_write,
+from mienasr.lm import (BOS, EOS, UNK, ArpaError, ArpaModel, arpa_read, arpa_write,
                         lm_score, lm_train, normalization_mass, perplexity,
                         sentence_logprob)
 
@@ -38,7 +38,7 @@ class TestTraining:
 
     def test_histories_always_present(self):
         m = lm_train(["mbuo mienh nyei dorn daaih", "mienh nyei mbuo"], order=4)
-        m.validate()
+        ArpaModel(m.order, m.tables)
         for n in range(2, 5):
             for gram in m.tables[n]:
                 assert gram[:-1] in m.tables[n - 1]
@@ -214,7 +214,7 @@ class TestArpaRoundTrip:
         range end, -323.3000000000 or 308.2500000000, which arpa_read rejects."""
         m = lm_train(TOY3, order=2)
         m.tables[1][(UNK,)] = (log10, bow)
-        m.validate()
+        ArpaModel(m.order, m.tables)
         path = tmp_path / "m.arpa"
         with pytest.raises(ArpaError, match=re.escape(f"{path}: ") + ".*out-of-range"):
             arpa_write(m, path)
@@ -319,7 +319,54 @@ class TestArpaReadErrors:
         gram = next(iter(m.tables[2]))
         m.tables[2][gram] = (-400.0, None)
         with pytest.raises(ArpaError, match="out-of-range"):
-            m.validate()
+            ArpaModel(m.order, m.tables)
+
+
+UNIGRAMS = {(BOS,): (-99.0, -0.3), ("a",): (-0.5, -0.2), (EOS,): (-0.5, None),
+            (UNK,): (-1.0, None)}
+
+
+def _with(table, gram, entry):
+    return {**table, gram: entry}
+
+
+class TestModelCheckedAtConstruction:
+    """A model built in code is checked as a loaded one is: each fault is an
+    ArpaError when the model is built, not a bare error or a NaN at scoring."""
+
+    @pytest.mark.parametrize("unused", [None, {}], ids=["none", "empty-dict"])
+    def test_no_unk(self, unused):
+        with pytest.raises(ArpaError, match=f"no {UNK} unigram"):
+            ArpaModel(order=1, tables=(unused, {("a",): (-1.0, None)}))
+
+    @pytest.mark.parametrize("logp", [math.nan, math.inf, 0.5, -math.inf, -400.0],
+                             ids=["nan", "inf", "positive", "minus-inf", "below-range"])
+    def test_bad_log_prob(self, logp):
+        with pytest.raises(ArpaError, match="log10 probability"):
+            ArpaModel(order=1, tables=(None, _with(UNIGRAMS, ("x",), (logp, None))))
+
+    @pytest.mark.parametrize("bow", [math.nan, math.inf, -math.inf, 308.25, -323.3])
+    def test_out_of_range_back_off(self, bow):
+        with pytest.raises(ArpaError, match="out-of-range back-off"):
+            ArpaModel(order=1, tables=(None, _with(UNIGRAMS, ("a",), (-0.5, bow))))
+
+    def test_gram_filed_under_the_wrong_order(self):
+        with pytest.raises(ArpaError, match=re.escape("('a', 'a') filed under order 1")):
+            ArpaModel(order=1, tables=(None, _with(UNIGRAMS, ("a", "a"), (-0.5, None))))
+
+    def test_dangling_history(self):
+        with pytest.raises(ArpaError, match="dangling history"):
+            ArpaModel(order=2, tables=(None, dict(UNIGRAMS), {("b", "a"): (-0.1, None)}))
+
+    @pytest.mark.parametrize("order, n_tables", [(2, 2), (1, 1), (1, 3), (0, 1)])
+    def test_tables_not_one_per_order_plus_index_zero(self, order, n_tables):
+        tables = (None, dict(UNIGRAMS), {(BOS, "a"): (-0.1, None)})[:n_tables]
+        with pytest.raises(ArpaError, match=r"order \d+ with \d+ tables"):
+            ArpaModel(order=order, tables=tables)
+
+    def test_per_order_checks_come_before_the_unk_check(self):
+        with pytest.raises(ArpaError, match="dangling history"):
+            ArpaModel(order=2, tables=(None, {("a",): (-0.5, None)}, {("b", "a"): (-0.1, None)}))
 
 
 # an order-3 model whose eleven log10 values are slots: <s>, </s>, a (prob, back-off),

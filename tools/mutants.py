@@ -334,9 +334,19 @@ MUTANTS = (
            "    with located(path):\n",
            ("tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_a_shape_its_reader_rejects",)),
     Mutant("arpa-writer-checks-unwritten-values", "lm.py",
-           "        ArpaModel(order=model.order, tables=tuple(read_back)).validate()\n",
-           "        ArpaModel(order=model.order, tables=model.tables).validate()\n",
+           "        ArpaModel(order=model.order, tables=tuple(read_back))\n",
+           "        ArpaModel(order=model.order, tables=model.tables)\n",
            ("tests/test_lm.py::TestArpaRoundTrip::test_writer_refuses_a_value_its_reader_rejects",)),
+    Mutant("arpa-model-unchecked-at-construction", "lm.py",
+           "    def __post_init__(self) -> None:\n",
+           "    def __post_init__(self) -> None:\n        return\n",
+           ("tests/test_lm.py::TestModelCheckedAtConstruction",)),
+    Mutant("lexicon-cli-accepts-no-entries", "cli.py",
+           "    if not entries:   # vocab would reject the empty lexicon; --allow-failures does not help\n"
+           "        with located(args.corpus):\n"
+           "            raise ValueError(\"no translatable words\")\n",
+           "",
+           ("tests/test_cli.py::TestLexiconVocab::test_corpus_without_an_entry_refused",)),
 )
 
 
