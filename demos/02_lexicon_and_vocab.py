@@ -25,7 +25,7 @@ print(f"  hnaangv -> {' '.join(g2p('hnaangv', table, inv).pron)}")
 print(f"  naangv  -> {' '.join(g2p('naangv', table, inv).pron)}")
 
 # a synthetic word list touching every grapheme of the inventory
-words = [i + "a" for i in inv.initials]
+words = [i + "a" for i in sorted(inv.initials)]
 words += ["b" + m for m in sorted(inv.mains)]
 words += ["ba" + c for c in sorted(inv.codas)]
 words += ["ba" + t for t in inv.tone_letters]

@@ -54,8 +54,12 @@ class ArpaModel:
     gram never acts as a history.
     """
 
-    order: int
     tables: tuple[dict, ...]  # index 0 unused, 1..order live
+
+    @property
+    def order(self) -> int:
+        """The highest n: one live table per order, after the unused index 0."""
+        return len(self.tables) - 1
 
     @cached_property
     def vocab(self) -> tuple[str, ...]:
@@ -66,13 +70,12 @@ class ArpaModel:
         return w if (w,) in self.tables[1] else UNK
 
     def __post_init__(self) -> None:
-        """Every model is checked where it is built, raising ArpaError: one
-        table per order, probs <= 0, each value's power of ten a finite
+        """Every model is checked where it is built, raising ArpaError: at
+        least one live table, probs <= 0, each value's power of ten a finite
         positive float (so every score and back-off sum is finite), no
         dangling history, and a <unk> unigram for OOV words to map to."""
-        if self.order < 1 or len(self.tables) != self.order + 1:
-            raise ArpaError(f"order {self.order} with {len(self.tables)} tables: "
-                            f"the order must be >= 1, with order + 1 tables (index 0 unused)")
+        if len(self.tables) < 2:
+            raise ArpaError("no n-gram table: the unigrams are tables[1] (index 0 unused)")
         for n in range(1, self.order + 1):
             for gram, (logp, bow) in self.tables[n].items():
                 if len(gram) != n:
@@ -167,7 +170,7 @@ def lm_train(corpus: Iterable[str], order: int = 4, smoothing: str = "kneser_ney
         counts[1][(UNK,)] = counts[1].get((UNK,), 0) + 1  # the reserved <unk> count
         rule = _fixed_discounts(0.0)
     tables = _discounted_tables(counts, order, vocab, rule)
-    return ArpaModel(order=order, tables=tuple(tables))
+    return ArpaModel(tuple(tables))
 
 
 def _fixed_discounts(d: float):
@@ -304,7 +307,7 @@ def arpa_write(model: ArpaModel, path) -> None:
                 table[gram] = (float(p), float(b))
         read_back.append(table)
     with located(path, ArpaError):
-        ArpaModel(order=model.order, tables=tuple(read_back))
+        ArpaModel(tuple(read_back))
     write_lines(path, lines + ["", "\\end\\"])
 
 
@@ -376,4 +379,4 @@ def arpa_read(path) -> ArpaModel:
         for n, want in declared.items():
             if len(tables[n]) != want:
                 raise ArpaError(f"declared {want} {n}-grams, found {len(tables[n])}")
-        return ArpaModel(order=order, tables=tuple(tables))
+        return ArpaModel(tuple(tables))

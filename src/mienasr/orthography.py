@@ -44,13 +44,12 @@ class InventoryError(ValueError):
 class ParseError(ValueError):
     """Input does not decompose under the inventory.
 
-    ``position`` is the offset in ``text`` of the first character that
-    could not be consumed.
+    ``position`` is the offset in the parsed text of the first character
+    that could not be consumed.
     """
 
-    def __init__(self, message: str, text: str, position: int):
+    def __init__(self, message: str, position: int):
         super().__init__(message)
-        self.text = text
         self.position = position
 
 
@@ -58,27 +57,23 @@ class ParseError(ValueError):
 class InventoryConfig:
     """Grapheme inventory of the orthography, immutable after load."""
 
-    initials: tuple[str, ...]
+    initials: frozenset[str]
     finals: tuple[str, ...]
     medials: frozenset[str]
     mains: frozenset[str]
     codas: frozenset[str]
     tone_letters: tuple[str, ...]
     # lookup structures derived in __post_init__
-    _initial_set: frozenset[str] = field(init=False, repr=False, compare=False)
     _initial_lens: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _syllable_len: int = field(init=False, repr=False, compare=False)
-    _final_set: frozenset[str] = field(init=False, repr=False, compare=False)
     _rime_slots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_initial_set", frozenset(self.initials))
         object.__setattr__(self, "_initial_lens",
                            tuple(sorted({len(g) for g in self.initials}, reverse=True)))
         # the longest written syllable: longest initial + longest final + a tone letter
         object.__setattr__(self, "_syllable_len", max(map(len, self.initials), default=0)
                            + max(map(len, self.finals), default=0) + 1)
-        object.__setattr__(self, "_final_set", frozenset(self.finals))
         slots = {}
         for rime in self.finals:
             parts = _split_rime(rime, self.medials, self.mains, self.codas)
@@ -96,8 +91,7 @@ class Syllable:
     """Five-slot decomposition of one written syllable.
 
     Empty strings denote absent optional slots; ``tone_mark`` is "" for the
-    unmarked mid-level tone.  Slot concatenation reproduces ``surface``
-    byte for byte.
+    unmarked mid-level tone.
     """
 
     initial: str
@@ -105,11 +99,15 @@ class Syllable:
     main: str
     final: str
     tone_mark: str
-    surface: str
 
     @property
     def rime(self) -> str:
         return self.medial + self.main + self.final
+
+    @property
+    def surface(self) -> str:
+        """The written syllable: its slots, concatenated."""
+        return self.initial + self.rime + self.tone_mark
 
     @property
     def checked(self) -> bool:
@@ -121,7 +119,6 @@ class Syllable:
 class WordParse:
     """Syllabification of a whole written word."""
 
-    word: str
     syllables: tuple[Syllable, ...]
 
 
@@ -194,7 +191,7 @@ def load_inventory(path=None) -> InventoryConfig:
                 logger.warning("%s: [%s] lists %d graphemes, expected %d", path, name, have, want)
 
         return InventoryConfig(
-            initials=tuple(sections["initials"]),
+            initials=frozenset(sections["initials"]),
             finals=tuple(sections["finals"]),
             medials=frozenset(sections["medials"]),
             mains=frozenset(sections["mains"]),
@@ -210,10 +207,10 @@ def default_inventory() -> InventoryConfig:
 
 def _check_lowercase(s: str, what: str):
     if not s:
-        raise ParseError(f"empty {what}", s, 0)
+        raise ParseError(f"empty {what}", 0)
     for i, ch in enumerate(s):
         if not ("a" <= ch <= "z"):
-            raise ParseError(f"{what} contains non-lowercase-Latin character {ch!r}", s, i)
+            raise ParseError(f"{what} contains non-lowercase-Latin character {ch!r}", i)
 
 
 def _match_syllable(s: str, inv: InventoryConfig) -> Optional[Syllable]:
@@ -222,7 +219,8 @@ def _match_syllable(s: str, inv: InventoryConfig) -> Optional[Syllable]:
     Onsets are tried by length, longest first, as ``body[:n]`` in the set of
     initials: at most one initial of each length is a prefix of ``body``, so
     this picks the same onset as scanning every initial longest first.  A
-    ``body`` shorter than ``n`` leaves an empty rime, which no final is.
+    ``body`` shorter than ``n`` leaves an empty rime, which no final is.  The
+    onset test comes first, as it fails for most lengths.
     """
     if s and s[-1] in inv.tone_letters:
         candidates = [(s[:-1], s[-1]), (s, NO_TONE)]
@@ -232,12 +230,13 @@ def _match_syllable(s: str, inv: InventoryConfig) -> Optional[Syllable]:
         if not body:
             continue
         for n in inv._initial_lens:
-            if body[:n] in inv._initial_set and body[n:] in inv._final_set:
-                medial, main, coda = inv._rime_slots[body[n:]]
-                return Syllable(body[:n], medial, main, coda, tone, s)
-        if body in inv._final_set:  # onsetless syllable
-            medial, main, coda = inv._rime_slots[body]
-            return Syllable("", medial, main, coda, tone, s)
+            if body[:n] in inv.initials:
+                slots = inv._rime_slots.get(body[n:])
+                if slots is not None:
+                    return Syllable(body[:n], *slots, tone)
+        slots = inv._rime_slots.get(body)
+        if slots is not None:  # onsetless syllable
+            return Syllable("", *slots, tone)
     return None
 
 
@@ -251,7 +250,7 @@ def parse_syllable(s: str, inv: InventoryConfig) -> Syllable:
     _check_lowercase(s, "syllable")
     syl = _match_syllable(s, inv)
     if syl is None:
-        raise ParseError(f"no valid syllable decomposition for {s!r}", s, 0)
+        raise ParseError(f"no valid syllable decomposition for {s!r}", 0)
     return syl
 
 
@@ -290,13 +289,13 @@ def parse_word(w: str, inv: InventoryConfig) -> WordParse:
             failed.add(i)
             best_fail = max(best_fail, i)
     if 0 in failed:
-        raise ParseError(f"word {w!r} unparseable at position {best_fail}", w, best_fail)
+        raise ParseError(f"word {w!r} unparseable at position {best_fail}", best_fail)
     syllables = []
     i = 0
     while i < n:
         syl, i = parsed[i]
         syllables.append(syl)
-    return WordParse(w, tuple(syllables))
+    return WordParse(tuple(syllables))
 
 
 def report_coverage(tokens: Iterable[str], inv: InventoryConfig):

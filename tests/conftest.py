@@ -24,7 +24,7 @@ def g2p_table():
 def tiny_inv():
     """Reduced inventory over the letters {a, b, g, n, q} for oracle tests."""
     return InventoryConfig(
-        initials=("b", "n", "nq"),
+        initials=frozenset({"b", "n", "nq"}),
         finals=("a", "aa", "ang", "aang"),
         medials=frozenset(),
         mains=frozenset({"a", "aa"}),

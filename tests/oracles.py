@@ -105,7 +105,7 @@ def uniform_lm(words):
     logp = math.log10(1.0 / len(words))
     table = {(w,): (logp, None) for w in words}
     table[(BOS,)] = (LOG10_ZERO, None)
-    return ArpaModel(order=1, tables=(None, table))
+    return ArpaModel(tables=(None, table))
 
 
 # -- edit distance (Wagner and Fischer 1974) ---------------------------------------

@@ -800,7 +800,7 @@ def packaged_trie(inv, g2p_table):
     rng = random.Random(2024)
     words = set()
     while len(words) < 1000:
-        words.add("".join(rng.choice(("",) + inv.initials) + rng.choice(inv.finals)
+        words.add("".join(rng.choice([""] + sorted(inv.initials)) + rng.choice(inv.finals)
                           + rng.choice(("",) + inv.tone_letters)
                           for _ in range(rng.randint(1, 2))))
     entries, _ = build_lexicon(sorted(words), g2p_table, inv)

@@ -17,7 +17,7 @@ from mienasr.orthography import ParseError, default_inventory, parse_word
 
 def full_coverage_words(inv):
     """Synthetic word list exercising every inventory grapheme."""
-    words = [i + "a" for i in inv.initials]
+    words = [i + "a" for i in sorted(inv.initials)]
     words += ["b" + m for m in sorted(inv.mains)]
     words += ["ba" + c for c in sorted(inv.codas)]
     words += ["ba" + t for t in inv.tone_letters]
@@ -143,7 +143,7 @@ def reference_g2p(word, table, inv):
 
 
 _INV = default_inventory()
-_GRAPHEMES = sorted(set(_INV.initials) | set(_INV.finals) | _INV.medials | _INV.mains
+_GRAPHEMES = sorted(_INV.initials | set(_INV.finals) | _INV.medials | _INV.mains
                     | _INV.codas | set("abcdefghijklmnopqrstuvwxyz"))
 
 
@@ -167,7 +167,8 @@ def g2p_case(draw):
                           for d in (base.onset_entries, base.rime_entries, base.tone_map))
     table = G2PTable(onset_entries=onset | draw(extra), rime_entries=rime | draw(extra),
                      tone_map=tones)
-    syllable = st.tuples(st.sampled_from(("",) + _INV.initials), st.sampled_from(_INV.finals),
+    syllable = st.tuples(st.sampled_from([""] + sorted(_INV.initials)),
+                         st.sampled_from(_INV.finals),
                          st.sampled_from(("",) + _INV.tone_letters)).map("".join)
     word = "".join(draw(st.lists(syllable, min_size=1, max_size=4)))
     return table, word
@@ -235,7 +236,7 @@ class TestBuildLexicon:
 
     def test_tone_count_property(self, inv, g2p_table):
         rng = random.Random(99)
-        onsets = list(inv.initials)
+        onsets = sorted(inv.initials)
         rimes = list(inv.finals)
         tones = [""] + list(inv.tone_letters)
         for _ in range(1000):

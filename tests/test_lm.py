@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -38,7 +39,7 @@ class TestTraining:
 
     def test_histories_always_present(self):
         m = lm_train(["mbuo mienh nyei dorn daaih", "mienh nyei mbuo"], order=4)
-        ArpaModel(m.order, m.tables)
+        ArpaModel(m.tables)
         for n in range(2, 5):
             for gram in m.tables[n]:
                 assert gram[:-1] in m.tables[n - 1]
@@ -214,7 +215,7 @@ class TestArpaRoundTrip:
         range end, -323.3000000000 or 308.2500000000, which arpa_read rejects."""
         m = lm_train(TOY3, order=2)
         m.tables[1][(UNK,)] = (log10, bow)
-        ArpaModel(m.order, m.tables)
+        ArpaModel(m.tables)
         path = tmp_path / "m.arpa"
         with pytest.raises(ArpaError, match=re.escape(f"{path}: ") + ".*out-of-range"):
             arpa_write(m, path)
@@ -319,7 +320,7 @@ class TestArpaReadErrors:
         gram = next(iter(m.tables[2]))
         m.tables[2][gram] = (-400.0, None)
         with pytest.raises(ArpaError, match="out-of-range"):
-            ArpaModel(m.order, m.tables)
+            ArpaModel(m.tables)
 
 
 UNIGRAMS = {(BOS,): (-99.0, -0.3), ("a",): (-0.5, -0.2), (EOS,): (-0.5, None),
@@ -337,36 +338,41 @@ class TestModelCheckedAtConstruction:
     @pytest.mark.parametrize("unused", [None, {}], ids=["none", "empty-dict"])
     def test_no_unk(self, unused):
         with pytest.raises(ArpaError, match=f"no {UNK} unigram"):
-            ArpaModel(order=1, tables=(unused, {("a",): (-1.0, None)}))
+            ArpaModel(tables=(unused, {("a",): (-1.0, None)}))
 
     @pytest.mark.parametrize("logp", [math.nan, math.inf, 0.5, -math.inf, -400.0],
                              ids=["nan", "inf", "positive", "minus-inf", "below-range"])
     def test_bad_log_prob(self, logp):
         with pytest.raises(ArpaError, match="log10 probability"):
-            ArpaModel(order=1, tables=(None, _with(UNIGRAMS, ("x",), (logp, None))))
+            ArpaModel(tables=(None, _with(UNIGRAMS, ("x",), (logp, None))))
 
     @pytest.mark.parametrize("bow", [math.nan, math.inf, -math.inf, 308.25, -323.3])
     def test_out_of_range_back_off(self, bow):
         with pytest.raises(ArpaError, match="out-of-range back-off"):
-            ArpaModel(order=1, tables=(None, _with(UNIGRAMS, ("a",), (-0.5, bow))))
+            ArpaModel(tables=(None, _with(UNIGRAMS, ("a",), (-0.5, bow))))
 
     def test_gram_filed_under_the_wrong_order(self):
         with pytest.raises(ArpaError, match=re.escape("('a', 'a') filed under order 1")):
-            ArpaModel(order=1, tables=(None, _with(UNIGRAMS, ("a", "a"), (-0.5, None))))
+            ArpaModel(tables=(None, _with(UNIGRAMS, ("a", "a"), (-0.5, None))))
 
     def test_dangling_history(self):
         with pytest.raises(ArpaError, match="dangling history"):
-            ArpaModel(order=2, tables=(None, dict(UNIGRAMS), {("b", "a"): (-0.1, None)}))
+            ArpaModel(tables=(None, dict(UNIGRAMS), {("b", "a"): (-0.1, None)}))
 
-    @pytest.mark.parametrize("order, n_tables", [(2, 2), (1, 1), (1, 3), (0, 1)])
-    def test_tables_not_one_per_order_plus_index_zero(self, order, n_tables):
-        tables = (None, dict(UNIGRAMS), {(BOS, "a"): (-0.1, None)})[:n_tables]
-        with pytest.raises(ArpaError, match=r"order \d+ with \d+ tables"):
-            ArpaModel(order=order, tables=tables)
+    def test_order_is_read_from_the_tables(self):
+        """The tables are the one store of the order: index 0 is unused."""
+        assert [f.name for f in dataclasses.fields(ArpaModel)] == ["tables"]
+        assert ArpaModel(tables=(None, dict(UNIGRAMS))).order == 1
+        assert ArpaModel(tables=(None, dict(UNIGRAMS), {(BOS, "a"): (-0.1, None)})).order == 2
+
+    @pytest.mark.parametrize("tables", [(), (None,)], ids=["empty", "index-zero-only"])
+    def test_no_live_table(self, tables):
+        with pytest.raises(ArpaError, match="no n-gram table"):
+            ArpaModel(tables=tables)
 
     def test_per_order_checks_come_before_the_unk_check(self):
         with pytest.raises(ArpaError, match="dangling history"):
-            ArpaModel(order=2, tables=(None, {("a",): (-0.5, None)}, {("b", "a"): (-0.1, None)}))
+            ArpaModel(tables=(None, {("a",): (-0.5, None)}, {("b", "a"): (-0.1, None)}))
 
 
 # an order-3 model whose eleven log10 values are slots: <s>, </s>, a (prob, back-off),

@@ -125,6 +125,17 @@ MUTANTS = (
            "                           + max(map(len, self.finals), default=0) + 1)\n",
            "                           + max(map(len, self.finals), default=0))\n",
            ("tests/test_orthography.py::TestIterativeParse",)),
+    Mutant("surface-drops-tone-mark", "orthography.py",
+           "        return self.initial + self.rime + self.tone_mark\n",
+           "        return self.initial + self.rime\n",
+           ("tests/test_orthography.py::TestParseWord::test_surface_concatenation_reproduces_word",
+            "tests/test_orthography.py::TestOracleEquivalence")),
+    Mutant("onsetless-rime-skipped", "orthography.py",
+           "        slots = inv._rime_slots.get(body)\n"
+           "        if slots is not None:  # onsetless syllable\n"
+           "            return Syllable(\"\", *slots, tone)\n",
+           "",
+           ("tests/test_orthography.py::TestParseSyllable::test_onsetless_syllable",)),
     Mutant("myers-boundary-bit-dropped", "evaluate.py",
            "        hp = (hp << 1) | 1                # row 0 rises by one per column\n",
            "        hp = hp << 1\n",
@@ -334,13 +345,18 @@ MUTANTS = (
            "    with located(path):\n",
            ("tests/test_ctc.py::TestEmissionFiles::test_writer_refuses_a_shape_its_reader_rejects",)),
     Mutant("arpa-writer-checks-unwritten-values", "lm.py",
-           "        ArpaModel(order=model.order, tables=tuple(read_back))\n",
-           "        ArpaModel(order=model.order, tables=model.tables)\n",
+           "        ArpaModel(tuple(read_back))\n",
+           "        ArpaModel(model.tables)\n",
            ("tests/test_lm.py::TestArpaRoundTrip::test_writer_refuses_a_value_its_reader_rejects",)),
     Mutant("arpa-model-unchecked-at-construction", "lm.py",
            "    def __post_init__(self) -> None:\n",
            "    def __post_init__(self) -> None:\n        return\n",
            ("tests/test_lm.py::TestModelCheckedAtConstruction",)),
+    Mutant("arpa-model-without-a-live-table", "lm.py",
+           "        if len(self.tables) < 2:\n"
+           "            raise ArpaError(\"no n-gram table: the unigrams are tables[1] (index 0 unused)\")\n",
+           "",
+           ("tests/test_lm.py::TestModelCheckedAtConstruction::test_no_live_table",)),
     Mutant("lexicon-cli-accepts-no-entries", "cli.py",
            "    if not entries:   # vocab would reject the empty lexicon; --allow-failures does not help\n"
            "        with located(args.corpus):\n"
